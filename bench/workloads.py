@@ -392,7 +392,7 @@ WORKLOADS = {
     ),
     "stationary_oracles": Workload(
         build_stationary, run_stationary,
-        {"full": {"mh_steps": 2_000, "rejection_samples": 200_000},
+        {"full": {"mh_steps": 1_000, "rejection_samples": 200_000},
          "tiny": {"mh_steps": 200, "rejection_samples": 2_000}},
     ),
     "cli_small_batches": Workload(
