@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .cirprocess import exact_step, integrated_laplace, sum_process
-from .errors import ConfigError, RegimeMismatch
+from .errors import BadK, ConfigError, NotEvaluable, RegimeMismatch
 from .events import first_passage_partial_sum
 from .integrators import Scheme, SimConfig, Terminated, simulate_batch, simulate_path
 from .model import ModelParams, classify_regime
@@ -347,11 +347,18 @@ def cmd_stationary_compare(args) -> int:
 def cmd_laplace_check(args) -> int:
     values = _resolve(args)
     params = _model(values)
-    out = _out_dir(values, args)
     mus = getattr(args, "mu", None) or [0.5, 1.0]
     t_probes = sorted(getattr(args, "t_probe", None) or [0.5, 1.0, 2.0])
     n_paths = values["paths"]
     sub_dt = values["dt"]
+    if not sub_dt > 0.0:
+        raise ConfigError(f"dt must be > 0, got {sub_dt}")
+    for tp in t_probes:
+        if not tp > 0.0 or abs(tp / sub_dt - round(tp / sub_dt)) > 1e-9:
+            raise ConfigError(
+                f"probe time t={tp:g} is not a positive multiple of dt={sub_dt:g}"
+            )
+    out = _out_dir(values, args)
     cir = sum_process(params)
     sum0 = float(np.arange(1.0, params.n + 1.0).sum())
     rng = rng_streams(values["seed"], 0)
@@ -430,6 +437,12 @@ def main(argv=None) -> int:
         return 1
     except RegimeMismatch as exc:
         print(f"regime mismatch: {exc}", file=sys.stderr)
+        return 1
+    except NotEvaluable as exc:
+        print(f"not evaluable: {exc}", file=sys.stderr)
+        return 1
+    except BadK as exc:
+        print(f"bad k: {exc}", file=sys.stderr)
         return 1
 
 

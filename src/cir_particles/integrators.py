@@ -39,11 +39,12 @@ Five schemes share one vectorized kernel:
     shared-noise coupling and noise_refine do not apply to it, and its
     determinism is per batch layout rather than per path.
 
-Noise is keyed by (seed, step, path, coordinate) through
-:mod:`cir_particles.randomness`, so a path is bit-identical whether it is run
-alone, inside any batch, or under any parallel schedule, and two systems run
-with the same seed are driven by the same Brownian increments (the coupling
-used by the contraction and comparison experiments).
+For the Gaussian schemes, noise is keyed by (seed, step, path, coordinate)
+through :mod:`cir_particles.randomness`, so a path is bit-identical whether it
+is run alone, inside any batch, or under any parallel schedule, and two
+systems run with the same seed are driven by the same Brownian increments
+(the coupling used by the contraction and comparison experiments).
+``exact_cir_splitting`` is deterministic per batch layout only.
 """
 
 from __future__ import annotations
@@ -94,6 +95,7 @@ class Terminated(str, Enum):
     STOPPED_AT_S_EPS = "stopped_at_S_eps"
     STOPPED_AT_ZETA_EPS = "stopped_at_zeta_eps"
     NUMERICAL_FAILURE = "numerical_failure"
+    STOPPED_AT_EVENT = "stopped_at_event"
 
 
 # Internal integer codes for the batch kernel; EVENT marks paths frozen early
@@ -104,6 +106,7 @@ _CODE_TO_TERMINATED = {
     _T_S_EPS: Terminated.STOPPED_AT_S_EPS,
     _T_ZETA: Terminated.STOPPED_AT_ZETA_EPS,
     _T_FAIL: Terminated.NUMERICAL_FAILURE,
+    _T_EVENT: Terminated.STOPPED_AT_EVENT,
 }
 
 
@@ -564,6 +567,13 @@ def simulate_batch(
     scheme = config.scheme
     if scheme == Scheme.C_EPSILON and params.kappa >= 0.0:
         raise ConfigError("c_epsilon scheme requires kappa < 0")
+    if not isinstance(noise_refine, (int, np.integer)) or noise_refine < 1:
+        raise ConfigError(f"noise_refine must be an int >= 1, got {noise_refine!r}")
+    if scheme == Scheme.EXACT_CIR_SPLITTING and noise_refine > 1:
+        raise ConfigError(
+            "noise_refine > 1 does not apply to exact_cir_splitting, "
+            "which draws no Gaussian increments"
+        )
     split_gen = None
     split_cir = None
     if scheme == Scheme.EXACT_CIR_SPLITTING:

@@ -79,6 +79,17 @@ def gamma_sum_law(params: ModelParams) -> tuple[float, float]:
     return params.n * params.alpha / 2.0, params.gamma
 
 
+def _density_coefficients(params: ModelParams) -> tuple[float, float, float]:
+    """(power, gamma, beta) of the unnormalized log density.
+
+    The log density on the open cone is
+    (power * sum ln(lambda_i) - gamma * sum lambda_i)
+    + beta * sum_{i<j} ln(lambda_j - lambda_i).
+    """
+    power = (params.alpha - 2.0 - (params.n - 1) * params.beta) / 2.0
+    return power, params.gamma, params.beta
+
+
 def log_density_rows(params: ModelParams, lam: np.ndarray) -> np.ndarray:
     """Vectorized unnormalized log density for an (m, n) batch of states.
 
@@ -87,16 +98,48 @@ def log_density_rows(params: ModelParams, lam: np.ndarray) -> np.ndarray:
     """
     lam = np.atleast_2d(np.asarray(lam, dtype=float))
     m, n = lam.shape
-    power = (params.alpha - 2.0 - (params.n - 1) * params.beta) / 2.0
+    power, gamma, beta = _density_coefficients(params)
     ok = (lam > 0.0).all(axis=1) & (np.diff(lam, axis=1) > 0.0).all(axis=1)
     out = np.full(m, -np.inf)
     if ok.any():
         good = lam[ok]
-        val = power * np.log(good).sum(axis=1) - params.gamma * good.sum(axis=1)
+        val = power * np.log(good).sum(axis=1) - gamma * good.sum(axis=1)
         i, j = np.triu_indices(n, k=1)
-        val += params.beta * np.log(good[:, j] - good[:, i]).sum(axis=1)
+        val += beta * np.log(good[:, j] - good[:, i]).sum(axis=1)
         out[ok] = val
     return out
+
+
+def _log_density_point(params: ModelParams):
+    """Per-state form of ``log_density_rows``: a function of a list of n floats.
+
+    It takes the same logs through one ``np.log`` call (the SIMD log and
+    ``math.log`` can differ in the last bit) and sums them left to right as
+    the batch form does, so the two agree bit for bit, -inf included.
+    """
+    power, gamma, beta = _density_coefficients(params)
+    n = params.n
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    log = np.log
+
+    def log_density(lam: list[float]) -> float:
+        prev = 0.0
+        for v in lam:
+            if not v > prev:
+                return -math.inf
+            prev = v
+        logs = log(lam + [lam[j] - lam[i] for i, j in pairs]).tolist()
+        sum_log = 0.0
+        sum_lam = 0.0
+        for k in range(n):
+            sum_log += logs[k]
+            sum_lam += lam[k]
+        sum_log_gap = 0.0
+        for v in logs[n:]:
+            sum_log_gap += v
+        return (power * sum_log - gamma * sum_lam) + beta * sum_log_gap
+
+    return log_density
 
 
 def log_density_unnormalized(params: ModelParams, lam) -> float:
@@ -110,7 +153,7 @@ def log_density_unnormalized(params: ModelParams, lam) -> float:
     arr = np.asarray(lam, dtype=float)
     if arr.shape != (params.n,):
         raise ValueError(f"state must have shape ({params.n},)")
-    return float(log_density_rows(params, arr[None, :])[0])
+    return _log_density_point(params)(arr.tolist())
 
 
 def mh_sampler(
@@ -131,29 +174,41 @@ def mh_sampler(
     proposal scale adapts toward ``target_accept`` during burn-in and is
     frozen afterward, keeping the retained chain Markov.  Returns ``steps``
     retained samples taken every ``thin`` iterations after ``burn_in``.
+
+    The chain state is a list of Python floats, so an iteration costs a few
+    microseconds of scalar arithmetic.  Each iteration draws exactly one
+    ``rng.standard_normal(n)`` and then one ``rng.random()``; the chain is a
+    pure function of the generator state and the arguments.
     """
     _require_evaluable(params)
     n = params.n
     if burn_in is None:
         burn_in = max(1000, steps // 5)
     if initial is None:
-        x = np.arange(1.0, n + 1.0) / params.gamma
+        x = (np.arange(1.0, n + 1.0) / params.gamma).tolist()
     else:
-        x = np.asarray(initial, dtype=float).copy()
+        x = np.asarray(initial, dtype=float)
+        if x.shape != (n,):
+            raise ValueError(f"initial state must have shape ({n},)")
+        x = x.tolist()
     scale = proposal_scale if proposal_scale is not None else 0.5 / params.gamma
-    logp = log_density_rows(params, x[None, :])[0]
-    if not np.isfinite(logp):
+    log_density = _log_density_point(params)
+    logp = log_density(x)
+    if not math.isfinite(logp):
         raise ValueError("initial state has zero density")
 
     points = np.empty((steps, n))
+    normal = rng.standard_normal
+    uniform = rng.random
     accepted_window = 0
     window = 0
     kept = 0
     total_iters = burn_in + steps * thin
     for it in range(total_iters):
-        prop = np.sort(x + scale * rng.standard_normal(n))
-        logq = log_density_rows(params, prop[None, :])[0]
-        if math.log(rng.random()) < logq - logp:
+        noise = normal(n).tolist()
+        prop = sorted([xi + scale * zi for xi, zi in zip(x, noise)])
+        logq = log_density(prop)
+        if math.log(uniform()) < logq - logp:
             x = prop
             logp = logq
             accepted_window += 1
@@ -356,7 +411,7 @@ def estimate_log_normalizer(
     """
     _require_evaluable(params)
     n = params.n
-    power = (params.alpha - 2.0 - (params.n - 1) * params.beta) / 2.0
+    power = _density_coefficients(params)[0]
 
     if method == "quadrature":
         if n > 3:

@@ -134,6 +134,32 @@ class TestErrors:
         rc = run_cli(["simulate", "--n", "3", "--x0", "1,2", "--out", str(tmp_path)])
         assert rc == 1
 
+    def test_stationary_compare_not_evaluable_exit_code(self, tmp_path, capsys):
+        rc = run_cli(["stationary-compare", "--alpha", "2", "--beta", "0.5",
+                      "--gamma", "0", "--n", "2", "--paths", "4", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("not evaluable: ") and err.count("\n") == 1
+
+    def test_collision_scan_bad_k_exit_code(self, tmp_path, capsys):
+        rc = run_cli(["collision-scan", "--k", "5", "--n", "2", "--paths", "4",
+                      "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bad k: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "dt, t", [("0.3", "1.0"), ("0", "1.0"), ("0.25", "0")],
+        ids=["off_grid", "zero_dt", "zero_t"],
+    )
+    def test_laplace_probe_off_dt_grid_is_config_error(self, dt, t, tmp_path, capsys):
+        rc = run_cli(["laplace-check", "--alpha", "2", "--beta", "0.5", "--gamma", "1",
+                      "--n", "2", "--paths", "10", "--dt", dt, "--t", t,
+                      "--out", str(tmp_path)])
+        assert rc == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "laplace.csv").exists()
+
     def test_unknown_scheme_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             run_cli(["simulate", "--scheme", "milstein"])

@@ -309,6 +309,18 @@ class TestSimulatePath:
         assert np.array_equal(a.final_lambda, b.final_lambda)
 
 
+class TestStopOnStatus:
+    def test_event_stop_reports_stopped_at_event(self):
+        p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
+        cfg = SimConfig(dt=1e-2, horizon=0.1, seed=5, paths=2)
+        initial = np.array([[2e-4, 5e-4], [1.0, 2.0]])  # psum_2 of row 0 <= 1e-3
+        res = simulate_batch(p, cfg, initial=initial, stop_on=("psum", 2, 1e-3))
+        assert res.terminated(0) is Terminated.STOPPED_AT_EVENT
+        assert Terminated.STOPPED_AT_EVENT.value == "stopped_at_event"
+        assert res.stop_time[0] == 0.0
+        assert res.terminated(1) is Terminated.HORIZON
+
+
 class TestNoiseTree:
     def test_coarse_increment_is_sum_of_fine(self):
         # One macro step with noise_refine=m must see the same Brownian mass
@@ -323,6 +335,21 @@ class TestNoiseTree:
         lhs = math.sqrt(4 * dt) * z_coarse
         rhs = math.sqrt(dt) * sum(z_fine)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+    @pytest.mark.parametrize("refine", [0, -2, 1.5])
+    def test_noise_refine_must_be_int_at_least_one(self, refine):
+        p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
+        cfg = SimConfig(dt=1e-2, horizon=0.1, seed=5, paths=2)
+        with pytest.raises(ConfigError, match="noise_refine"):
+            simulate_batch(p, cfg, noise_refine=refine)
+
+    def test_noise_refine_rejected_under_exact_splitting(self):
+        p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
+        cfg = SimConfig(scheme=Scheme.EXACT_CIR_SPLITTING, dt=1e-2, horizon=0.1,
+                        seed=5, paths=2)
+        with pytest.raises(ConfigError, match="noise_refine"):
+            simulate_batch(p, cfg, noise_refine=2)
+        simulate_batch(p, cfg, noise_refine=1)
 
     def test_weak_error_of_sum_shrinks_on_common_tree(self):
         # KS distance of the endpoint sum to the exact CIR law decreases

@@ -21,7 +21,11 @@ from cir_particles import (
     mh_sampler,
     rejection_sample_pair,
 )
-from cir_particles.stationary import StationaryDensity, log_density_rows
+from cir_particles.stationary import (
+    StationaryDensity,
+    _log_density_point,
+    log_density_rows,
+)
 
 P2 = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
 
@@ -169,6 +173,109 @@ class TestMhSampler:
     def test_not_evaluable(self):
         with pytest.raises(NotEvaluable):
             mh_sampler(ModelParams(2.0, 0.5, 0.0, 2), 100, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("initial", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]])
+    def test_initial_shape_checked(self, initial):
+        with pytest.raises(ValueError, match="shape"):
+            mh_sampler(P2, 10, np.random.default_rng(0), initial=initial)
+
+
+def reference_mh_points(params, steps, rng, *, initial=None, burn_in=None, thin=1):
+    """The array-based Metropolis loop that ``mh_sampler`` replaced.
+
+    One (1, n) row through ``log_density_rows`` per proposal; kept here so
+    the scalar sampler can be held to the same chains bit for bit.
+    """
+    n = params.n
+    if burn_in is None:
+        burn_in = max(1000, steps // 5)
+    if initial is None:
+        x = np.arange(1.0, n + 1.0) / params.gamma
+    else:
+        x = np.asarray(initial, dtype=float).copy()
+    scale = 0.5 / params.gamma
+    logp = log_density_rows(params, x[None, :])[0]
+    points = np.empty((steps, n))
+    accepted_window = 0
+    window = 0
+    kept = 0
+    for it in range(burn_in + steps * thin):
+        prop = np.sort(x + scale * rng.standard_normal(n))
+        logq = log_density_rows(params, prop[None, :])[0]
+        if math.log(rng.random()) < logq - logp:
+            x = prop
+            logp = logq
+            accepted_window += 1
+        window += 1
+        if it < burn_in:
+            if window == 100:
+                rate = accepted_window / window
+                scale *= math.exp(0.5 * (rate - 0.3))
+                scale = min(max(scale, 1e-4 / params.gamma), 100.0 / params.gamma)
+                accepted_window = 0
+                window = 0
+        elif (it - burn_in) % thin == thin - 1:
+            points[kept] = x
+            kept += 1
+    return points[:kept]
+
+
+class TestScalarSamplerMatchesArrayLoop:
+    @pytest.mark.parametrize(
+        "point, kwargs",
+        [
+            ((2.0, 0.5, 1.0, 2), dict(initial=[1.0, 2.0], burn_in=1000, thin=25)),
+            ((3.0, 0.6, 1.0, 3), dict(initial=[1.0, 2.0, 3.0], burn_in=1000, thin=25)),
+            ((4.0, 0.4, 1.5, 4), dict(thin=5)),
+            ((2.0, 0.5, 1.0, 2), dict(burn_in=40, thin=3)),
+            ((3.0, 0.6, 2.0, 3), dict(thin=1)),
+        ],
+        ids=["oracles_n2", "oracles_n3", "n4", "burn_in_40", "thin_1"],
+    )
+    def test_chains_bitwise_equal(self, point, kwargs):
+        params = ModelParams(*point)
+        got = mh_sampler(params, 300, np.random.default_rng(31), **kwargs).points
+        want = reference_mh_points(params, 300, np.random.default_rng(31), **kwargs)
+        assert got.shape == (300, params.n)
+        assert np.array_equal(got, want)
+
+    def test_consumes_one_normal_row_and_one_uniform_per_iteration(self):
+        rng = np.random.default_rng(32)
+        mh_sampler(P2, 10, rng, burn_in=20, thin=2)
+        twin = np.random.default_rng(32)
+        for _ in range(20 + 10 * 2):
+            twin.standard_normal(2)
+            twin.random()
+        assert rng.random() == twin.random()
+
+
+class TestPointDensityMatchesRows:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("alpha, beta", [(2.0, 0.2), (4.0, 0.5), (9.0, 1.5)])
+    def test_bitwise_equal_on_and_off_cone(self, n, alpha, beta):
+        params = ModelParams(alpha=alpha, beta=beta, gamma=1.3, n=n)
+        rng = np.random.default_rng(40 + n)
+        # Where the chains live, and spread over many binades.
+        on_cone = np.sort(
+            np.concatenate(
+                [rng.uniform(0.0, 3.0, (2000, n)), np.exp(rng.uniform(-12.0, 4.0, (1000, n)))]
+            ),
+            axis=1,
+        )
+        tied = on_cone[:200].copy()
+        tied[:, n - 1] = tied[:, n - 2]
+        zero = on_cone[200:400].copy()
+        zero[:, 0] = 0.0
+        negative = on_cone[400:600].copy()
+        negative[:, 0] = -negative[:, 0]
+        unordered = on_cone[600:800, ::-1]
+        states = np.concatenate([on_cone, tied, zero, negative, unordered])
+        want = log_density_rows(params, states)
+        log_density = _log_density_point(params)
+        got = np.array([log_density(row) for row in states.tolist()])
+        assert np.isfinite(want[:3000]).all()
+        assert np.isneginf(want[3000:]).all()
+        assert np.array_equal(got, want)
 
 
 class TestLogNormalizer:
