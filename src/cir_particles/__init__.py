@@ -16,6 +16,7 @@ from .cirprocess import (
     conditional_mean,
     exact_step,
     integrated_laplace,
+    integrated_sum_paths,
     invariant_gamma,
     partial_sum_bound_process,
     sum_process,
@@ -27,7 +28,6 @@ from .errors import (
     DomainError,
     NoInvariantLaw,
     NotEvaluable,
-    NumericalFailure,
     RegimeMismatch,
     TooFewSamples,
     ZeroCoordinate,
@@ -39,43 +39,39 @@ from .events import (
     TimeChange,
     bessel_collision_dimension,
     detect_events,
+    event_conditions,
     first_passage_partial_sum,
     integrability_diagnostic,
     time_change_A,
 )
 from .integrators import (
     BatchResult,
-    NoiseIncrement,
     PathRecord,
     Scheme,
     SimConfig,
-    SwitchingMode,
     Terminated,
     contraction_curve,
     drift_A_eps,
     drift_B_eps,
+    grid_step,
     simulate_batch,
     simulate_coupled,
     simulate_coupled_cir,
     simulate_path,
-    step_c_epsilon,
-    step_switching,
-    step_truncated_euler,
 )
 from .model import (
     CollisionVerdict,
-    EigenState,
     GlobalSolution,
     ModelParams,
     PairCollisions,
     RegimeReport,
-    RootState,
     ZeroHitLambda1,
     classify_regime,
     drift_lambda,
     drift_lambda_dual,
     drift_root,
     grad_potential,
+    interaction_sum,
     multiple_collision_threshold,
     potential_value,
 )

@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammainc
 
-from .cirprocess import CirParams, exact_step, integrated_laplace, sum_process
+from .cirprocess import (
+    CirParams,
+    exact_step,
+    integrated_laplace,
+    integrated_sum_paths,
+    sum_process,
+)
 from .integrators import (
     Scheme,
     SimConfig,
@@ -32,7 +38,7 @@ from .stats import (
     ks_test,
     ks_test_two_sample,
 )
-from .stationary import mh_sampler
+from .stationary import gamma_sum_law, mh_sampler
 
 __all__ = ["CriterionResult", "run_acceptance", "CRITERIA"]
 
@@ -111,7 +117,7 @@ def criterion_2_stationary_gamma(registry: _DoubleEventRegistry) -> CriterionRes
     )
     res = simulate_batch(params, config, event_levels=[_DOUBLE_SCAN_LEVEL])
     registry.add("c2", res)
-    shape, rate = params.n * params.alpha / 2.0, params.gamma
+    shape, rate = gamma_sum_law(params)
     cdf = lambda x: gammainc(shape, rate * np.asarray(x))  # noqa: E731
     d_sim, p_sim = ks_test(res.final_lambda.sum(axis=1), cdf)
     mh = mh_sampler(params, 10_000, np.random.default_rng(1234), thin=25)
@@ -268,21 +274,10 @@ def criterion_6_no_double_events(registry: _DoubleEventRegistry) -> CriterionRes
 def criterion_7_laplace(registry: _DoubleEventRegistry) -> CriterionResult:
     """Closed-form integrated-CIR Laplace transform vs 1e5 exact paths."""
     params = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
-    cir = sum_process(params)
     sum0 = 3.0
-    n_paths, sub_dt = 100_000, 2.5e-3
-    rng = rng_streams(777, 0)
-    r = np.full(n_paths, sum0)
-    integral = np.zeros(n_paths)
-    probes: dict[float, np.ndarray] = {}
-    for s in range(int(round(2.0 / sub_dt))):
-        r_new = exact_step(cir, r, sub_dt, rng)
-        integral += 0.5 * (r + r_new) * sub_dt
-        r = r_new
-        t_now = (s + 1) * sub_dt
-        for tp in (0.5, 1.0, 2.0):
-            if abs(t_now - tp) < sub_dt / 2 and tp not in probes:
-                probes[tp] = integral.copy()
+    probes = integrated_sum_paths(
+        params, sum0, 100_000, 2.5e-3, (0.5, 1.0, 2.0), rng_streams(777, 0)
+    )
     details = []
     passed = True
     worst = 0.0

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NoInvariantLaw
-from .model import ModelParams
+from .model import ModelParams, multiple_collision_threshold
 
 __all__ = [
     "CirBoundary",
@@ -27,6 +27,7 @@ __all__ = [
     "conditional_mean",
     "exact_step",
     "integrated_laplace",
+    "integrated_sum_paths",
     "invariant_gamma",
     "partial_sum_bound_process",
     "sum_process",
@@ -72,7 +73,7 @@ def partial_sum_bound_process(params: ModelParams, k: int) -> CirParams:
     so the partial sum is dominated by a CIR process with constant drift
     k*(alpha - (n-k)*beta).  For k = n this is :func:`sum_process` exactly.
     """
-    a = k * (params.alpha - (params.n - k) * params.beta)
+    a = multiple_collision_threshold(params, k)[0]
     return CirParams(a=max(a, 0.0), b=2.0 * params.gamma, sigma=2.0)
 
 
@@ -217,3 +218,32 @@ def integrated_laplace(
     return LaplaceQuery(
         mu=mu, t=t, phi=phi, psi=psi, value=math.exp(log_value), log_value=log_value
     )
+
+
+def integrated_sum_paths(
+    params: ModelParams,
+    sum0: float,
+    n_paths: int,
+    dt: float,
+    probe_times,
+    rng: np.random.Generator,
+) -> dict[float, np.ndarray]:
+    """Monte Carlo samples of integral_0^t S_s ds for the coordinate sum S.
+
+    Advances ``n_paths`` copies of the sum process from ``sum0`` with exact
+    transitions of step ``dt``, integrates them by the trapezoid rule, and
+    returns the integrals at each probe time.  Probe times are taken on the
+    grid k*dt at k = round(t/dt); callers check they lie on it.
+    """
+    cir = sum_process(params)
+    probe_at = {int(round(t / dt)): t for t in probe_times}
+    r = np.full(n_paths, sum0)
+    integral = np.zeros(n_paths)
+    probes: dict[float, np.ndarray] = {}
+    for s in range(1, max(probe_at) + 1):
+        r_new = exact_step(cir, r, dt, rng)
+        integral += 0.5 * (r + r_new) * dt
+        r = r_new
+        if s in probe_at:
+            probes[probe_at[s]] = integral.copy()
+    return probes

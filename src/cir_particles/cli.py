@@ -16,11 +16,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cirprocess import exact_step, integrated_laplace, sum_process
+from .cirprocess import integrated_laplace, integrated_sum_paths
 from .errors import BadK, ConfigError, NotEvaluable, RegimeMismatch
 from .events import first_passage_partial_sum
-from .integrators import Scheme, SimConfig, Terminated, simulate_batch, simulate_path
-from .model import ModelParams, classify_regime
+from .integrators import (
+    Scheme,
+    SimConfig,
+    Terminated,
+    grid_step,
+    simulate_batch,
+    simulate_path,
+)
+from .model import ModelParams, classify_regime, multiple_collision_threshold
 from .randomness import rng_streams
 from .stats import empirical_laplace
 
@@ -123,13 +130,10 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def _model(values: dict) -> ModelParams:
-    try:
-        return ModelParams(
-            alpha=values["alpha"], beta=values["beta"],
-            gamma=values["gamma"], n=values["n"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ModelParams(
+        alpha=values["alpha"], beta=values["beta"],
+        gamma=values["gamma"], n=values["n"],
+    )
 
 
 def _sim_config(values: dict) -> SimConfig:
@@ -224,7 +228,7 @@ def _regime_text(values: dict) -> str:
         f"zero_hit_lambda1={report.zero_hit_lambda1.value}",
     ]
     for k, verdict in report.multiple_collision_k.items():
-        value = k * (params.alpha - (params.n - k) * params.beta)
+        value = multiple_collision_threshold(params, k)[0]
         lines.append(f"multiple_collision_k{k}: threshold={value:g} verdict={verdict.value}")
     return "\n".join(lines)
 
@@ -354,26 +358,15 @@ def cmd_laplace_check(args) -> int:
     if not sub_dt > 0.0:
         raise ConfigError(f"dt must be > 0, got {sub_dt}")
     for tp in t_probes:
-        if not tp > 0.0 or abs(tp / sub_dt - round(tp / sub_dt)) > 1e-9:
+        if grid_step(tp, sub_dt, "probe time") < 1:
             raise ConfigError(
                 f"probe time t={tp:g} is not a positive multiple of dt={sub_dt:g}"
             )
     out = _out_dir(values, args)
-    cir = sum_process(params)
     sum0 = float(np.arange(1.0, params.n + 1.0).sum())
-    rng = rng_streams(values["seed"], 0)
-    r = np.full(n_paths, sum0)
-    integral = np.zeros(n_paths)
-    probes: dict[float, np.ndarray] = {}
-    n_steps = int(round(t_probes[-1] / sub_dt))
-    for s in range(n_steps):
-        r_new = exact_step(cir, r, sub_dt, rng)
-        integral += 0.5 * (r + r_new) * sub_dt
-        r = r_new
-        t_now = (s + 1) * sub_dt
-        for tp in t_probes:
-            if abs(t_now - tp) < sub_dt / 2 and tp not in probes:
-                probes[tp] = integral.copy()
+    probes = integrated_sum_paths(
+        params, sum0, n_paths, sub_dt, t_probes, rng_streams(values["seed"], 0)
+    )
     lines = [
         _header(values, "laplace-check"),
         "mu,t,closed_form,mc_estimate,mc_stderr,z_score",

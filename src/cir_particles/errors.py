@@ -7,7 +7,6 @@ __all__ = [
     "DomainError",
     "NoInvariantLaw",
     "NotEvaluable",
-    "NumericalFailure",
     "RegimeMismatch",
     "TooFewSamples",
     "ZeroCoordinate",
@@ -48,7 +47,3 @@ class TooFewSamples(ValueError):
 
 class ConfigError(ValueError):
     """Invalid simulation or experiment configuration; message names the field."""
-
-
-class NumericalFailure(RuntimeError):
-    """Non-finite values appeared during time stepping."""

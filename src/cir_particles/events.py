@@ -28,6 +28,7 @@ __all__ = [
     "TimeChange",
     "bessel_collision_dimension",
     "detect_events",
+    "event_conditions",
     "first_passage_partial_sum",
     "integrability_diagnostic",
     "time_change_A",
@@ -71,6 +72,30 @@ class EventLog:
         return None
 
 
+def event_conditions(lam: np.ndarray, levels) -> dict[float, dict[str, np.ndarray]]:
+    """Event indicators of every row of ``lam`` (R, n) at each detection level.
+
+    Per level: ``gap`` (R, n-1) marks lambda_{i+1} - lambda_i <= level,
+    ``psum`` (R, n) marks lambda_1 + ... + lambda_k <= level, ``zeta`` (R,)
+    the joint event lambda_1 <= level and lambda_2 - lambda_1 <= level, and
+    ``double`` (R,) two distinct small gaps in the same row.  The boundary
+    case, the joint event together with a small gap above the first, is a
+    double event because the joint event's first gap is small.
+    """
+    gaps = lam[:, 1:] - lam[:, :-1]
+    psums = np.cumsum(lam, axis=1)
+    out = {}
+    for lev in levels:
+        gap = gaps <= lev
+        out[lev] = {
+            "gap": gap,
+            "psum": psums <= lev,
+            "zeta": (lam[:, 0] <= lev) & gap[:, 0],
+            "double": gap.sum(axis=1) >= 2,
+        }
+    return out
+
+
 def detect_events(path: "PathRecord", delta: float) -> EventLog:
     """Scan a recorded trajectory for first crossings at level delta.
 
@@ -82,49 +107,35 @@ def detect_events(path: "PathRecord", delta: float) -> EventLog:
     if delta <= 0:
         raise ValueError(f"delta must be > 0, got {delta}")
     times = np.asarray(path.times, dtype=float)
-    lam = np.asarray(path.lambdas, dtype=float)
-    n = lam.shape[1]
+    cond = event_conditions(np.asarray(path.lambdas, dtype=float), (delta,))[delta]
     log = EventLog()
 
-    gaps = lam[:, 1:] - lam[:, :-1]
-    psums = np.cumsum(lam, axis=1)
-    for i in range(n - 1):
-        hits = np.flatnonzero(gaps[:, i] <= delta)
-        if hits.size:
-            log.events.append(
-                Event(float(times[hits[0]]), EventKind.PAIR_COLLISION, i + 1, delta)
-            )
-    for k in range(n):
-        hits = np.flatnonzero(psums[:, k] <= delta)
-        if hits.size:
-            log.events.append(
-                Event(
-                    float(times[hits[0]]),
-                    EventKind.ZERO_HIT_PARTIAL_SUM,
-                    k + 1,
-                    delta,
-                )
-            )
-    joint = (lam[:, 0] <= delta) & (gaps[:, 0] <= delta)
-    hits = np.flatnonzero(joint)
+    for kind, key in (
+        (EventKind.PAIR_COLLISION, "gap"),
+        (EventKind.ZERO_HIT_PARTIAL_SUM, "psum"),
+    ):
+        for i in range(cond[key].shape[1]):
+            hits = np.flatnonzero(cond[key][:, i])
+            if hits.size:
+                log.events.append(Event(float(times[hits[0]]), kind, i + 1, delta))
+    hits = np.flatnonzero(cond["zeta"])
     if hits.size:
         log.events.append(
             Event(float(times[hits[0]]), EventKind.JOINT_EVENT_ZETA, None, delta)
         )
 
-    small = gaps <= delta
-    for step in np.flatnonzero(small.sum(axis=1) >= 2):
+    small = cond["gap"]
+    doubles = np.flatnonzero(cond["double"])
+    for step in doubles:
         idx = np.flatnonzero(small[step]) + 1
         for a in range(idx.size):
             for b in range(a + 1, idx.size):
                 log.multiple_collisions.append(
                     (float(times[step]), int(idx[a]), int(idx[b]))
                 )
-    if n > 2:
-        boundary = joint & small[:, 1:].any(axis=1)
-        for step in np.flatnonzero(boundary):
-            for j in np.flatnonzero(small[step, 1:]) + 2:
-                log.multiple_collisions.append((float(times[step]), 0, int(j)))
+    for step in doubles[cond["zeta"][doubles]]:
+        for j in np.flatnonzero(small[step, 1:]) + 2:
+            log.multiple_collisions.append((float(times[step]), 0, int(j)))
 
     from .integrators import Terminated
 

@@ -1,6 +1,7 @@
 """Time-stepping schemes for the interacting CIR particle system.
 
-Five schemes share one vectorized kernel:
+Five schemes share one vectorized batch loop; each has one step function,
+chosen once per run:
 
 ``truncated_euler``
     Full-truncation Euler in lambda coordinates: drift and diffusion are
@@ -58,27 +59,24 @@ import numpy as np
 
 from .cirprocess import CirParams, exact_step
 from .errors import CoincidentCoordinates, ConfigError
-from .model import EigenState, ModelParams, RootState
+from .events import event_conditions
+from .model import ModelParams, interaction_sum
 from .randomness import exact_step_stream, step_normals
 
 __all__ = [
     "BatchResult",
-    "NoiseIncrement",
     "PathRecord",
     "Scheme",
     "SimConfig",
-    "SwitchingMode",
     "Terminated",
     "contraction_curve",
     "drift_A_eps",
     "drift_B_eps",
+    "grid_step",
     "simulate_batch",
     "simulate_coupled",
     "simulate_coupled_cir",
     "simulate_path",
-    "step_c_epsilon",
-    "step_switching",
-    "step_truncated_euler",
 ]
 
 
@@ -129,6 +127,10 @@ class SimConfig:
     kick_cap: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("dt", "horizon", "epsilon", "collision_tol", "kick_cap"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.dt <= 0:
             raise ConfigError(f"dt must be > 0, got {self.dt}")
         if self.horizon <= self.dt:
@@ -158,22 +160,15 @@ class SimConfig:
         return max(self.collision_tol**2, self.dt)
 
     def make_guard(self, beta: float) -> "_Guard":
-        return _Guard(beta, self.dt, self.collision_tol, self.kick_cap)
+        return _Guard(beta, self)
 
 
-@dataclass(frozen=True)
-class NoiseIncrement:
-    """Gaussian increments with variance dt per coordinate."""
-
-    dW: np.ndarray
-
-
-@dataclass
-class SwitchingMode:
-    """Current regularized system (A or B) and the log of switches."""
-
-    mode: str = "A"
-    switch_times: list[tuple[float, str]] = field(default_factory=list)
+def grid_step(t: float, dt: float, what: str) -> int:
+    """Index k of the grid time k*dt equal to t; ConfigError when t is off the grid."""
+    steps = t / dt
+    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
+        raise ConfigError(f"{what} t={t:g} is not a multiple of dt={dt:g}")
+    return int(round(steps))
 
 
 @dataclass
@@ -188,10 +183,6 @@ class PathRecord:
     terminated: Terminated
     stop_time: float
     switches: list[tuple[float, str]] = field(default_factory=list)
-
-    @property
-    def states(self) -> list[EigenState]:
-        return [EigenState(float(t), row) for t, row in zip(self.times, self.lambdas)]
 
 
 @dataclass
@@ -217,11 +208,11 @@ class BatchResult:
     switch_log: list[list[tuple[float, str]]] | None = None
 
     def terminated(self, i: int) -> Terminated:
-        return _CODE_TO_TERMINATED.get(int(self.terminated_code[i]), Terminated.HORIZON)
+        return _CODE_TO_TERMINATED[int(self.terminated_code[i])]
 
 
 # ---------------------------------------------------------------------------
-# Guarded pairwise interactions (batch kernels)
+# Denominator guard and batch drifts
 # ---------------------------------------------------------------------------
 
 
@@ -239,61 +230,12 @@ class _Guard:
     the drift-sum identity survives capping.
     """
 
-    def __init__(self, beta: float, dt: float, collision_tol: float, kick_cap: float):
-        self.static = max(collision_tol**2, dt)
-        self.disp_coeff = beta * math.sqrt(dt) / (2.0 * kick_cap)
+    def __init__(self, beta: float, config: SimConfig):
+        self.static = config.guard
+        self.disp_coeff = beta * math.sqrt(config.dt) / (2.0 * config.kick_cap)
 
     def floor(self, pair_sum: np.ndarray) -> np.ndarray:
         return np.maximum(self.static, self.disp_coeff * np.sqrt(pair_sum))
-
-
-# Zero-floor guard: exact division, used by the pure (raising) drift surfaces.
-_EXACT_GUARD = _Guard(beta=0.0, dt=0.0, collision_tol=0.0, kick_cap=1.0)
-
-
-def _guarded_pair_sum(lam: np.ndarray, beta: float, guard: _Guard) -> np.ndarray:
-    """beta * sum_{j != i} (l_i + l_j)/(l_i - l_j) with floored denominators.
-
-    Rows are sorted, so ties take the sign of the index order; the floor
-    preserves exact antisymmetry in (i, j).
-    """
-    p, n = lam.shape
-    out = np.zeros_like(lam)
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = lam[:, i] + lam[:, j]
-            d = lam[:, i] - lam[:, j]
-            den = np.where(d != 0.0, np.sign(d), -1.0) * np.maximum(
-                np.abs(d), guard.floor(s)
-            )
-            t = s / den
-            out[:, i] += t
-            out[:, j] -= t
-    return beta * out
-
-
-def _guarded_inv_sum(lam: np.ndarray, guard: _Guard) -> np.ndarray:
-    """sum_{j != i} 1/(l_i - l_j) with the same floored denominators."""
-    p, n = lam.shape
-    out = np.zeros_like(lam)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = lam[:, i] - lam[:, j]
-            den = np.where(d != 0.0, np.sign(d), -1.0) * np.maximum(
-                np.abs(d), guard.floor(lam[:, i] + lam[:, j])
-            )
-            t = 1.0 / den
-            out[:, i] += t
-            out[:, j] -= t
-    return out
-
-
-def _drift_trunc_batch(params: ModelParams, lam: np.ndarray, guard: _Guard) -> np.ndarray:
-    return (
-        params.alpha
-        - 2.0 * params.gamma * lam
-        + _guarded_pair_sum(lam, params.beta, guard)
-    )
 
 
 def _clamp_a(lam: np.ndarray, eps: float) -> np.ndarray:
@@ -313,21 +255,17 @@ def _clamp_b(lam: np.ndarray, eps: float) -> np.ndarray:
     return np.clip((2.0 / root_eps) * (np.sqrt(lam) - root_eps / 2.0), 0.0, 1.0)
 
 
-def _drift_a_batch(
-    params: ModelParams, eps: float, lam: np.ndarray, guard: _Guard
-) -> np.ndarray:
+def _drift_a_batch(params: ModelParams, eps: float, lam: np.ndarray, floor) -> np.ndarray:
     return (
         params.kappa
         + 1.0
         - _clamp_a(lam, eps)
         - 2.0 * params.gamma * lam
-        + 2.0 * params.beta * lam * _guarded_inv_sum(lam, guard)
+        + 2.0 * params.beta * lam * interaction_sum(lam, floor, inverse=True)
     )
 
 
-def _drift_b_batch(
-    params: ModelParams, eps: float, lam: np.ndarray, guard: _Guard
-) -> np.ndarray:
+def _drift_b_batch(params: ModelParams, eps: float, lam: np.ndarray, floor) -> np.ndarray:
     out = np.empty_like(lam)
     lam1 = lam[:, 0]
     m = np.minimum(lam1, eps)
@@ -343,26 +281,19 @@ def _drift_b_batch(
         + 1.0
         - _clamp_b(upper, eps)
         - 2.0 * params.gamma * upper
-        + 2.0 * params.beta * upper * _guarded_inv_sum(upper, guard)
+        + 2.0 * params.beta * upper * interaction_sum(upper, floor, inverse=True)
         + 2.0 * params.beta * upper / den
     )
     return out
 
 
-def _drift_root_batch(params: ModelParams, x: np.ndarray, guard: _Guard) -> np.ndarray:
-    lam = x * x
-    inv = _guarded_inv_sum(lam, guard)
-    x_floor = np.maximum(x, math.sqrt(guard.static))
-    return (params.kappa - 1.0) / (2.0 * x_floor) - params.gamma * x + params.beta * x * inv
-
-
-def _drift_c_eps_batch(
-    params: ModelParams, eps: float, x: np.ndarray, guard: _Guard
+def _drift_root_batch(
+    params: ModelParams, x: np.ndarray, x_floor: float, floor
 ) -> np.ndarray:
-    lam = x * x
-    inv = _guarded_inv_sum(lam, guard)
+    """Root-coordinate drift; ``x_floor`` bounds the 1/x term from below."""
+    inv = interaction_sum(x * x, floor, inverse=True)
     return (
-        (params.kappa - 1.0) / 2.0 / np.maximum(x, eps)
+        (params.kappa - 1.0) / (2.0 * np.maximum(x, x_floor))
         - params.gamma * x
         + params.beta * x * inv
     )
@@ -391,17 +322,7 @@ def drift_A_eps(params: ModelParams, epsilon: float, lam) -> np.ndarray:
     """
     lam = np.asarray(lam, dtype=float)
     _require_strictly_increasing(lam)
-    diff = lam[:, None] - lam[None, :]
-    np.fill_diagonal(diff, 1.0)
-    inv = 1.0 / diff
-    np.fill_diagonal(inv, 0.0)
-    return (
-        params.kappa
-        + 1.0
-        - _clamp_a(lam, epsilon)
-        - 2.0 * params.gamma * lam
-        + 2.0 * params.beta * lam * inv.sum(axis=1)
-    )
+    return _drift_a_batch(params, epsilon, lam[None, :], None)[0]
 
 
 def drift_B_eps(params: ModelParams, epsilon: float, lam) -> np.ndarray:
@@ -415,76 +336,63 @@ def drift_B_eps(params: ModelParams, epsilon: float, lam) -> np.ndarray:
     """
     lam = np.asarray(lam, dtype=float)
     _require_strictly_increasing(lam, start=1)
-    return _drift_b_batch(params, epsilon, lam[None, :], _EXACT_GUARD)[0]
-
-
-def step_truncated_euler(
-    params: ModelParams,
-    state: EigenState,
-    dt: float,
-    noise: NoiseIncrement,
-    collision_tol: float = 1e-3,
-    kick_cap: float = 1.0,
-) -> EigenState:
-    """One full-truncation Euler step; clamps at zero and re-sorts."""
-    guard = _Guard(params.beta, dt, collision_tol, kick_cap)
-    lam = np.maximum(state.lam[None, :], 0.0)
-    b = _drift_trunc_batch(params, lam, guard)
-    new = lam + b * dt + 2.0 * np.sqrt(lam) * noise.dW[None, :]
-    return EigenState(state.t + dt, np.sort(np.maximum(new, 0.0), axis=1)[0])
-
-
-def step_switching(
-    params: ModelParams,
-    config: SimConfig,
-    state: EigenState,
-    mode: SwitchingMode,
-    dt: float,
-    noise: NoiseIncrement,
-) -> tuple[EigenState, SwitchingMode]:
-    """One Euler step of the regularized switching scheme.
-
-    Uses drift A in mode 'A', drift B in mode 'B'; after the step the mode
-    flips A -> B when lambda_1 <= eps/2 and B -> A when lambda_1 >= eps, with
-    the switch logged at the post-step time.
-    """
-    eps = config.epsilon
-    lam = np.maximum(state.lam[None, :], 0.0)
-    guard = config.make_guard(params.beta)
-    if mode.mode == "A":
-        b = _drift_a_batch(params, eps, lam, guard)
-    else:
-        b = _drift_b_batch(params, eps, lam, guard)
-    new = np.sort(np.maximum(lam + b * dt + 2.0 * np.sqrt(lam) * noise.dW[None, :], 0.0), axis=1)[0]
-    t_next = state.t + dt
-    new_mode = mode.mode
-    if mode.mode == "A" and new[0] <= eps / 2.0:
-        new_mode = "B"
-    elif mode.mode == "B" and new[0] >= eps:
-        new_mode = "A"
-    switches = list(mode.switch_times)
-    if new_mode != mode.mode:
-        switches.append((t_next, new_mode))
-    return EigenState(t_next, new), SwitchingMode(new_mode, switches)
-
-
-def step_c_epsilon(
-    params: ModelParams,
-    config: SimConfig,
-    root_state: RootState,
-    dt: float,
-    noise: NoiseIncrement,
-) -> RootState:
-    """One Euler step of the kappa < 0 root-coordinate scheme."""
-    x = np.maximum(root_state.x[None, :], 0.0)
-    b = _drift_c_eps_batch(params, config.epsilon, x, config.make_guard(params.beta))
-    new = np.sort(np.maximum(x + b * dt + noise.dW[None, :], 0.0), axis=1)[0]
-    return RootState(root_state.t + dt, new)
+    return _drift_b_batch(params, epsilon, lam[None, :], None)[0]
 
 
 # ---------------------------------------------------------------------------
 # Batch simulation
 # ---------------------------------------------------------------------------
+
+
+def _make_step(params: ModelParams, config: SimConfig, path_offset: int = 0):
+    """The one-step map of ``config.scheme``, built once per run.
+
+    The map takes the (P, n) state in the scheme's coordinates, the Brownian
+    increments (None under exact_cir_splitting) and the per-row B-mode mask
+    (read by regularized_switching only), and returns the next state before
+    the clamp at zero and the re-sort.
+    """
+    dt, eps = config.dt, config.epsilon
+    guard = config.make_guard(params.beta)
+    floor = guard.floor
+    scheme = config.scheme
+    if scheme == Scheme.TRUNCATED_EULER:
+
+        def step(state, dw, mode_is_b):
+            b = (
+                params.alpha
+                - 2.0 * params.gamma * state
+                + params.beta * interaction_sum(state, floor)
+            )
+            return state + b * dt + 2.0 * np.sqrt(state) * dw
+
+    elif scheme == Scheme.REGULARIZED_SWITCHING:
+
+        def step(state, dw, mode_is_b):
+            b_a = _drift_a_batch(params, eps, state, floor)
+            b_b = _drift_b_batch(params, eps, state, floor)
+            b = np.where(mode_is_b[:, None], b_b, b_a)
+            return state + b * dt + 2.0 * np.sqrt(state) * dw
+
+    elif scheme in (Scheme.ROOT_COORDINATES, Scheme.C_EPSILON):
+        # c_epsilon's Lipschitz floor 1/(x v eps) replaces the guard's.
+        x_floor = eps if scheme == Scheme.C_EPSILON else math.sqrt(guard.static)
+
+        def step(state, dw, mode_is_b):
+            return state + _drift_root_batch(params, state, x_floor, floor) * dt + dw
+
+    else:  # EXACT_CIR_SPLITTING
+        gen = exact_step_stream(config.seed, path_offset)
+        cir = CirParams(a=params.alpha, b=2.0 * params.gamma, sigma=2.0)
+        half = 0.5 * dt
+
+        def step(state, dw, mode_is_b):
+            mid = state + half * (params.beta * interaction_sum(state, floor))
+            mid = np.sort(np.maximum(mid, 0.0), axis=1)
+            moved = np.sort(exact_step(cir, mid, dt, gen), axis=1)
+            return moved + half * (params.beta * interaction_sum(moved, floor))
+
+    return step
 
 
 def _default_initial(params: ModelParams) -> np.ndarray:
@@ -506,33 +414,21 @@ def _new_monitor(levels: Sequence[float], p: int, n: int) -> dict:
 def _update_monitors(
     mon: dict, lam: np.ndarray, active: np.ndarray, t: float
 ) -> None:
-    gaps = lam[:, 1:] - lam[:, :-1]
-    psum = np.cumsum(lam, axis=1)
-    for lev, m in mon.items():
-        small_gap = gaps <= lev
-        hit = active[:, None] & small_gap & np.isnan(m["gap"])
-        m["gap"][hit] = t
-        hit = active[:, None] & (psum <= lev) & np.isnan(m["psum"])
-        m["psum"][hit] = t
-        zeta_cond = (lam[:, 0] <= lev) & small_gap[:, 0]
-        hit = active & zeta_cond & np.isnan(m["zeta"])
-        m["zeta"][hit] = t
-        double = small_gap.sum(axis=1) >= 2
-        if lam.shape[1] > 2:
-            double |= small_gap[:, 1:].any(axis=1) & zeta_cond
-        hit = active & double & np.isnan(m["double"])
-        m["double"][hit] = t
+    for lev, conditions in event_conditions(lam, mon).items():
+        for kind, cond in conditions.items():
+            first = mon[lev][kind]
+            hit = (active if cond.ndim == 1 else active[:, None]) & cond & np.isnan(first)
+            first[hit] = t
 
 
-def _stop_condition(stop_on, lam: np.ndarray) -> np.ndarray:
-    kind = stop_on[0]
-    if kind == "gap_any":
-        level = stop_on[1]
-        return (lam[:, 1:] - lam[:, :-1] <= level).any(axis=1)
-    if kind == "psum":
-        _, k, level = stop_on
-        return lam[:, :k].sum(axis=1) <= level
-    raise ConfigError(f"unknown stop_on rule {stop_on!r}")
+def _stop_monitor(stop_on, n: int) -> tuple[float, str, slice]:
+    """(level, monitor kind, columns) whose first hit freezes a path under stop_on."""
+    if stop_on[0] == "gap_any":
+        return float(stop_on[1]), "gap", slice(None)
+    if stop_on[0] == "psum" and 1 <= stop_on[1] <= n:
+        k = stop_on[1]
+        return float(stop_on[2]), "psum", slice(k - 1, k)
+    raise ConfigError(f"invalid stop_on rule {stop_on!r}")
 
 
 def simulate_batch(
@@ -556,6 +452,7 @@ def simulate_batch(
     produce.  ``event_levels`` enables online first-hit monitoring at each
     detection level (every step, independent of ``record_stride``);
     ``stop_on`` optionally freezes a path at its first monitored event.
+    ``snapshot_times`` must be grid times k*dt of the run, 0 <= k <= n_steps.
 
     ``noise_refine = m`` makes each increment the normalized sum of m
     fine-grid increments, so a run at step size m*dt_fine shares a noise tree
@@ -574,12 +471,6 @@ def simulate_batch(
             "noise_refine > 1 does not apply to exact_cir_splitting, "
             "which draws no Gaussian increments"
         )
-    split_gen = None
-    split_cir = None
-    if scheme == Scheme.EXACT_CIR_SPLITTING:
-        split_gen = exact_step_stream(config.seed, path_offset)
-        split_cir = CirParams(a=params.alpha, b=2.0 * params.gamma, sigma=2.0)
-
     init = np.asarray(
         _default_initial(params) if initial is None else initial, dtype=float
     )
@@ -596,28 +487,32 @@ def simulate_batch(
 
     dt = config.dt
     eps = config.epsilon
-    guard = config.make_guard(params.beta)
     n_steps = config.n_steps
     sqrt_dt = math.sqrt(dt)
+    step_fn = _make_step(params, config, path_offset)
 
     active = np.ones(p, dtype=bool)
     stop_time = np.full(p, n_steps * dt)
     term = np.full(p, _T_HORIZON, dtype=np.int8)
-    mode_is_b = state[:, 0] ** 2 < eps if in_root else state[:, 0] < eps
-    if scheme != Scheme.REGULARIZED_SWITCHING:
-        mode_is_b[:] = False
+    if scheme == Scheme.REGULARIZED_SWITCHING:
+        mode_is_b = state[:, 0] < eps
+    else:
+        mode_is_b = np.zeros(p, dtype=bool)
     switch_log: list[list[tuple[float, str]]] | None = None
     if track_switches:
         switch_log = [[] for _ in range(p)]
 
     levels = list(dict.fromkeys(float(l) for l in event_levels))
-    if stop_on is not None and float(stop_on[-1]) not in levels:
-        levels.append(float(stop_on[-1]))
+    if stop_on is not None:
+        stop_level, stop_kind, stop_cols = _stop_monitor(stop_on, n)
+        if stop_level not in levels:
+            levels.append(stop_level)
     mon = _new_monitor(levels, p, n)
     _update_monitors(mon, lam_view, active, 0.0)
     if stop_on is not None:
-        cond = _stop_condition(stop_on, lam_view)
-        stopped = active & cond
+        # A view: first-hit times of the stopping event, updated in place.
+        stop_first = mon[stop_level][stop_kind][:, stop_cols]
+        stopped = active & np.isfinite(stop_first).any(axis=1)
         term[stopped] = _T_EVENT
         stop_time[stopped] = 0.0
         active &= ~stopped
@@ -632,12 +527,15 @@ def simulate_batch(
         traj[:, 0, :] = lam_view
         rec_pos = {s: i for i, s in enumerate(rec_steps)}
 
-    snap_steps = {
-        min(max(int(round(t / dt)), 0), n_steps): float(t) for t in snapshot_times
-    }
+    snap_steps: dict[int, list[float]] = {}
+    for t in snapshot_times:
+        s = grid_step(t, dt, "snapshot time")
+        if not 0 <= s <= n_steps:
+            raise ConfigError(f"snapshot time t={t:g} is outside [0, {n_steps * dt:g}]")
+        snap_steps.setdefault(s, []).append(float(t))
     snapshots: dict[float, np.ndarray] = {}
-    if 0 in snap_steps:
-        snapshots[snap_steps[0]] = lam_view.copy()
+    for t in snap_steps.get(0, ()):
+        snapshots[t] = lam_view.copy()
 
     for step in range(n_steps):
         if not active.any():
@@ -645,10 +543,12 @@ def simulate_batch(
                 for s in rec_steps:
                     if s > step:
                         traj[:, rec_pos[s], :] = lam_view
-            for s, t_probe in snap_steps.items():
-                if s > step and t_probe not in snapshots:
-                    snapshots[t_probe] = lam_view.copy()
+            for s, probes in snap_steps.items():
+                if s > step:
+                    for t in probes:
+                        snapshots[t] = lam_view.copy()
             break
+        dw = None
         if scheme != Scheme.EXACT_CIR_SPLITTING:
             if noise_refine == 1:
                 z = step_normals(config.seed, step, path_offset, p, n)
@@ -664,29 +564,7 @@ def simulate_batch(
 
         # Non-finite states are tolerated here and recorded as failures below.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if scheme == Scheme.TRUNCATED_EULER:
-                b = _drift_trunc_batch(params, state, guard)
-                new = state + b * dt + 2.0 * np.sqrt(state) * dw
-            elif scheme == Scheme.REGULARIZED_SWITCHING:
-                b_a = _drift_a_batch(params, eps, state, guard)
-                b_b = _drift_b_batch(params, eps, state, guard)
-                b = np.where(mode_is_b[:, None], b_b, b_a)
-                new = state + b * dt + 2.0 * np.sqrt(state) * dw
-            elif scheme == Scheme.ROOT_COORDINATES:
-                b = _drift_root_batch(params, state, guard)
-                new = state + b * dt + dw
-            elif scheme == Scheme.C_EPSILON:
-                b = _drift_c_eps_batch(params, eps, state, guard)
-                new = state + b * dt + dw
-            else:  # EXACT_CIR_SPLITTING
-                half = 0.5 * dt
-                mid = np.maximum(
-                    state + half * _guarded_pair_sum(state, params.beta, guard), 0.0
-                )
-                mid = np.sort(mid, axis=1)
-                moved = np.sort(exact_step(split_cir, mid, dt, split_gen), axis=1)
-                new = moved + half * _guarded_pair_sum(moved, params.beta, guard)
-            new = np.sort(np.maximum(new, 0.0), axis=1)
+            new = np.sort(np.maximum(step_fn(state, dw, mode_is_b), 0.0), axis=1)
 
         bad = active & ~np.isfinite(new).all(axis=1)
         adopt = active & ~bad
@@ -724,8 +602,7 @@ def simulate_batch(
                 active[s_eps] = False
 
         if stop_on is not None:
-            cond = _stop_condition(stop_on, lam_view)
-            stopped = active & cond
+            stopped = active & np.isfinite(stop_first).any(axis=1)
             if stopped.any():
                 term[stopped] = _T_EVENT
                 stop_time[stopped] = t_next
@@ -733,8 +610,8 @@ def simulate_batch(
 
         if record and (step + 1) in rec_pos:
             traj[:, rec_pos[step + 1], :] = lam_view
-        if (step + 1) in snap_steps:
-            snapshots[snap_steps[step + 1]] = lam_view.copy()
+        for t in snap_steps.get(step + 1, ()):
+            snapshots[t] = lam_view.copy()
 
     return BatchResult(
         params=params,

@@ -1,4 +1,4 @@
-"""Model parameters, states, drifts, potential, and the regime classifier.
+"""Model parameters, the pairwise interaction kernel, drifts, potential, regimes.
 
 The particle system lives on the ordered cone 0 <= lambda_1 <= ... <= lambda_n.
 Each coordinate diffuses like a CIR process (diffusion 2*sqrt(lambda_i)) with
@@ -18,32 +18,36 @@ dx_i = dB_i - dV/dx_i dt for the log-potential implemented by
 
 Everything here is a pure function of its inputs.  Operations that would be
 singular (coincident coordinates, zero root coordinate) raise instead of
-returning infinities; regularization policy belongs to the integrators.
+returning infinities.  Every drift, here and in the integrators, takes its
+pairwise sums from :func:`interaction_sum`; the denominator floor is an
+argument of that kernel, so the pure drifts divide exactly and the
+regularization policy (the floor) belongs to the integrators.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
-from .errors import BadK, CoincidentCoordinates, DomainError, ZeroCoordinate
+from .errors import BadK, CoincidentCoordinates, ConfigError, DomainError, ZeroCoordinate
 
 __all__ = [
     "CollisionVerdict",
-    "EigenState",
     "GlobalSolution",
     "ModelParams",
     "PairCollisions",
     "RegimeReport",
-    "RootState",
     "ZeroHitLambda1",
     "classify_regime",
     "drift_lambda",
     "drift_lambda_dual",
     "drift_root",
     "grad_potential",
+    "interaction_sum",
     "multiple_collision_threshold",
     "potential_value",
 ]
@@ -63,12 +67,15 @@ class ModelParams:
     n: int
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
+            raise ConfigError(f"n must be >= 2, got {self.n}")
         if self.beta <= 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
+            raise ConfigError(f"beta must be > 0, got {self.beta}")
         if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
 
     @property
     def kappa(self) -> float:
@@ -80,57 +87,6 @@ def _as_vector(values, n: int, name: str) -> np.ndarray:
     if arr.shape != (n,):
         raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
     return arr
-
-
-@dataclass(frozen=True)
-class EigenState:
-    """Ordered nonnegative coordinate vector at a time point."""
-
-    t: float
-    lam: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.lam, dtype=float)
-        object.__setattr__(self, "lam", arr)
-        if self.t < 0:
-            raise ValueError(f"time must be >= 0, got {self.t}")
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError("state needs at least two coordinates")
-        if np.any(arr < 0):
-            raise ValueError("coordinates must be nonnegative")
-        if np.any(np.diff(arr) < 0):
-            raise ValueError("coordinates must be nondecreasing")
-
-    @property
-    def n(self) -> int:
-        return self.lam.size
-
-
-@dataclass(frozen=True)
-class RootState:
-    """Square-root coordinates x_i = sqrt(lambda_i), same ordering contract."""
-
-    t: float
-    x: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.x, dtype=float)
-        object.__setattr__(self, "x", arr)
-        if self.t < 0:
-            raise ValueError(f"time must be >= 0, got {self.t}")
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError("state needs at least two coordinates")
-        if np.any(arr < 0):
-            raise ValueError("coordinates must be nonnegative")
-        if np.any(np.diff(arr) < 0):
-            raise ValueError("coordinates must be nondecreasing")
-
-    @property
-    def n(self) -> int:
-        return self.x.size
-
-    def to_eigen(self) -> EigenState:
-        return EigenState(self.t, self.x**2)
 
 
 class GlobalSolution(Enum):
@@ -178,6 +134,37 @@ def _require_distinct(lam: np.ndarray) -> None:
         raise CoincidentCoordinates(f"coincident coordinates in {lam}")
 
 
+def interaction_sum(
+    lam: np.ndarray,
+    floor: Callable[[np.ndarray], np.ndarray] | None = None,
+    *,
+    inverse: bool = False,
+) -> np.ndarray:
+    """Pairwise sums over the rows of a (P, n) batch, not scaled by beta.
+
+    Returns S_i = sum_{j != i} (l_i + l_j)/den_ij, or with ``inverse``
+    I_i = sum_{j != i} 1/den_ij.  With no ``floor`` the denominator is
+    exactly l_i - l_j.  A floor maps the pair sums l_i + l_j to a magnitude
+    floor, and den_ij keeps the sign of l_i - l_j (ties count as l_i < l_j)
+    with magnitude max(|l_i - l_j|, floor).  Each term is added to row i and
+    subtracted from row j, so the sums stay exactly antisymmetric.
+    """
+    out = np.zeros_like(lam)
+    n = lam.shape[1]
+    for i in range(n):
+        for j in range(i + 1, n):
+            s = lam[:, i] + lam[:, j]
+            den = lam[:, i] - lam[:, j]
+            if floor is not None:
+                den = np.where(den != 0.0, np.sign(den), -1.0) * np.maximum(
+                    np.abs(den), floor(s)
+                )
+            t = (1.0 if inverse else s) / den
+            out[:, i] += t
+            out[:, j] -= t
+    return out
+
+
 def drift_lambda(params: ModelParams, lam) -> np.ndarray:
     """Primal drift b_i = alpha - 2*gamma*lambda_i + beta*sum (li+lj)/(li-lj).
 
@@ -186,26 +173,16 @@ def drift_lambda(params: ModelParams, lam) -> np.ndarray:
     """
     lam = _as_vector(lam, params.n, "lambda")
     _require_distinct(lam)
-    diff = lam[:, None] - lam[None, :]
-    np.fill_diagonal(diff, 1.0)
-    ratio = (lam[:, None] + lam[None, :]) / diff
-    np.fill_diagonal(ratio, 0.0)
-    return params.alpha - 2.0 * params.gamma * lam + params.beta * ratio.sum(axis=1)
+    pair = interaction_sum(lam[None, :])[0]
+    return params.alpha - 2.0 * params.gamma * lam + params.beta * pair
 
 
 def drift_lambda_dual(params: ModelParams, lam) -> np.ndarray:
     """Equivalent drift kappa - 2*gamma*lambda_i + 2*beta*lambda_i*sum 1/(li-lj)."""
     lam = _as_vector(lam, params.n, "lambda")
     _require_distinct(lam)
-    diff = lam[:, None] - lam[None, :]
-    np.fill_diagonal(diff, 1.0)
-    inv = 1.0 / diff
-    np.fill_diagonal(inv, 0.0)
-    return (
-        params.kappa
-        - 2.0 * params.gamma * lam
-        + 2.0 * params.beta * lam * inv.sum(axis=1)
-    )
+    inv = interaction_sum(lam[None, :], inverse=True)[0]
+    return params.kappa - 2.0 * params.gamma * lam + 2.0 * params.beta * lam * inv
 
 
 def drift_root(params: ModelParams, x) -> np.ndarray:
@@ -219,14 +196,11 @@ def drift_root(params: ModelParams, x) -> np.ndarray:
         raise ZeroCoordinate("root coordinates must be nonzero")
     lam = x**2
     _require_distinct(lam)
-    diff = lam[:, None] - lam[None, :]
-    np.fill_diagonal(diff, 1.0)
-    ratio = (lam[:, None] + lam[None, :]) / diff
-    np.fill_diagonal(ratio, 0.0)
+    pair = interaction_sum(lam[None, :])[0]
     return (
         (params.alpha - 1.0) / (2.0 * x)
         - params.gamma * x
-        + params.beta / (2.0 * x) * ratio.sum(axis=1)
+        + params.beta / (2.0 * x) * pair
     )
 
 
@@ -259,15 +233,11 @@ def grad_potential(params: ModelParams, x) -> np.ndarray:
     """
     x = _as_vector(x, params.n, "x")
     _require_root_cone(x)
-    lam = x**2
-    diff = lam[:, None] - lam[None, :]
-    np.fill_diagonal(diff, 1.0)
-    inv = 1.0 / diff
-    np.fill_diagonal(inv, 0.0)
+    inv = interaction_sum((x**2)[None, :], inverse=True)[0]
     return -(
         (params.kappa - 1.0) / (2.0 * x)
         - params.gamma * x
-        + params.beta * x * inv.sum(axis=1)
+        + params.beta * x * inv
     )
 
 

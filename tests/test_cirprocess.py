@@ -18,6 +18,7 @@ from cir_particles import (
     conditional_mean,
     exact_step,
     integrated_laplace,
+    integrated_sum_paths,
     invariant_gamma,
     ks_test,
     partial_sum_bound_process,
@@ -190,15 +191,8 @@ class TestIntegratedLaplace:
         assert q.value == 0.0 and math.isinf(q.phi)
 
     def _integral_samples(self, params, sum0, horizon, m=40_000, h=2.5e-3, key=11):
-        cir = sum_process(params)
-        rng = rng_streams(key, 0)
-        r = np.full(m, sum0)
-        integral = np.zeros(m)
-        for _ in range(int(round(horizon / h))):
-            r_new = exact_step(cir, r, h, rng)
-            integral += 0.5 * (r + r_new) * h
-            r = r_new
-        return integral
+        paths = integrated_sum_paths(params, sum0, m, h, (horizon,), rng_streams(key, 0))
+        return paths[horizon]
 
     def test_matches_monte_carlo_at_reference_point(self):
         # n=2, alpha=1, gamma=1, sum0=1, mu=0.5, t=1

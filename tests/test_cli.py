@@ -130,6 +130,18 @@ class TestErrors:
         assert rc == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_nan_parameter_is_config_error(self, capsys):
+        rc = run_cli(["regime", "--alpha", "nan", "--beta", "0.5", "--gamma", "1", "--n", "2"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("config error: ") and captured.out == ""
+
+    def test_nan_dt_is_config_error(self, tmp_path, capsys):
+        rc = run_cli(["simulate", "--dt", "nan", "--paths", "1", "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "trajectories.csv").exists()
+
     def test_bad_x0_length(self, tmp_path, capsys):
         rc = run_cli(["simulate", "--n", "3", "--x0", "1,2", "--out", str(tmp_path)])
         assert rc == 1
@@ -149,8 +161,8 @@ class TestErrors:
         assert err.startswith("bad k: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "dt, t", [("0.3", "1.0"), ("0", "1.0"), ("0.25", "0")],
-        ids=["off_grid", "zero_dt", "zero_t"],
+        "dt, t", [("0.3", "1.0"), ("0", "1.0"), ("0.25", "0"), ("inf", "1.0")],
+        ids=["off_grid", "zero_dt", "zero_t", "inf_dt"],
     )
     def test_laplace_probe_off_dt_grid_is_config_error(self, dt, t, tmp_path, capsys):
         rc = run_cli(["laplace-check", "--alpha", "2", "--beta", "0.5", "--gamma", "1",

@@ -4,18 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cir_particles import (
     CirParams,
     CoincidentCoordinates,
     ConfigError,
-    EigenState,
     ModelParams,
-    NoiseIncrement,
-    RootState,
     Scheme,
     SimConfig,
-    SwitchingMode,
     Terminated,
     contraction_curve,
     drift_A_eps,
@@ -26,10 +24,16 @@ from cir_particles import (
     simulate_coupled,
     simulate_coupled_cir,
     simulate_path,
-    step_c_epsilon,
-    step_switching,
-    step_truncated_euler,
 )
+from cir_particles.integrators import _make_step
+
+
+def one_step(params, config, state, dw=None):
+    """One step of the kernel simulate_batch runs: proposal, clamp at zero, sort."""
+    state = np.asarray(state, dtype=float)[None, :]
+    dw = np.zeros_like(state) if dw is None else np.asarray(dw)[None, :]
+    proposal = _make_step(params, config)(state, dw, np.zeros(1, dtype=bool))
+    return np.sort(np.maximum(proposal, 0.0), axis=1)[0]
 
 
 def scalar_drift_a(params, eps, lam):
@@ -78,35 +82,52 @@ class TestSimConfig:
         with pytest.raises(ConfigError):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(dt=math.nan),
+            dict(dt=math.inf),
+            dict(horizon=math.inf),
+            dict(horizon=math.nan),
+            dict(epsilon=math.nan),
+            dict(epsilon=math.inf),
+            dict(collision_tol=math.nan),
+            dict(kick_cap=math.inf),
+        ],
+    )
+    def test_non_finite_fields_are_config_errors(self, kwargs):
+        with pytest.raises(ConfigError):
+            SimConfig(**kwargs)
+
 
 class TestTruncatedEulerStep:
     def test_zero_step_identity(self):
         p = ModelParams(alpha=2.0, beta=0.5, gamma=0.0, n=2)
-        st = EigenState(0.0, np.array([1.0, 3.0]))
-        out = step_truncated_euler(p, st, 1e-12, NoiseIncrement(np.zeros(2)))
-        np.testing.assert_allclose(out.lam, st.lam, atol=1e-11)
+        lam = np.array([1.0, 3.0])
+        out = one_step(p, SimConfig(dt=1e-12, horizon=1.0), lam)
+        np.testing.assert_allclose(out, lam, atol=1e-11)
 
     def test_hand_step(self):
         p = ModelParams(alpha=2.0, beta=0.5, gamma=0.0, n=2)
-        st = EigenState(0.0, np.array([1.0, 3.0]))
-        out = step_truncated_euler(p, st, 0.01, NoiseIncrement(np.zeros(2)))
-        np.testing.assert_allclose(out.lam, [1.01, 3.03], rtol=1e-14)
+        out = one_step(p, SimConfig(dt=0.01, horizon=1.0), np.array([1.0, 3.0]))
+        np.testing.assert_allclose(out, [1.01, 3.03], rtol=1e-14)
 
     def test_sum_identity_per_step(self):
         p = ModelParams(alpha=2.0, beta=0.5, gamma=0.7, n=3)
+        cfg = SimConfig(dt=1e-3, horizon=1.0)
         rng = np.random.default_rng(1)
-        st = EigenState(0.0, np.array([0.5, 1.5, 3.0]))
+        lam = np.array([0.5, 1.5, 3.0])
         for _ in range(50):
-            dw = NoiseIncrement(rng.normal(0.0, math.sqrt(1e-3), 3))
-            out = step_truncated_euler(p, st, 1e-3, dw)
+            dw = rng.normal(0.0, math.sqrt(1e-3), 3)
+            out = one_step(p, cfg, lam, dw)
             expected = (
-                st.lam.sum()
-                + (3 * p.alpha - 2 * p.gamma * st.lam.sum()) * 1e-3
-                + 2.0 * (np.sqrt(st.lam) * dw.dW).sum()
+                lam.sum()
+                + (3 * p.alpha - 2 * p.gamma * lam.sum()) * 1e-3
+                + 2.0 * (np.sqrt(lam) * dw).sum()
             )
-            if np.all(out.lam > 0):  # no clamp activated
-                assert out.lam.sum() == pytest.approx(expected, rel=1e-12)
-            st = out
+            if np.all(out > 0):  # no clamp activated
+                assert out.sum() == pytest.approx(expected, rel=1e-12)
+            lam = out
 
 
 class TestDriftAEps:
@@ -173,12 +194,25 @@ class TestDriftBEps:
 
 class TestSwitchingScheme:
     def test_threshold_flip_to_b(self):
-        p = ModelParams(alpha=1.0, beta=0.5, gamma=0.0, n=2)
-        cfg = SimConfig(dt=1e-3, horizon=1.0, epsilon=0.2)
-        st = EigenState(0.0, np.array([0.05, 1.0]))  # lambda_1 = eps/4
-        _, mode = step_switching(p, cfg, st, SwitchingMode("A"), 1e-3, NoiseIncrement(np.zeros(2)))
-        assert mode.mode == "B"
-        assert mode.switch_times and mode.switch_times[-1][1] == "B"
+        # Each switch is logged at the post-step time: to B at lambda_1 <= eps/2,
+        # back to A at lambda_1 >= eps.
+        p = ModelParams(alpha=0.8, beta=0.5, gamma=1.0, n=2)
+        cfg = SimConfig(
+            scheme=Scheme.REGULARIZED_SWITCHING, dt=1e-3, horizon=5.0,
+            seed=21, epsilon=0.05, paths=4,
+        )
+        res = simulate_batch(p, cfg, initial=np.array([0.5, 2.0]), record=True,
+                             track_switches=True)
+        seen = set()
+        for path, switches in enumerate(res.switch_log):
+            for t, mode in switches:
+                lam1 = res.trajectories[path, int(round(t / cfg.dt)), 0]
+                if mode == "B":
+                    assert lam1 <= cfg.epsilon / 2.0
+                else:
+                    assert lam1 >= cfg.epsilon
+                seen.add(mode)
+        assert seen == {"A", "B"}
 
     def test_matches_truncated_euler_away_from_boundary(self):
         # beta >= 1 and a high-lying start keep every clamp saturated.
@@ -225,10 +259,9 @@ class TestCEpsilonScheme:
     def test_hand_step(self):
         p = ModelParams(alpha=0.4, beta=0.5, gamma=0.0, n=2)
         cfg = SimConfig(scheme=Scheme.C_EPSILON, dt=0.01, horizon=1.0, epsilon=0.01)
-        out = step_c_epsilon(p, cfg, RootState(0.0, np.array([1.0, 2.0])), 0.01,
-                             NoiseIncrement(np.zeros(2)))
+        out = one_step(p, cfg, np.array([1.0, 2.0]))
         np.testing.assert_allclose(
-            out.x, [1.0 - 0.55 / 100 - 1.0 / 600, 2.0 + 0.0583333333333333 / 100],
+            out, [1.0 - 0.55 / 100 - 1.0 / 600, 2.0 + 0.0583333333333333 / 100],
             rtol=1e-12,
         )
 
@@ -319,6 +352,96 @@ class TestStopOnStatus:
         assert Terminated.STOPPED_AT_EVENT.value == "stopped_at_event"
         assert res.stop_time[0] == 0.0
         assert res.terminated(1) is Terminated.HORIZON
+
+
+    @pytest.mark.parametrize("stop_on", [("psum", 0, 1e-3), ("psum", 3, 1e-3), ("gap", 1e-3)])
+    def test_invalid_rule_is_config_error(self, stop_on):
+        p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
+        cfg = SimConfig(dt=1e-2, horizon=0.1, seed=5, paths=2)
+        with pytest.raises(ConfigError, match="stop_on"):
+            simulate_batch(p, cfg, stop_on=stop_on)
+
+    def test_unknown_code_is_not_reported_as_horizon(self):
+        p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
+        res = simulate_batch(p, SimConfig(dt=1e-2, horizon=0.1, seed=5, paths=1))
+        res.terminated_code[0] = 9
+        with pytest.raises(KeyError):
+            res.terminated(0)
+
+
+class TestSnapshotTimes:
+    @pytest.mark.parametrize(
+        "times",
+        [(0.5, 0.5004), (7.0,), (1.001,), (-0.001,), (math.nan,), (math.inf,)],
+        ids=["same_step", "past_horizon", "one_step_past", "negative", "nan", "inf"],
+    )
+    def test_off_grid_or_outside_run_is_config_error(self, times):
+        p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
+        cfg = SimConfig(dt=1e-3, horizon=1.0, paths=2)
+        with pytest.raises(ConfigError, match="snapshot"):
+            simulate_batch(p, cfg, snapshot_times=times)
+
+    def test_contraction_curve_probes_on_one_step(self):
+        p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
+        cfg = SimConfig(dt=1e-3, horizon=1.0, paths=4)
+        with pytest.raises(ConfigError, match="snapshot"):
+            contraction_curve(p, cfg, [1.0, 2.0], [0.5, 2.5], (0.5, 0.5004))
+
+    def test_grid_times_from_start_to_horizon(self):
+        p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
+        cfg = SimConfig(dt=1e-2, horizon=1.0, seed=3, paths=3)
+        res = simulate_batch(p, cfg, snapshot_times=(0.0, 0.3, 1.0), record=True)
+        assert sorted(res.snapshots) == [0.0, 0.3, 1.0]
+        assert np.array_equal(res.snapshots[0.0], res.trajectories[:, 0])
+        assert np.array_equal(res.snapshots[0.3], res.trajectories[:, 30])
+        assert np.array_equal(res.snapshots[1.0], res.final_lambda)
+
+
+# alpha per (scheme, n); beta = 0.5 and gamma = 0.5 throughout.  c_epsilon
+# needs kappa < 0, regularized_switching a low kappa so the A/B modes switch.
+_GAUSSIAN_ALPHA = {
+    (Scheme.TRUNCATED_EULER, 2): 1.0,
+    (Scheme.TRUNCATED_EULER, 3): 1.0,
+    (Scheme.REGULARIZED_SWITCHING, 2): 0.7,
+    (Scheme.REGULARIZED_SWITCHING, 3): 1.2,
+    (Scheme.ROOT_COORDINATES, 2): 2.0,
+    (Scheme.ROOT_COORDINATES, 3): 2.0,
+    (Scheme.C_EPSILON, 2): 0.4,
+    (Scheme.C_EPSILON, 3): 0.8,
+}
+
+
+class TestBatchDecomposition:
+    @given(
+        key=st.sampled_from(sorted(_GAUSSIAN_ALPHA, key=str)),
+        n_paths=st.integers(1, 16),
+        cuts=st.lists(st.integers(1, 15), max_size=6),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rows_do_not_depend_on_the_batch_split(self, key, n_paths, cuts, seed):
+        scheme, n = key
+        params = ModelParams(alpha=_GAUSSIAN_ALPHA[key], beta=0.5, gamma=0.5, n=n)
+        cfg = SimConfig(scheme=scheme, dt=1e-2, horizon=2.0, seed=seed,
+                        epsilon=0.05, record_stride=3)
+        initial = np.sort(
+            np.random.default_rng(seed).uniform(0.01, 1.5, (n_paths, n)), axis=1
+        )
+        kwargs = dict(event_levels=(0.05, 1e-3), stop_on=("gap_any", 0.01),
+                      record=True, track_switches=True)
+        whole = simulate_batch(params, cfg, n_paths=n_paths, initial=initial, **kwargs)
+        bounds = sorted({0, n_paths, *(c for c in cuts if c < n_paths)})
+        for lo, hi in zip(bounds, bounds[1:]):
+            part = simulate_batch(params, cfg, n_paths=hi - lo, path_offset=lo,
+                                  initial=initial[lo:hi], **kwargs)
+            for name in ("final_lambda", "stop_time", "terminated_code", "trajectories"):
+                assert np.array_equal(getattr(part, name), getattr(whole, name)[lo:hi])
+            for lev, mon in whole.monitors.items():
+                for kind, values in mon.items():
+                    assert np.array_equal(
+                        part.monitors[lev][kind], values[lo:hi], equal_nan=True
+                    )
+            assert part.switch_log == whole.switch_log[lo:hi]
 
 
 class TestNoiseTree:

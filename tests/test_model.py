@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from cir_particles import (
     CoincidentCoordinates,
+    ConfigError,
     CollisionVerdict,
     DomainError,
-    EigenState,
     GlobalSolution,
     ModelParams,
     PairCollisions,
-    RootState,
     ZeroCoordinate,
     ZeroHitLambda1,
     classify_regime,
@@ -49,18 +48,13 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(**kwargs)
 
-
-class TestStates:
-    def test_eigen_state_requires_sorted_nonnegative(self):
-        EigenState(0.0, np.array([0.0, 1.0, 1.0]))
-        with pytest.raises(ValueError):
-            EigenState(0.0, np.array([1.0, 0.5]))
-        with pytest.raises(ValueError):
-            EigenState(0.0, np.array([-0.1, 0.5]))
-
-    def test_root_state_squares_to_eigen(self):
-        rs = RootState(0.5, np.array([1.0, 2.0]))
-        assert np.allclose(rs.to_eigen().lam, [1.0, 4.0])
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_params_are_config_errors(self, name, value):
+        kwargs = dict(alpha=1.0, beta=0.5, gamma=0.0, n=2)
+        kwargs[name] = value
+        with pytest.raises(ConfigError, match=name):
+            ModelParams(**kwargs)
 
 
 class TestDriftLambda:
