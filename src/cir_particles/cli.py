@@ -5,6 +5,10 @@ laplace-check, collision-scan.  Every artifact is a CSV whose first line is a
 comment recording parameters, configuration, seed and code version, so a
 report can be reproduced from its own header.  Exit codes: 0 ok, 1 config
 error, 2 acceptance failure, 3 numerical failure.
+
+``simulate`` runs all ``--paths`` rows as one recorded batch and cuts each row
+into its trajectory and event log.  Every simulating command starts from
+``--x0`` when given; ``laplace-check`` starts the coordinate sum at its sum.
 """
 
 from __future__ import annotations
@@ -18,15 +22,8 @@ import numpy as np
 from . import __version__
 from .cirprocess import integrated_laplace, integrated_sum_paths
 from .errors import BadK, ConfigError, NotEvaluable, RegimeMismatch
-from .events import first_passage_partial_sum
-from .integrators import (
-    Scheme,
-    SimConfig,
-    Terminated,
-    grid_step,
-    simulate_batch,
-    simulate_path,
-)
+from .events import detect_events, first_passage_partial_sum
+from .integrators import Scheme, SimConfig, Terminated, grid_step, simulate_batch
 from .model import ModelParams, classify_regime, multiple_collision_threshold
 from .randomness import rng_streams
 from .stats import empirical_laplace
@@ -151,11 +148,17 @@ def _sim_config(values: dict) -> SimConfig:
 
 
 def _initial(values: dict, n: int):
+    """The --x0 start as an (n,) array, or None for the default start."""
     if values.get("x0") is None:
         return None
-    arr = np.array([float(v) for v in str(values["x0"]).split(",")])
+    try:
+        arr = np.array([float(v) for v in str(values["x0"]).split(",")])
+    except ValueError:
+        raise ConfigError(f"x0 is not a list of numbers: {values['x0']!r}") from None
     if arr.size != n:
         raise ConfigError(f"x0 needs {n} entries, got {arr.size}")
+    if not (np.isfinite(arr).all() and (arr >= 0).all() and (np.diff(arr) >= 0).all()):
+        raise ConfigError(f"x0 must be finite, nonnegative and sorted: {values['x0']!r}")
     return arr
 
 
@@ -194,19 +197,22 @@ def cmd_simulate(args) -> int:
     initial = _initial(values, params.n)
     out = _out_dir(values, args)
 
+    res = simulate_batch(
+        params, config, initial=initial, record=True,
+        track_switches=config.scheme == Scheme.REGULARIZED_SWITCHING,
+    )
     failures = 0
     traj_lines = [_header(values, "simulate"),
                   "path_id,t," + ",".join(f"lambda_{i+1}" for i in range(params.n))]
     event_lines = [_header(values, "simulate"), "path_id,kind,index,time,level"]
     for path_id in range(config.paths):
-        record, log = simulate_path(params, config, path_id, initial)
+        record = res.path_record(path_id)
         if record.terminated == Terminated.NUMERICAL_FAILURE:
             failures += 1
-        for t, row in zip(record.times, record.lambdas):
-            traj_lines.append(
-                f"{path_id},{_fmt(t)}," + ",".join(_fmt(v) for v in row)
-            )
-        for ev in log.events:
+        # repr of the .tolist() floats is _fmt's text without a float() per value.
+        for t, row in zip(record.times.tolist(), record.lambdas.tolist()):
+            traj_lines.append(f"{path_id},{t!r}," + ",".join(map(repr, row)))
+        for ev in detect_events(record, config.collision_tol).events:
             idx = "" if ev.index is None else ev.index
             event_lines.append(
                 f"{path_id},{ev.kind.value},{idx},{_fmt(ev.time)},{_fmt(ev.level)}"
@@ -265,8 +271,9 @@ def _parse_sweep(spec: str) -> list[dict]:
 
 def cmd_phase_diagram(args) -> int:
     values = _resolve(args)
-    out = _out_dir(values, args)
     grid = _parse_sweep(args.sweep)
+    initial = _initial(values, values["n"])
+    out = _out_dir(values, args)
     lines = [
         _header(values, "phase-diagram"),
         "alpha,beta,gamma,n,kappa,global_solution,pair_collisions,zero_hit_lambda1,"
@@ -283,7 +290,7 @@ def cmd_phase_diagram(args) -> int:
 
             config = _sim_config(pv)
             res = simulate_batch(
-                params, config, event_levels=[config.collision_tol]
+                params, config, initial=initial, event_levels=[config.collision_tol]
             )
             mon = res.monitors[config.collision_tol]
             coll = int((~np.isnan(mon["gap"])).any(axis=1).sum())
@@ -332,8 +339,9 @@ def cmd_stationary_compare(args) -> int:
     values = _resolve(args)
     params = _model(values)
     config = _sim_config(values)
+    initial = _initial(values, params.n)
     out = _out_dir(values, args)
-    report = compare_long_run(params, config)
+    report = compare_long_run(params, config, initial=initial)
     lines = [
         _header(values, "stationary-compare"),
         "name,estimate,stderr,ci_low,ci_high,ks_D,ks_p,n_samples",
@@ -362,8 +370,9 @@ def cmd_laplace_check(args) -> int:
             raise ConfigError(
                 f"probe time t={tp:g} is not a positive multiple of dt={sub_dt:g}"
             )
+    x0 = _initial(values, params.n)
     out = _out_dir(values, args)
-    sum0 = float(np.arange(1.0, params.n + 1.0).sum())
+    sum0 = float((np.arange(1.0, params.n + 1.0) if x0 is None else x0).sum())
     probes = integrated_sum_paths(
         params, sum0, n_paths, sub_dt, t_probes, rng_streams(values["seed"], 0)
     )
@@ -391,6 +400,7 @@ def cmd_collision_scan(args) -> int:
     values = _resolve(args)
     params = _model(values)
     config = _sim_config(values)
+    initial = _initial(values, params.n)
     out = _out_dir(values, args)
     ks = [args.k] if getattr(args, "k", None) else list(range(1, params.n + 1))
     lines = [
@@ -398,7 +408,7 @@ def cmd_collision_scan(args) -> int:
         "k,delta,hit_fraction,ci_low,ci_high,n_paths",
     ]
     for k in ks:
-        ladder = first_passage_partial_sum(params, config, k)
+        ladder = first_passage_partial_sum(params, config, k, initial=initial)
         for delta, summary in sorted(ladder.items(), reverse=True):
             lines.append(
                 f"{k},{delta:g},{summary.estimate:.6g},{summary.ci95[0]:.6g},"

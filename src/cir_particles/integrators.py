@@ -135,6 +135,7 @@ class SimConfig:
             raise ConfigError(f"dt must be > 0, got {self.dt}")
         if self.horizon <= self.dt:
             raise ConfigError(f"horizon must exceed dt, got {self.horizon}")
+        grid_step(self.horizon, self.dt, "horizon")
         if self.epsilon is None:
             object.__setattr__(self, "epsilon", 10.0 * math.sqrt(self.dt))
         if self.epsilon <= 0:
@@ -152,7 +153,7 @@ class SimConfig:
 
     @property
     def n_steps(self) -> int:
-        return max(int(round(self.horizon / self.dt)), 1)
+        return grid_step(self.horizon, self.dt, "horizon")
 
     @property
     def guard(self) -> float:
@@ -209,6 +210,23 @@ class BatchResult:
 
     def terminated(self, i: int) -> Terminated:
         return _CODE_TO_TERMINATED[int(self.terminated_code[i])]
+
+    def path_record(self, i: int) -> PathRecord:
+        """Row ``i`` of a recorded batch, its trajectory cut at its stop time."""
+        if self.trajectories is None:
+            raise ConfigError("path_record needs a batch run with record=True")
+        stop_t = float(self.stop_time[i])
+        keep = self.times <= stop_t + 0.5 * self.config.dt
+        return PathRecord(
+            params=self.params,
+            config=self.config,
+            path_index=self.path_offset + i,
+            times=self.times[keep],
+            lambdas=self.trajectories[i][keep],
+            terminated=self.terminated(i),
+            stop_time=stop_t,
+            switches=self.switch_log[i] if self.switch_log else [],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -637,14 +655,16 @@ def simulate_path(
 ):
     """Simulate one path; returns (PathRecord, EventLog).
 
-    Deterministic given (seed, path_index, config).  The trajectory is
-    recorded every ``record_stride`` steps and truncated at the scheme's stop
-    time when a stopping rule fires; event detection at ``collision_tol`` is
-    delegated to the collision detector.
+    Deterministic given (seed, path_index, config).  The path is a one-row
+    recorded batch at offset ``path_index``, cut by
+    :meth:`BatchResult.path_record`: recorded every ``record_stride`` steps
+    and truncated at the scheme's stop time when a stopping rule fires.
+    Event detection at ``collision_tol`` is delegated to the collision
+    detector.
     """
     from .events import detect_events
 
-    res = simulate_batch(
+    record = simulate_batch(
         params,
         config,
         n_paths=1,
@@ -652,21 +672,7 @@ def simulate_path(
         initial=initial,
         record=True,
         track_switches=config.scheme == Scheme.REGULARIZED_SWITCHING,
-    )
-    times = res.times
-    lams = res.trajectories[0]
-    stop_t = float(res.stop_time[0])
-    keep = times <= stop_t + 0.5 * config.dt
-    record = PathRecord(
-        params=params,
-        config=config,
-        path_index=path_index,
-        times=times[keep],
-        lambdas=lams[keep],
-        terminated=res.terminated(0),
-        stop_time=stop_t,
-        switches=res.switch_log[0] if res.switch_log else [],
-    )
+    ).path_record(0)
     return record, detect_events(record, config.collision_tol)
 
 
@@ -736,7 +742,9 @@ def simulate_coupled_cir(
     r_a >= r_b is violated at any step, for the pathwise-comparison check
     (larger constant drift should stay on top).
     """
-    n_steps = max(int(round(horizon / dt)), 1)
+    n_steps = grid_step(horizon, dt, "horizon")
+    if n_steps < 1:
+        raise ConfigError(f"horizon must be positive, got {horizon}")
     sqrt_dt = math.sqrt(dt)
     ra = np.full(n_paths, float(r0_a))
     rb = np.full(n_paths, float(r0_b))

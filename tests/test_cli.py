@@ -1,10 +1,16 @@
 """CLI harness: commands, artifact schemas, config handling, exit codes."""
 
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cir_particles import classify_regime, ModelParams
-from cir_particles.cli import main
+from cir_particles import ModelParams, Scheme, SimConfig, classify_regime, simulate_path
+from cir_particles.cli import _build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(args):
@@ -57,6 +63,107 @@ class TestSimulateCommand:
         assert rc == 0
         text = (tmp_path / "out" / "trajectories.csv").read_text()
         assert "paths=2" in text.splitlines()[0]  # override wins over file
+
+
+# scheme -> ((alpha, beta, gamma, n), x0, horizon, epsilon, paths); the record
+# stride 7 divides none of the step counts.
+SIMULATE_CASES = {
+    "truncated_euler": ((1.0, 0.5, 0.5, 3), "0.05,0.06,1", 0.5, None, 3),
+    # switches both ways, and three of the four paths stop at zeta_eps
+    "regularized_switching": ((0.8, 0.5, 1.0, 2), "0.1,1", 2.0, 0.05, 4),
+    "root_coordinates": ((2.0, 0.5, 0.5, 3), "0.05,0.5,1", 0.5, None, 3),
+    # kappa < 0: some paths stop at S_eps, the others reach the horizon
+    "c_epsilon": ((0.3, 0.5, 1.0, 2), "0.3,1", 0.2, 0.02, 4),
+}
+
+
+def _simulate_argv(scheme, model, x0, horizon, epsilon, paths, seed=9):
+    alpha, beta, gamma, n = model
+    argv = ["simulate", "--scheme", scheme, "--alpha", str(alpha), "--beta", str(beta),
+            "--gamma", str(gamma), "--n", str(n), "--x0", x0, "--paths", str(paths),
+            "--dt", "1e-3", "--horizon", str(horizon), "--seed", str(seed),
+            "--record-stride", "7"]
+    if epsilon is not None:
+        argv += ["--epsilon", str(epsilon)]
+    return argv
+
+
+class TestSimulateArtifacts:
+    @pytest.mark.parametrize("scheme", sorted(SIMULATE_CASES))
+    def test_rows_equal_per_path_simulation(self, scheme, tmp_path, capsys):
+        model, x0, horizon, epsilon, paths = SIMULATE_CASES[scheme]
+        argv = _simulate_argv(scheme, model, x0, horizon, epsilon, paths)
+        assert run_cli(argv + ["--out", str(tmp_path)]) == 0
+
+        params = ModelParams(*model)
+        config = SimConfig(scheme=Scheme(scheme), dt=1e-3, horizon=horizon,
+                           epsilon=epsilon, seed=9, paths=paths, record_stride=7)
+        initial = np.array([float(v) for v in x0.split(",")])
+        traj = ["path_id,t," + ",".join(f"lambda_{i + 1}" for i in range(params.n))]
+        events = ["path_id,kind,index,time,level"]
+        stopped = switched = 0
+        for i in range(paths):
+            rec, log = simulate_path(params, config, i, initial)
+            stopped += rec.terminated.value.startswith("stopped")
+            switched += bool(rec.switches)
+            for t, row in zip(rec.times, rec.lambdas):
+                traj.append(f"{i},{float(t)!r}," + ",".join(repr(float(v)) for v in row))
+            for ev in log.events:
+                idx = "" if ev.index is None else ev.index
+                events.append(f"{i},{ev.kind.value},{idx},"
+                              f"{float(ev.time)!r},{float(ev.level)!r}")
+        if scheme in ("c_epsilon", "regularized_switching"):
+            assert 0 < stopped < paths
+        if scheme == "regularized_switching":
+            assert switched == paths
+
+        for name, lines in (("trajectories.csv", traj), ("events.csv", events)):
+            text = (tmp_path / name).read_text()
+            header = text.split("\n", 1)[0]
+            assert header.startswith("# cir-particles ") and "command=simulate" in header
+            assert text == "\n".join([header, *lines]) + "\n"
+
+    def test_exact_splitting_reruns_identically(self, tmp_path, capsys):
+        argv = _simulate_argv("exact_cir_splitting", (1.0, 0.5, 0.5, 3), "0.05,0.5,1",
+                              0.3, None, 4)
+        assert run_cli(argv + ["--out", str(tmp_path / "a")]) == 0
+        assert run_cli(argv + ["--out", str(tmp_path / "b")]) == 0
+        for name in ("trajectories.csv", "events.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        rows = [line.split(",") for line in
+                (tmp_path / "a" / "trajectories.csv").read_text().splitlines()[2:]]
+        ids = [int(r[0]) for r in rows]
+        assert ids == sorted(ids) and sorted(set(ids)) == list(range(4))
+        for path_id in range(4):
+            block = np.array([[float(v) for v in r[1:]] for r in rows if int(r[0]) == path_id])
+            assert block[0, 0] == 0.0 and block[-1, 0] == pytest.approx(0.3)
+            assert np.all(np.diff(block[:, 0]) > 0.0)
+            assert np.all(block[:, 1:] >= 0.0)
+            assert np.all(np.diff(block[:, 1:], axis=1) >= 0.0)
+
+
+def _readme_cli_commands() -> list[list[str]]:
+    text = README.read_text()
+    block = re.search(r"## CLI\n.*?```bash\n(.*?)```", text, re.S).group(1)
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if words:
+            assert words[0] == "cir-particles", line
+            commands.append(words[1:])
+    return commands
+
+
+class TestReadme:
+    def test_cli_block_parses(self):
+        commands = _readme_cli_commands()
+        assert {c[0] for c in commands} == {
+            "simulate", "phase-diagram", "regime", "laplace-check",
+            "stationary-compare", "collision-scan",
+        }
+        parser = _build_parser()
+        for argv in commands:
+            parser.parse_args(argv)
 
 
 class TestPhaseDiagram:
@@ -142,9 +249,24 @@ class TestErrors:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not (tmp_path / "trajectories.csv").exists()
 
+    def test_horizon_off_the_dt_grid_is_config_error(self, tmp_path, capsys):
+        rc = run_cli(["simulate", "--dt", "1e-3", "--horizon", "0.0015", "--paths", "1",
+                      "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "trajectories.csv").exists()
+
     def test_bad_x0_length(self, tmp_path, capsys):
         rc = run_cli(["simulate", "--n", "3", "--x0", "1,2", "--out", str(tmp_path)])
         assert rc == 1
+
+    @pytest.mark.parametrize("x0", ["a,b", "-1,2", "2,1", "nan,1"])
+    def test_bad_x0_values_are_config_errors(self, x0, tmp_path, capsys):
+        rc = run_cli(["laplace-check", "--n", "2", "--paths", "10", f"--x0={x0}",
+                      "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("config error: x0 ")
+        assert not (tmp_path / "laplace.csv").exists()
 
     def test_stationary_compare_not_evaluable_exit_code(self, tmp_path, capsys):
         rc = run_cli(["stationary-compare", "--alpha", "2", "--beta", "0.5",
@@ -219,3 +341,25 @@ class TestX0:
         first_row = (tmp_path / "trajectories.csv").read_text().splitlines()[2]
         cols = first_row.split(",")
         assert float(cols[2]) == 0.25 and float(cols[3]) == 9.0
+
+    @pytest.mark.parametrize("argv, artifact, default, other", [
+        (["laplace-check", "--alpha", "2", "--beta", "0.5", "--gamma", "1", "--n", "2",
+          "--paths", "200", "--dt", "5e-3", "--t", "0.5"], "laplace.csv", "1,2", "0.5,0.5"),
+        (["stationary-compare", "--alpha", "2", "--beta", "0.5", "--gamma", "1",
+          "--n", "2", "--paths", "40", "--dt", "1e-2", "--horizon", "0.5"],
+         "stationary.csv", "1,2", "3,4"),
+        (["collision-scan", "--alpha", "2", "--beta", "0.5", "--gamma", "1", "--n", "2",
+          "--k", "1", "--paths", "20", "--dt", "1e-2", "--horizon", "0.5"],
+         "first_passage.csv", "1,2", "0.005,1"),
+        (["phase-diagram", "--sweep", "alpha=2.6;beta=0.5;gamma=1", "--n", "2",
+          "--paths", "16", "--dt", "1e-2", "--horizon", "0.2"],
+         "sweep.csv", "1,2", "0.0005,0.001"),
+    ], ids=["laplace-check", "stationary-compare", "collision-scan", "phase-diagram"])
+    def test_x0_sets_the_start(self, argv, artifact, default, other, tmp_path, capsys):
+        def run(name, extra):
+            assert run_cli(argv + extra + ["--seed", "4", "--out", str(tmp_path / name)]) == 0
+            return (tmp_path / name / artifact).read_bytes()
+
+        plain = run("plain", [])
+        assert run("default", ["--x0", default]) == plain
+        assert run("other", ["--x0", other]) != plain

@@ -99,6 +99,15 @@ class TestSimConfig:
         with pytest.raises(ConfigError):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize("horizon", [0.0015, 0.0025, 1.0004])
+    def test_horizon_off_the_dt_grid_is_config_error(self, horizon):
+        with pytest.raises(ConfigError, match="horizon"):
+            SimConfig(dt=1e-3, horizon=horizon)
+
+    def test_n_steps_counts_the_grid(self):
+        assert SimConfig(dt=1e-3, horizon=1.0).n_steps == 1000
+        assert SimConfig(dt=0.9, horizon=405.0).n_steps == 450
+
 
 class TestTruncatedEulerStep:
     def test_zero_step_identity(self):
@@ -312,6 +321,25 @@ class TestSimulatePath:
         batch = simulate_batch(p, cfg, n_paths=8, record=True)
         assert np.array_equal(rec.lambdas, batch.trajectories[3])
 
+    def test_path_record_of_a_batch_row_is_the_path(self):
+        p = ModelParams(alpha=0.8, beta=0.5, gamma=1.0, n=2)
+        cfg = SimConfig(scheme=Scheme.REGULARIZED_SWITCHING, dt=1e-3, horizon=2.0,
+                        seed=21, epsilon=0.05, record_stride=7)
+        start = np.array([0.1, 1.0])
+        batch = simulate_batch(p, cfg, n_paths=4, path_offset=2, initial=start,
+                               record=True, track_switches=True)
+        for i in range(4):
+            got = batch.path_record(i)
+            want, _ = simulate_path(p, cfg, 2 + i, start)
+            assert got.path_index == want.path_index == 2 + i
+            assert got.terminated is want.terminated
+            assert got.stop_time == want.stop_time
+            assert got.switches == want.switches
+            assert np.array_equal(got.times, want.times)
+            assert np.array_equal(got.lambdas, want.lambdas)
+        with pytest.raises(ConfigError, match="record=True"):
+            simulate_batch(p, cfg, n_paths=1).path_record(0)
+
     def test_recorded_states_sorted_nonnegative_all_schemes(self):
         for scheme, params in (
             (Scheme.TRUNCATED_EULER, ModelParams(1.0, 0.5, 0.5, 3)),
@@ -329,10 +357,10 @@ class TestSimulatePath:
     def test_numerical_failure_recorded_not_raised(self):
         # Strong negative reversion with a large step blows up exponentially.
         p = ModelParams(alpha=1.0, beta=0.5, gamma=-5.0, n=2)
-        cfg = SimConfig(dt=0.9, horizon=400.0, seed=1)
+        cfg = SimConfig(dt=0.9, horizon=405.0, seed=1)
         rec, _ = simulate_path(p, cfg, 0, initial=np.array([1.0, 2.0]))
         assert rec.terminated is Terminated.NUMERICAL_FAILURE
-        assert rec.stop_time < 400.0
+        assert rec.stop_time < 405.0
 
     def test_splitting_rerun_identical(self):
         p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
@@ -515,6 +543,14 @@ class TestCoupling:
         )
         assert out["ordering_violations"] == 0
         assert out["min_margin"] >= 0.0
+
+    @pytest.mark.parametrize("horizon", [0.0015, 1.0004, 0.0])
+    def test_coupled_cir_horizon_off_the_dt_grid_is_config_error(self, horizon):
+        with pytest.raises(ConfigError, match="horizon"):
+            simulate_coupled_cir(
+                CirParams(3.0, 1.0, 1.0), CirParams(2.5, 1.0, 1.0),
+                1.0, 1.0, 1e-3, horizon, 99, 4,
+            )
 
     def test_contraction_small_scale(self):
         p = ModelParams(alpha=3.2, beta=1.2, gamma=1.0, n=2)
