@@ -439,15 +439,31 @@ _GAUSSIAN_ALPHA = {
 }
 
 
+def _assert_rows_match(part, whole, lo, hi):
+    """Every output of batch ``part`` equals rows lo..hi-1 of batch ``whole``."""
+    for name in ("final_lambda", "stop_time", "terminated_code", "trajectories"):
+        assert np.array_equal(getattr(part, name), getattr(whole, name)[lo:hi])
+    for lev, mon in whole.monitors.items():
+        for kind, values in mon.items():
+            assert np.array_equal(part.monitors[lev][kind], values[lo:hi], equal_nan=True)
+    assert part.snapshots.keys() == whole.snapshots.keys()
+    for t, values in whole.snapshots.items():
+        assert np.array_equal(part.snapshots[t], values[lo:hi])
+    assert part.switch_log == whole.switch_log[lo:hi]
+
+
 class TestBatchDecomposition:
     @given(
         key=st.sampled_from(sorted(_GAUSSIAN_ALPHA, key=str)),
         n_paths=st.integers(1, 16),
         cuts=st.lists(st.integers(1, 15), max_size=6),
         seed=st.integers(0, 2**31 - 1),
+        refine=st.sampled_from([1, 2]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_rows_do_not_depend_on_the_batch_split(self, key, n_paths, cuts, seed):
+    def test_rows_do_not_depend_on_the_batch_split(self, key, n_paths, cuts, seed, refine):
+        # A one-row batch returns once its row stops, so it is the reference
+        # for every row of a batch whose other rows run on.
         scheme, n = key
         params = ModelParams(alpha=_GAUSSIAN_ALPHA[key], beta=0.5, gamma=0.5, n=n)
         cfg = SimConfig(scheme=scheme, dt=1e-2, horizon=2.0, seed=seed,
@@ -456,20 +472,18 @@ class TestBatchDecomposition:
             np.random.default_rng(seed).uniform(0.01, 1.5, (n_paths, n)), axis=1
         )
         kwargs = dict(event_levels=(0.05, 1e-3), stop_on=("gap_any", 0.01),
-                      record=True, track_switches=True)
+                      record=True, track_switches=True, noise_refine=refine,
+                      snapshot_times=(0.5, 2.0))
         whole = simulate_batch(params, cfg, n_paths=n_paths, initial=initial, **kwargs)
         bounds = sorted({0, n_paths, *(c for c in cuts if c < n_paths)})
         for lo, hi in zip(bounds, bounds[1:]):
             part = simulate_batch(params, cfg, n_paths=hi - lo, path_offset=lo,
                                   initial=initial[lo:hi], **kwargs)
-            for name in ("final_lambda", "stop_time", "terminated_code", "trajectories"):
-                assert np.array_equal(getattr(part, name), getattr(whole, name)[lo:hi])
-            for lev, mon in whole.monitors.items():
-                for kind, values in mon.items():
-                    assert np.array_equal(
-                        part.monitors[lev][kind], values[lo:hi], equal_nan=True
-                    )
-            assert part.switch_log == whole.switch_log[lo:hi]
+            _assert_rows_match(part, whole, lo, hi)
+        for i in range(n_paths):
+            alone = simulate_batch(params, cfg, n_paths=1, path_offset=i,
+                                   initial=initial[i:i + 1], **kwargs)
+            _assert_rows_match(alone, whole, i, i + 1)
 
 
 class TestNoiseTree:
