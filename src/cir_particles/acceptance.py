@@ -51,11 +51,13 @@ class CriterionResult:
     name: str
     passed: bool
     details: list[str] = field(default_factory=list)
+    seconds: float | None = None  # wall time, set by run_acceptance
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         detail = "; ".join(self.details)
-        return f"{status}  [{self.index}] {self.name}: {detail}"
+        took = "" if self.seconds is None else f" ({self.seconds:.1f} s)"
+        return f"{status}  [{self.index}] {self.name}{took}: {detail}"
 
 
 class _DoubleEventRegistry:
@@ -424,7 +426,7 @@ CRITERIA = [
 def run_acceptance(only=None, quiet: bool = False) -> list[CriterionResult]:
     """Run the acceptance criteria, printing one pass/fail line per criterion.
 
-    Criterion 6 consumes the double-event monitors of criteria 1-5, so
+    Each result carries its wall time in ``seconds``.  Criterion 6 consumes the double-event monitors of criteria 1-5, so
     requesting 6 pulls those in as well.
     """
     wanted = set(only) if only else {idx for idx, _ in CRITERIA}
@@ -435,7 +437,9 @@ def run_acceptance(only=None, quiet: bool = False) -> list[CriterionResult]:
     for idx, fn in CRITERIA:
         if idx not in wanted:
             continue
+        start = time.perf_counter()
         result = fn(registry)
+        result.seconds = time.perf_counter() - start
         if only is None or idx in set(only):
             results.append(result)
         if not quiet:

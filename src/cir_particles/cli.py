@@ -2,8 +2,9 @@
 
 Commands: simulate, regime, phase-diagram, verify, stationary-compare,
 laplace-check, collision-scan.  Every artifact is a CSV whose first line is a
-comment recording parameters, configuration, seed and code version, so a
-report can be reproduced from its own header.  Exit codes: 0 ok, 1 config
+comment recording the code version, the command and the inputs it reads
+(model, configuration, seed, start), so a report can be reproduced from its
+own header.  Exit codes: 0 ok, 1 config
 error, 2 acceptance failure, 3 numerical failure.
 
 ``simulate`` runs all ``--paths`` rows as one recorded batch and cuts each row
@@ -162,21 +163,38 @@ def _initial(values: dict, n: int):
     return arr
 
 
-def _header(values: dict, command: str) -> str:
+def _start(values: dict, n: int) -> np.ndarray:
+    """The resolved start: --x0, or the default 1, 2, ..., n."""
+    x0 = _initial(values, n)
+    return np.arange(1.0, n + 1.0) if x0 is None else x0
+
+
+# The run fields laplace-check reads; it has no scheme and no horizon.
+_LAPLACE_FIELDS = ("alpha", "beta", "gamma", "n", "kappa", "dt", "seed", "paths", "x0")
+
+
+def _run_fields(values: dict, keys=None) -> dict:
+    """Header fields of a run, all of them or those named in ``keys``."""
     params = _model(values)
-    fields = [
-        f"version={__version__}", f"command={command}",
-        f"alpha={values['alpha']:g}", f"beta={values['beta']:g}",
-        f"gamma={values['gamma']:g}", f"n={values['n']}",
-        f"kappa={params.kappa:g}", f"scheme={values['scheme']}",
-        f"dt={values['dt']:g}", f"horizon={values['horizon']:g}",
-        f"epsilon={values['epsilon'] if values['epsilon'] is not None else 'auto'}",
-        f"collision_tol={values['collision_tol']:g}",
-        f"kick_cap={values['kick_cap']:g}",
-        f"seed={values['seed']}", f"paths={values['paths']}",
-        f"record_stride={values['record_stride']}",
-    ]
-    return "# cir-particles " + " ".join(fields)
+    fields = {
+        "alpha": f"{values['alpha']:g}", "beta": f"{values['beta']:g}",
+        "gamma": f"{values['gamma']:g}", "n": f"{values['n']}",
+        "kappa": f"{params.kappa:g}", "scheme": f"{values['scheme']}",
+        "dt": f"{values['dt']:g}", "horizon": f"{values['horizon']:g}",
+        "epsilon": f"{values['epsilon'] if values['epsilon'] is not None else 'auto'}",
+        "collision_tol": f"{values['collision_tol']:g}",
+        "kick_cap": f"{values['kick_cap']:g}",
+        "seed": f"{values['seed']}", "paths": f"{values['paths']}",
+        "record_stride": f"{values['record_stride']}",
+        "x0": ",".join(map(repr, _start(values, params.n).tolist())),
+    }
+    return fields if keys is None else {key: fields[key] for key in keys}
+
+
+def _header(command: str, fields: dict) -> str:
+    """The provenance line: version, command, then each field as key=value."""
+    items = {"version": __version__, "command": command, **fields}
+    return "# cir-particles " + " ".join(f"{k}={v}" for k, v in items.items())
 
 
 def _out_dir(values: dict, args) -> Path:
@@ -202,9 +220,10 @@ def cmd_simulate(args) -> int:
         track_switches=config.scheme == Scheme.REGULARIZED_SWITCHING,
     )
     failures = 0
-    traj_lines = [_header(values, "simulate"),
+    header = _header("simulate", _run_fields(values))
+    traj_lines = [header,
                   "path_id,t," + ",".join(f"lambda_{i+1}" for i in range(params.n))]
-    event_lines = [_header(values, "simulate"), "path_id,kind,index,time,level"]
+    event_lines = [header, "path_id,kind,index,time,level"]
     for path_id in range(config.paths):
         record = res.path_record(path_id)
         if record.terminated == Terminated.NUMERICAL_FAILURE:
@@ -227,7 +246,7 @@ def _regime_text(values: dict) -> str:
     params = _model(values)
     report = classify_regime(params)
     lines = [
-        _header(values, "regime"),
+        _header("regime", _run_fields(values)),
         f"kappa={report.kappa:g}",
         f"global_solution={report.global_solution.value}",
         f"pair_collisions={report.pair_collisions.value}",
@@ -275,7 +294,7 @@ def cmd_phase_diagram(args) -> int:
     initial = _initial(values, values["n"])
     out = _out_dir(values, args)
     lines = [
-        _header(values, "phase-diagram"),
+        _header("phase-diagram", _run_fields(values)),
         "alpha,beta,gamma,n,kappa,global_solution,pair_collisions,zero_hit_lambda1,"
         "collision_freq,collision_ci_low,collision_ci_high,"
         "zero_hit_freq,zero_hit_ci_low,zero_hit_ci_high",
@@ -325,7 +344,8 @@ def cmd_verify(args) -> int:
     results = run_acceptance(only=only)
     if out:
         out_dir = _out_dir(values, args)
-        lines = [_header(values, "verify"), "criterion,name,passed,details"]
+        only_text = ",".join(map(str, only)) if only else "all"
+        lines = [_header("verify", {"only": only_text}), "criterion,name,passed,details"]
         for r in results:
             detail = " | ".join(r.details).replace(",", ";")
             lines.append(f"{r.index},{r.name},{int(r.passed)},{detail}")
@@ -343,7 +363,7 @@ def cmd_stationary_compare(args) -> int:
     out = _out_dir(values, args)
     report = compare_long_run(params, config, initial=initial)
     lines = [
-        _header(values, "stationary-compare"),
+        _header("stationary-compare", _run_fields(values)),
         "name,estimate,stderr,ci_low,ci_high,ks_D,ks_p,n_samples",
     ]
     for name, s in report.items():
@@ -370,14 +390,13 @@ def cmd_laplace_check(args) -> int:
             raise ConfigError(
                 f"probe time t={tp:g} is not a positive multiple of dt={sub_dt:g}"
             )
-    x0 = _initial(values, params.n)
+    sum0 = float(_start(values, params.n).sum())
     out = _out_dir(values, args)
-    sum0 = float((np.arange(1.0, params.n + 1.0) if x0 is None else x0).sum())
     probes = integrated_sum_paths(
         params, sum0, n_paths, sub_dt, t_probes, rng_streams(values["seed"], 0)
     )
     lines = [
-        _header(values, "laplace-check"),
+        _header("laplace-check", _run_fields(values, _LAPLACE_FIELDS)),
         "mu,t,closed_form,mc_estimate,mc_stderr,z_score",
     ]
     worst = 0.0
@@ -404,7 +423,7 @@ def cmd_collision_scan(args) -> int:
     out = _out_dir(values, args)
     ks = [args.k] if getattr(args, "k", None) else list(range(1, params.n + 1))
     lines = [
-        _header(values, "collision-scan"),
+        _header("collision-scan", _run_fields(values)),
         "k,delta,hit_fraction,ci_low,ci_high,n_paths",
     ]
     for k in ks:

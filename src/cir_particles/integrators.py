@@ -46,6 +46,14 @@ is run alone, inside any batch, or under any parallel schedule, and two
 systems run with the same seed are driven by the same Brownian increments
 (the coupling used by the contraction and comparison experiments).
 ``exact_cir_splitting`` is deterministic per batch layout only.
+
+:func:`simulate_batch` steps only the live rows.  A row frozen by a stopping
+rule, by ``stop_on`` or by a non-finite step keeps its state and draws no
+further noise.  For the Gaussian schemes every number is the same as if all
+rows were stepped to the end.  Under
+``exact_cir_splitting`` the batch stream feeds only the live rows, so its
+draws depend on when rows freeze; a rerun of the same inputs still
+reproduces them bit for bit.
 """
 
 from __future__ import annotations
@@ -430,13 +438,20 @@ def _new_monitor(levels: Sequence[float], p: int, n: int) -> dict:
 
 
 def _update_monitors(
-    mon: dict, lam: np.ndarray, active: np.ndarray, t: float
+    mon: dict, lam: np.ndarray, rows: np.ndarray | None, t: float
 ) -> None:
+    """Stamp t on the events first seen in ``lam``, the batch rows ``rows`` (None: all)."""
     for lev, conditions in event_conditions(lam, mon).items():
         for kind, cond in conditions.items():
+            if not cond.any():
+                continue
             first = mon[lev][kind]
-            hit = (active if cond.ndim == 1 else active[:, None]) & cond & np.isnan(first)
-            first[hit] = t
+            seen = first if rows is None else first[rows]
+            hit = cond & np.isnan(seen)
+            if hit.any():
+                seen[hit] = t
+                if rows is not None:
+                    first[rows] = seen
 
 
 def _stop_monitor(stop_on, n: int) -> tuple[float, str, slice]:
@@ -471,6 +486,12 @@ def simulate_batch(
     detection level (every step, independent of ``record_stride``);
     ``stop_on`` optionally freezes a path at its first monitored event.
     ``snapshot_times`` must be grid times k*dt of the run, 0 <= k <= n_steps.
+
+    Each step advances only the rows still live; a frozen row keeps its
+    state, and recording and snapshots stay full-size.  The loop ends once
+    every row is frozen.  Gaussian noise is drawn by path index, so the rows
+    do not depend on which others are live; ``exact_cir_splitting`` draws
+    its Poisson and Gamma variates for the live rows only.
 
     ``noise_refine = m`` makes each increment the normalized sum of m
     fine-grid increments, so a run at step size m*dt_fine shares a noise tree
@@ -512,6 +533,19 @@ def simulate_batch(
     active = np.ones(p, dtype=bool)
     stop_time = np.full(p, n_steps * dt)
     term = np.full(p, _T_HORIZON, dtype=np.int8)
+
+    def freeze(which: np.ndarray, code: int, t: float) -> None:
+        term[which] = code
+        stop_time[which] = t
+        active[which] = False
+
+    def live_rows() -> tuple[np.ndarray, np.ndarray | None]:
+        """The live rows, and their positions in the span rows[0] .. rows[-1] if it has gaps."""
+        rows = np.flatnonzero(active)
+        if rows.size == 0 or rows[-1] - rows[0] + 1 == rows.size:
+            return rows, None
+        return rows, rows - rows[0]
+
     if scheme == Scheme.REGULARIZED_SWITCHING:
         mode_is_b = state[:, 0] < eps
     else:
@@ -526,14 +560,11 @@ def simulate_batch(
         if stop_level not in levels:
             levels.append(stop_level)
     mon = _new_monitor(levels, p, n)
-    _update_monitors(mon, lam_view, active, 0.0)
+    _update_monitors(mon, lam_view, None, 0.0)
     if stop_on is not None:
         # A view: first-hit times of the stopping event, updated in place.
         stop_first = mon[stop_level][stop_kind][:, stop_cols]
-        stopped = active & np.isfinite(stop_first).any(axis=1)
-        term[stopped] = _T_EVENT
-        stop_time[stopped] = 0.0
-        active &= ~stopped
+        freeze(np.flatnonzero(np.isfinite(stop_first).any(axis=1)), _T_EVENT, 0.0)
 
     rec_steps = None
     times = None
@@ -555,8 +586,13 @@ def simulate_batch(
     for t in snap_steps.get(0, ()):
         snapshots[t] = lam_view.copy()
 
+    # Only the live rows are stepped.  ``rows`` changes only when a row
+    # freezes; while every row is live the step needs no gather or scatter.
+    # Gaussian noise is drawn over the span of paths rows[0] .. rows[-1],
+    # whose rows equal those of any other draw covering the same paths.
+    rows, span_pick = live_rows()
     for step in range(n_steps):
-        if not active.any():
+        if rows.size == 0:
             if record:
                 for s in rec_steps:
                     if s > step:
@@ -566,65 +602,75 @@ def simulate_batch(
                     for t in probes:
                         snapshots[t] = lam_view.copy()
             break
+        every = rows.size == p
         dw = None
         if scheme != Scheme.EXACT_CIR_SPLITTING:
-            if noise_refine == 1:
-                z = step_normals(config.seed, step, path_offset, p, n)
-            else:
-                z = step_normals(config.seed, step * noise_refine, path_offset, p, n)
-                for u in range(1, noise_refine):
-                    z += step_normals(
-                        config.seed, step * noise_refine + u, path_offset, p, n
-                    )
+            first_path = path_offset + int(rows[0])
+            span = int(rows[-1] - rows[0]) + 1
+            z = step_normals(config.seed, step * noise_refine, first_path, span, n)
+            for u in range(1, noise_refine):
+                z += step_normals(config.seed, step * noise_refine + u, first_path, span, n)
+            if noise_refine > 1:
                 z /= math.sqrt(noise_refine)
-            dw = sqrt_dt * z
+            dw = sqrt_dt * (z if span_pick is None else z[span_pick])
         t_next = (step + 1) * dt
 
         # Non-finite states are tolerated here and recorded as failures below.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            new = np.sort(np.maximum(step_fn(state, dw, mode_is_b), 0.0), axis=1)
+            cur, mode = (state, mode_is_b) if every else (state[rows], mode_is_b[rows])
+            new = np.sort(np.maximum(step_fn(cur, dw, mode), 0.0), axis=1)
 
-        bad = active & ~np.isfinite(new).all(axis=1)
-        adopt = active & ~bad
-        state[adopt] = new[adopt]
-        if bad.any():
-            term[bad] = _T_FAIL
-            stop_time[bad] = t_next
-            active[bad] = False
-
-        lam_view = state**2 if in_root else state
-        _update_monitors(mon, lam_view, active, t_next)
+        live = rows
+        ok = np.isfinite(new).all(axis=1)
+        froze = not ok.all()
+        if froze:
+            freeze(rows[~ok], _T_FAIL, t_next)
+            live, new, mode = rows[ok], new[ok], mode[ok]
+            every = False
+        if every:
+            state = new
+        else:
+            state[live] = new
+        live_lam = new**2 if in_root else new
+        if not in_root:
+            lam_view = state
+        elif every:
+            lam_view = live_lam
+        else:
+            lam_view[live] = live_lam
+        _update_monitors(mon, live_lam, None if every else live, t_next)
 
         if scheme == Scheme.REGULARIZED_SWITCHING:
-            lam1 = state[:, 0]
-            zeta = adopt & (lam1 <= eps) & (state[:, 1] - lam1 <= eps)
-            if zeta.any():
-                term[zeta] = _T_ZETA
-                stop_time[zeta] = t_next
-                active[zeta] = False
-                adopt &= ~zeta
-            to_b = adopt & ~mode_is_b & (lam1 <= eps / 2.0)
-            to_a = adopt & mode_is_b & (lam1 >= eps)
+            lam1 = new[:, 0]
+            moving = ~((lam1 <= eps) & (new[:, 1] - lam1 <= eps))
+            if not moving.all():
+                freeze(live[~moving], _T_ZETA, t_next)
+                froze = True
+            to_b = live[moving & ~mode & (lam1 <= eps / 2.0)]
+            to_a = live[moving & mode & (lam1 >= eps)]
             if track_switches:
-                for i in np.flatnonzero(to_b):
+                for i in to_b:
                     switch_log[i].append((t_next, "B"))
-                for i in np.flatnonzero(to_a):
+                for i in to_a:
                     switch_log[i].append((t_next, "A"))
             mode_is_b[to_b] = True
             mode_is_b[to_a] = False
         elif scheme == Scheme.C_EPSILON:
-            s_eps = adopt & (state[:, 0] <= math.sqrt(eps))
+            s_eps = new[:, 0] <= math.sqrt(eps)
             if s_eps.any():
-                term[s_eps] = _T_S_EPS
-                stop_time[s_eps] = t_next
-                active[s_eps] = False
+                freeze(live[s_eps], _T_S_EPS, t_next)
+                froze = True
 
         if stop_on is not None:
-            stopped = active & np.isfinite(stop_first).any(axis=1)
-            if stopped.any():
-                term[stopped] = _T_EVENT
-                stop_time[stopped] = t_next
-                active[stopped] = False
+            hit = np.isfinite(stop_first if every else stop_first[live]).any(axis=1)
+            if froze:
+                hit &= active[live]
+            if hit.any():
+                freeze(live[hit], _T_EVENT, t_next)
+                froze = True
+
+        if froze:
+            rows, span_pick = live_rows()
 
         if record and (step + 1) in rec_pos:
             traj[:, rec_pos[step + 1], :] = lam_view

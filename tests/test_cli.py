@@ -215,6 +215,23 @@ class TestLaplaceCheck:
         assert max(zs) <= 5.0
 
 
+    def test_header_lists_only_what_laplace_check_reads(self, tmp_path, capsys):
+        from cir_particles import __version__
+
+        argv = ["laplace-check", "--alpha", "2", "--beta", "0.5", "--gamma", "1", "--n", "2",
+                "--paths", "200", "--dt", "5e-3", "--t", "0.5", "--seed", "3"]
+        assert run_cli(argv + ["--out", str(tmp_path / "a")]) == 0
+        unused = ["--scheme", "root_coordinates", "--horizon", "3", "--epsilon", "0.1",
+                  "--collision-tol", "0.01", "--kick-cap", "2", "--record-stride", "5"]
+        assert run_cli(argv + unused + ["--out", str(tmp_path / "b")]) == 0
+        text = (tmp_path / "a" / "laplace.csv").read_text()
+        assert text == (tmp_path / "b" / "laplace.csv").read_text()
+        assert text.splitlines()[0] == (
+            f"# cir-particles version={__version__} command=laplace-check alpha=2 beta=0.5 "
+            "gamma=1 n=2 kappa=1.5 dt=0.005 seed=3 paths=200 x0=1.0,2.0"
+        )
+
+
 class TestCollisionScan:
     def test_ladder_output(self, tmp_path, capsys):
         rc = run_cli(
@@ -329,6 +346,23 @@ class TestVerifyCommand:
         assert lines[1] == "criterion,name,passed,details"
         assert lines[2].startswith("9,coupled_cir_ordering,1,")
 
+    def test_header_lists_only_what_verify_reads(self, monkeypatch, tmp_path, capsys):
+        # The criteria run at pinned parameters and seeds; the model, scheme,
+        # seed and paths flags do not reach them, so the header omits them.
+        from cir_particles import __version__
+        from cir_particles import acceptance as acc
+        from cir_particles.acceptance import CriterionResult
+
+        monkeypatch.setattr(
+            acc, "run_acceptance",
+            lambda only=None, quiet=False: [CriterionResult(8, "gradient_and_sum_identity", True, ["ok"])],
+        )
+        argv = ["verify", "--only", "8,9", "--seed", "5", "--paths", "7", "--alpha", "3",
+                "--out", str(tmp_path)]
+        assert run_cli(argv) == 0
+        header = (tmp_path / "acceptance.csv").read_text().splitlines()[0]
+        assert header == f"# cir-particles version={__version__} command=verify only=8,9"
+
 
 class TestX0:
     def test_initial_state_respected(self, tmp_path, capsys):
@@ -363,3 +397,21 @@ class TestX0:
         plain = run("plain", [])
         assert run("default", ["--x0", default]) == plain
         assert run("other", ["--x0", other]) != plain
+
+    @pytest.mark.parametrize("argv, artifact", [
+        (["simulate", "--n", "2", "--paths", "2", "--dt", "1e-2", "--horizon", "0.1"],
+         "trajectories.csv"),
+        (["laplace-check", "--n", "2", "--paths", "200", "--dt", "5e-3", "--t", "0.5"],
+         "laplace.csv"),
+        (["regime", "--n", "2"], "regime.txt"),
+    ], ids=["simulate", "laplace-check", "regime"])
+    def test_header_records_the_start(self, argv, artifact, tmp_path, capsys):
+        def first_line(name, extra):
+            assert run_cli(argv + extra + ["--out", str(tmp_path / name)]) == 0
+            return (tmp_path / name / artifact).read_text().splitlines()[0]
+
+        plain = first_line("plain", [])
+        assert plain.endswith(" x0=1.0,2.0")
+        assert first_line("default", ["--x0", "1,2"]) == plain
+        other = first_line("other", ["--x0", "0.5,0.5"])
+        assert other != plain and other.endswith(" x0=0.5,0.5")

@@ -370,6 +370,37 @@ class TestSimulatePath:
         assert np.array_equal(a.final_lambda, b.final_lambda)
 
 
+class TestFrozenRowsAreNotStepped:
+    def test_exact_splitting_steps_only_live_rows(self, monkeypatch):
+        from cir_particles import integrators
+
+        p = ModelParams(alpha=1.0, beta=0.4, gamma=0.5, n=3)
+        cfg = SimConfig(scheme=Scheme.EXACT_CIR_SPLITTING, dt=1e-2, horizon=2.0,
+                        seed=8, paths=24)
+        stepped = []
+        real = integrators.exact_step
+
+        def counting(cir, r, dt, rng):
+            stepped.append(len(r))
+            return real(cir, r, dt, rng)
+
+        monkeypatch.setattr(integrators, "exact_step", counting)
+        kwargs = dict(stop_on=("psum", 2, 1e-2), event_levels=(0.1,), record=True)
+        res = simulate_batch(p, cfg, **kwargs)
+        steps = np.rint(res.stop_time / cfg.dt).astype(int)
+        assert 0 < np.count_nonzero(res.terminated_code == 4) < cfg.paths
+        assert sum(stepped) == steps.sum()
+        for traj, k in zip(res.trajectories, steps):
+            assert np.array_equal(traj[k:], np.broadcast_to(traj[k], traj[k:].shape))
+
+        again = simulate_batch(p, cfg, **kwargs)
+        for name in ("final_lambda", "stop_time", "terminated_code", "trajectories"):
+            assert np.array_equal(getattr(again, name), getattr(res, name))
+        for lev, mon in res.monitors.items():
+            for kind, values in mon.items():
+                assert np.array_equal(again.monitors[lev][kind], values, equal_nan=True)
+
+
 class TestStopOnStatus:
     def test_event_stop_reports_stopped_at_event(self):
         p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
