@@ -426,8 +426,9 @@ CRITERIA = [
 def run_acceptance(only=None, quiet: bool = False) -> list[CriterionResult]:
     """Run the acceptance criteria, printing one pass/fail line per criterion.
 
-    Each result carries its wall time in ``seconds``.  Criterion 6 consumes the double-event monitors of criteria 1-5, so
-    requesting 6 pulls those in as well.
+    Each result carries its wall time in ``seconds``.  Criterion 6 consumes
+    the double-event monitors of criteria 1-5, so requesting 6 pulls those
+    in as well.
     """
     wanted = set(only) if only else {idx for idx, _ in CRITERIA}
     if 6 in wanted:

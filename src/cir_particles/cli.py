@@ -4,8 +4,8 @@ Commands: simulate, regime, phase-diagram, verify, stationary-compare,
 laplace-check, collision-scan.  Every artifact is a CSV whose first line is a
 comment recording the code version, the command and the inputs it reads
 (model, configuration, seed, start), so a report can be reproduced from its
-own header.  Exit codes: 0 ok, 1 config
-error, 2 acceptance failure, 3 numerical failure.
+own header.  Exit codes: 0 ok, 1 config error, 2 acceptance failure,
+3 numerical failure.
 
 ``simulate`` runs all ``--paths`` rows as one recorded batch and cuts each row
 into its trajectory and event log.  Every simulating command starts from
