@@ -37,7 +37,6 @@ from .events import (
     EventKind,
     EventLog,
     TimeChange,
-    bessel_collision_dimension,
     detect_events,
     event_conditions,
     first_passage_partial_sum,

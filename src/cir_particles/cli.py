@@ -171,6 +171,13 @@ def _start(values: dict, n: int) -> np.ndarray:
 
 # The run fields laplace-check reads; it has no scheme and no horizon.
 _LAPLACE_FIELDS = ("alpha", "beta", "gamma", "n", "kappa", "dt", "seed", "paths", "x0")
+# classify_regime reads the model alone.
+_REGIME_FIELDS = ("alpha", "beta", "gamma", "n", "kappa")
+# A sweep records no trajectory, so it has no record_stride.
+_SWEEP_FIELDS = (
+    "alpha", "beta", "gamma", "n", "kappa", "scheme", "dt", "horizon", "epsilon",
+    "collision_tol", "kick_cap", "seed", "paths", "x0",
+)
 
 
 def _run_fields(values: dict, keys=None) -> dict:
@@ -186,8 +193,9 @@ def _run_fields(values: dict, keys=None) -> dict:
         "kick_cap": f"{values['kick_cap']:g}",
         "seed": f"{values['seed']}", "paths": f"{values['paths']}",
         "record_stride": f"{values['record_stride']}",
-        "x0": ",".join(map(repr, _start(values, params.n).tolist())),
     }
+    if keys is None or "x0" in keys:
+        fields["x0"] = ",".join(map(repr, _start(values, params.n).tolist()))
     return fields if keys is None else {key: fields[key] for key in keys}
 
 
@@ -197,9 +205,13 @@ def _header(command: str, fields: dict) -> str:
     return "# cir-particles " + " ".join(f"{k}={v}" for k, v in items.items())
 
 
+def _out_given(values: dict, args) -> str | None:
+    """The output directory from --out or the config file's out=, if either sets one."""
+    return getattr(args, "out", None) or values.get("out")
+
+
 def _out_dir(values: dict, args) -> Path:
-    out = getattr(args, "out", None) or values.get("out") or "."
-    path = Path(out)
+    path = Path(_out_given(values, args) or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -246,7 +258,7 @@ def _regime_text(values: dict) -> str:
     params = _model(values)
     report = classify_regime(params)
     lines = [
-        _header("regime", _run_fields(values)),
+        _header("regime", _run_fields(values, _REGIME_FIELDS)),
         f"kappa={report.kappa:g}",
         f"global_solution={report.global_solution.value}",
         f"pair_collisions={report.pair_collisions.value}",
@@ -262,7 +274,7 @@ def cmd_regime(args) -> int:
     values = _resolve(args)
     text = _regime_text(values)
     print(text)
-    if getattr(args, "out", None):
+    if _out_given(values, args):
         out = _out_dir(values, args)
         (out / "regime.txt").write_text(text + "\n")
     return 0
@@ -294,7 +306,7 @@ def cmd_phase_diagram(args) -> int:
     initial = _initial(values, values["n"])
     out = _out_dir(values, args)
     lines = [
-        _header("phase-diagram", _run_fields(values)),
+        _header("phase-diagram", _run_fields(values, _SWEEP_FIELDS)),
         "alpha,beta,gamma,n,kappa,global_solution,pair_collisions,zero_hit_lambda1,"
         "collision_freq,collision_ci_low,collision_ci_high,"
         "zero_hit_freq,zero_hit_ci_low,zero_hit_ci_high",
@@ -340,9 +352,8 @@ def cmd_verify(args) -> int:
     if getattr(args, "only", None):
         only = [int(v) for v in args.only.split(",")]
     values = _resolve(args)
-    out = getattr(args, "out", None)
     results = run_acceptance(only=only)
-    if out:
+    if _out_given(values, args):
         out_dir = _out_dir(values, args)
         only_text = ",".join(map(str, only)) if only else "all"
         lines = [_header("verify", {"only": only_text}), "criterion,name,passed,details"]

@@ -26,7 +26,6 @@ __all__ = [
     "EventKind",
     "EventLog",
     "TimeChange",
-    "bessel_collision_dimension",
     "detect_events",
     "event_conditions",
     "first_passage_partial_sum",
@@ -73,25 +72,30 @@ class EventLog:
 
 
 def event_conditions(lam: np.ndarray, levels) -> dict[float, dict[str, np.ndarray]]:
-    """Event indicators of every row of ``lam`` (R, n) at each detection level.
+    """Event indicators of every column of ``lam`` (n, R) at each detection level.
 
-    Per level: ``gap`` (R, n-1) marks lambda_{i+1} - lambda_i <= level,
-    ``psum`` (R, n) marks lambda_1 + ... + lambda_k <= level, ``zeta`` (R,)
-    the joint event lambda_1 <= level and lambda_2 - lambda_1 <= level, and
-    ``double`` (R,) two distinct small gaps in the same row.  The boundary
-    case, the joint event together with a small gap above the first, is a
-    double event because the joint event's first gap is small.
+    Row i of ``lam`` holds coordinate i of every one of the R states.  Per
+    level: ``gap`` (n-1, R) marks lambda_{i+1} - lambda_i <= level, ``psum``
+    (n, R) marks lambda_1 + ... + lambda_k <= level, ``zeta`` (R,) the joint
+    event lambda_1 <= level and lambda_2 - lambda_1 <= level, and ``double``
+    (R,) two distinct small gaps in the same column.  The boundary case, the
+    joint event together with a small gap above the first, is a double event
+    because the joint event's first gap is small.
     """
-    gaps = lam[:, 1:] - lam[:, :-1]
-    psums = np.cumsum(lam, axis=1)
+    gaps = lam[1:] - lam[:-1]
+    # Row by row, the same additions in the same order as a cumulative sum.
+    psums = np.empty_like(lam)
+    psums[0] = lam[0]
+    for k in range(1, lam.shape[0]):
+        np.add(psums[k - 1], lam[k], out=psums[k])
     out = {}
     for lev in levels:
         gap = gaps <= lev
         out[lev] = {
             "gap": gap,
             "psum": psums <= lev,
-            "zeta": (lam[:, 0] <= lev) & gap[:, 0],
-            "double": gap.sum(axis=1) >= 2,
+            "zeta": (lam[0] <= lev) & gap[0],
+            "double": gap.sum(axis=0) >= 2,
         }
     return out
 
@@ -107,15 +111,15 @@ def detect_events(path: "PathRecord", delta: float) -> EventLog:
     if delta <= 0:
         raise ValueError(f"delta must be > 0, got {delta}")
     times = np.asarray(path.times, dtype=float)
-    cond = event_conditions(np.asarray(path.lambdas, dtype=float), (delta,))[delta]
+    cond = event_conditions(np.asarray(path.lambdas, dtype=float).T, (delta,))[delta]
     log = EventLog()
 
     for kind, key in (
         (EventKind.PAIR_COLLISION, "gap"),
         (EventKind.ZERO_HIT_PARTIAL_SUM, "psum"),
     ):
-        for i in range(cond[key].shape[1]):
-            hits = np.flatnonzero(cond[key][:, i])
+        for i, row in enumerate(cond[key]):
+            hits = np.flatnonzero(row)
             if hits.size:
                 log.events.append(Event(float(times[hits[0]]), kind, i + 1, delta))
     hits = np.flatnonzero(cond["zeta"])
@@ -127,14 +131,14 @@ def detect_events(path: "PathRecord", delta: float) -> EventLog:
     small = cond["gap"]
     doubles = np.flatnonzero(cond["double"])
     for step in doubles:
-        idx = np.flatnonzero(small[step]) + 1
+        idx = np.flatnonzero(small[:, step]) + 1
         for a in range(idx.size):
             for b in range(a + 1, idx.size):
                 log.multiple_collisions.append(
                     (float(times[step]), int(idx[a]), int(idx[b]))
                 )
     for step in doubles[cond["zeta"][doubles]]:
-        for j in np.flatnonzero(small[step, 1:]) + 2:
+        for j in np.flatnonzero(small[1:, step]) + 2:
             log.multiple_collisions.append((float(times[step]), 0, int(j)))
 
     from .integrators import Terminated
@@ -217,18 +221,6 @@ def time_change_A(path: "PathRecord", i: int) -> TimeChange:
     increments = 0.5 * (integrand[1:] + integrand[:-1]) * steps
     a = np.concatenate([[0.0], np.cumsum(increments)])
     return TimeChange(i, np.column_stack([times, a]))
-
-
-def bessel_collision_dimension(beta: float) -> tuple[float, bool]:
-    """Bessel dimension of the neighbour-gap comparison process.
-
-    The gap, run in its natural clock, is dominated by a Bessel process with
-    drift beta/(2 r), i.e. dimension beta + 1; it reaches zero in finite time
-    for beta <= 1 (dimension <= 2, boundary included).
-    """
-    if beta <= 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
-    return beta + 1.0, beta <= 1.0
 
 
 def integrability_diagnostic(path: "PathRecord") -> np.ndarray:

@@ -26,6 +26,7 @@ regularization policy (the floor) belongs to the integrators.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -140,29 +141,37 @@ def interaction_sum(
     *,
     inverse: bool = False,
 ) -> np.ndarray:
-    """Pairwise sums over the rows of a (P, n) batch, not scaled by beta.
+    """Pairwise sums over the columns of an (n, P) coordinate-major batch.
 
-    Returns S_i = sum_{j != i} (l_i + l_j)/den_ij, or with ``inverse``
+    Row i of ``lam`` holds coordinate i of every path, and the result has
+    the same shape; beta is not applied.  Returns
+    S_i = sum_{j != i} (l_i + l_j)/den_ij, or with ``inverse``
     I_i = sum_{j != i} 1/den_ij.  With no ``floor`` the denominator is
-    exactly l_i - l_j.  A floor maps the pair sums l_i + l_j to a magnitude
-    floor, and den_ij keeps the sign of l_i - l_j (ties count as l_i < l_j)
-    with magnitude max(|l_i - l_j|, floor).  Each term is added to row i and
-    subtracted from row j, so the sums stay exactly antisymmetric.
+    exactly l_i - l_j, in any order.  A floor maps the pair sums l_i + l_j to
+    a magnitude floor, and then every column must be ascending
+    (l_1 <= ... <= l_n, as the integrators keep their states):
+    den_ij = -max(l_j - l_i, floor) for i < j, ties included.  Each term is
+    added to row i and subtracted from row j, pair by pair in the order
+    (1, 2), (1, 3), ..., (n-1, n), so the sums stay exactly antisymmetric.
     """
+    upper, lower, pairs = _pairs(lam.shape[0])
+    li, lj = lam[upper], lam[lower]
+    s = li + lj
+    den = li - lj if floor is None else -np.maximum(lj - li, floor(s))
+    t = (1.0 if inverse else s) / den
     out = np.zeros_like(lam)
-    n = lam.shape[1]
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = lam[:, i] + lam[:, j]
-            den = lam[:, i] - lam[:, j]
-            if floor is not None:
-                den = np.where(den != 0.0, np.sign(den), -1.0) * np.maximum(
-                    np.abs(den), floor(s)
-                )
-            t = (1.0 if inverse else s) / den
-            out[:, i] += t
-            out[:, j] -= t
+    for k, (i, j) in enumerate(pairs):
+        out[i] += t[k]
+        out[j] -= t[k]
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
+    """Read-only index arrays of the pairs i < j in row-major order, and the pairs."""
+    upper, lower = np.triu_indices(n, k=1)
+    upper.flags.writeable = lower.flags.writeable = False
+    return upper, lower, tuple(zip(upper.tolist(), lower.tolist()))
 
 
 def drift_lambda(params: ModelParams, lam) -> np.ndarray:
@@ -173,7 +182,7 @@ def drift_lambda(params: ModelParams, lam) -> np.ndarray:
     """
     lam = _as_vector(lam, params.n, "lambda")
     _require_distinct(lam)
-    pair = interaction_sum(lam[None, :])[0]
+    pair = interaction_sum(lam[:, None])[:, 0]
     return params.alpha - 2.0 * params.gamma * lam + params.beta * pair
 
 
@@ -181,7 +190,7 @@ def drift_lambda_dual(params: ModelParams, lam) -> np.ndarray:
     """Equivalent drift kappa - 2*gamma*lambda_i + 2*beta*lambda_i*sum 1/(li-lj)."""
     lam = _as_vector(lam, params.n, "lambda")
     _require_distinct(lam)
-    inv = interaction_sum(lam[None, :], inverse=True)[0]
+    inv = interaction_sum(lam[:, None], inverse=True)[:, 0]
     return params.kappa - 2.0 * params.gamma * lam + 2.0 * params.beta * lam * inv
 
 
@@ -196,7 +205,7 @@ def drift_root(params: ModelParams, x) -> np.ndarray:
         raise ZeroCoordinate("root coordinates must be nonzero")
     lam = x**2
     _require_distinct(lam)
-    pair = interaction_sum(lam[None, :])[0]
+    pair = interaction_sum(lam[:, None])[:, 0]
     return (
         (params.alpha - 1.0) / (2.0 * x)
         - params.gamma * x
@@ -233,7 +242,7 @@ def grad_potential(params: ModelParams, x) -> np.ndarray:
     """
     x = _as_vector(x, params.n, "x")
     _require_root_cone(x)
-    inv = interaction_sum((x**2)[None, :], inverse=True)[0]
+    inv = interaction_sum((x**2)[:, None], inverse=True)[:, 0]
     return -(
         (params.kappa - 1.0) / (2.0 * x)
         - params.gamma * x

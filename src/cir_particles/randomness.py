@@ -31,9 +31,9 @@ DOMAIN_EXACT_STEP = 0x3
 # Philox emits 4 x 64-bit words per counter block.
 _WORDS_PER_BLOCK = 4
 
-# random() returns doubles in [0, 1); 0.0 would map to -inf under ndtri.
+# random() returns doubles in [0, 1), never 1.0, so only the lower end needs
+# a floor: 0.0 would map to -inf under ndtri.
 _U_LO = 2.0**-55
-_U_HI = 1.0 - 2.0**-55
 
 
 def stream_key(seed: int, word: int, domain: int = DOMAIN_GENERAL) -> np.ndarray:
@@ -92,4 +92,4 @@ def step_normals(
     Deterministic per ``(seed, step, path, coordinate)``; see module docstring.
     """
     u = step_uniforms(seed, step, first_path, n_paths, n_coords)
-    return ndtri(np.clip(u, _U_LO, _U_HI))
+    return ndtri(np.maximum(u, _U_LO))

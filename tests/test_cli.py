@@ -36,6 +36,26 @@ class TestRegimeCommand:
         text = (tmp_path / "regime.txt").read_text()
         assert "global_solution=none" in text
 
+    def test_out_from_config_file_writes_the_report(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"alpha=0.4\nbeta=0.5\ngamma=0\nn=2\nout={tmp_path / 'report'}\n")
+        assert run_cli(["regime", "--config", str(cfg)]) == 0
+        assert "global_solution=none" in (tmp_path / "report" / "regime.txt").read_text()
+
+    def test_header_lists_only_what_regime_reads(self, tmp_path, capsys):
+        # classify_regime reads the model alone: no scheme, step, seed or start.
+        from cir_particles import __version__
+
+        argv = ["regime", "--alpha", "0.4", "--beta", "0.5", "--gamma", "0", "--n", "2",
+                "--scheme", "exact_cir_splitting", "--dt", "0.01", "--seed", "5",
+                "--paths", "7", "--record-stride", "3", "--x0", "0.5,0.5",
+                "--out", str(tmp_path)]
+        assert run_cli(argv) == 0
+        header = (tmp_path / "regime.txt").read_text().splitlines()[0]
+        assert header == (f"# cir-particles version={__version__} command=regime "
+                          "alpha=0.4 beta=0.5 gamma=0 n=2 kappa=-0.1")
+        assert capsys.readouterr().out.splitlines()[0] == header
+
 
 class TestSimulateCommand:
     def test_artifacts_and_determinism(self, tmp_path, capsys):
@@ -186,6 +206,17 @@ class TestPhaseDiagram:
     def test_bad_sweep_axis_is_config_error(self, tmp_path, capsys):
         rc = run_cli(["phase-diagram", "--sweep", "delta=1,2", "--out", str(tmp_path)])
         assert rc == 1
+
+    def test_header_lists_only_what_phase_diagram_reads(self, tmp_path, capsys):
+        # A sweep records no trajectory, so record_stride is not a field.
+        rc = run_cli(["phase-diagram", "--sweep", "alpha=2.6;beta=0.5;gamma=1",
+                      "--paths", "0", "--record-stride", "7", "--out", str(tmp_path)])
+        assert rc == 0
+        header = (tmp_path / "sweep.csv").read_text().splitlines()[0]
+        keys = [item.split("=")[0] for item in header.split()[2:]]
+        assert keys == ["version", "command", "alpha", "beta", "gamma", "n", "kappa",
+                        "scheme", "dt", "horizon", "epsilon", "collision_tol",
+                        "kick_cap", "seed", "paths", "x0"]
 
     def test_empirical_columns_present_with_paths(self, tmp_path, capsys):
         rc = run_cli(
@@ -346,6 +377,20 @@ class TestVerifyCommand:
         assert lines[1] == "criterion,name,passed,details"
         assert lines[2].startswith("9,coupled_cir_ordering,1,")
 
+    def test_out_from_config_file_writes_the_report(self, monkeypatch, tmp_path, capsys):
+        from cir_particles import acceptance as acc
+        from cir_particles.acceptance import CriterionResult
+
+        monkeypatch.setattr(
+            acc, "run_acceptance",
+            lambda only=None, quiet=False: [CriterionResult(8, "gradient_and_sum_identity", True, ["ok"])],
+        )
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out={tmp_path / 'report'}\n")
+        assert run_cli(["verify", "--only", "8", "--config", str(cfg)]) == 0
+        lines = (tmp_path / "report" / "acceptance.csv").read_text().splitlines()
+        assert lines[2].startswith("8,gradient_and_sum_identity,1,")
+
     def test_header_lists_only_what_verify_reads(self, monkeypatch, tmp_path, capsys):
         # The criteria run at pinned parameters and seeds; the model, scheme,
         # seed and paths flags do not reach them, so the header omits them.
@@ -403,8 +448,7 @@ class TestX0:
          "trajectories.csv"),
         (["laplace-check", "--n", "2", "--paths", "200", "--dt", "5e-3", "--t", "0.5"],
          "laplace.csv"),
-        (["regime", "--n", "2"], "regime.txt"),
-    ], ids=["simulate", "laplace-check", "regime"])
+    ], ids=["simulate", "laplace-check"])
     def test_header_records_the_start(self, argv, artifact, tmp_path, capsys):
         def first_line(name, extra):
             assert run_cli(argv + extra + ["--out", str(tmp_path / name)]) == 0

@@ -12,7 +12,6 @@ from cir_particles import (
     Scheme,
     SimConfig,
     Terminated,
-    bessel_collision_dimension,
     boundary_classification,
     detect_events,
     first_passage_partial_sum,
@@ -162,21 +161,6 @@ class TestTimeChange:
         lam = np.tile([1.0, 2.0], (3, 1))
         with pytest.raises(BadK):
             time_change_A(synthetic_path(times, lam), 1)
-
-
-class TestBesselDimension:
-    @pytest.mark.parametrize(
-        "beta,expected",
-        [(0.5, (1.5, True)), (1.0, (2.0, True)), (1.5, (2.5, False))],
-    )
-    def test_dimension_and_hit_verdict(self, beta, expected):
-        dim, hits = bessel_collision_dimension(beta)
-        assert dim == pytest.approx(expected[0])
-        assert hits is expected[1]
-
-    def test_rejects_nonpositive_beta(self):
-        with pytest.raises(ValueError):
-            bessel_collision_dimension(0.0)
 
 
 class TestIntegrabilityDiagnostic:

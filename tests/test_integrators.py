@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cir_particles import (
     CirParams,
@@ -25,15 +26,18 @@ from cir_particles import (
     simulate_coupled_cir,
     simulate_path,
 )
-from cir_particles.integrators import _make_step
+from cir_particles.integrators import _make_step, _sort_columns
 
 
 def one_step(params, config, state, dw=None):
-    """One step of the kernel simulate_batch runs: proposal, clamp at zero, sort."""
-    state = np.asarray(state, dtype=float)[None, :]
-    dw = np.zeros_like(state) if dw is None else np.asarray(dw)[None, :]
+    """One step of the kernel simulate_batch runs: proposal, clamp at zero, sort.
+
+    The kernel is coordinate-major, so the state goes in as an (n, 1) column.
+    """
+    state = np.asarray(state, dtype=float)[:, None]
+    dw = np.zeros_like(state) if dw is None else np.asarray(dw)[:, None]
     proposal = _make_step(params, config)(state, dw, np.zeros(1, dtype=bool))
-    return np.sort(np.maximum(proposal, 0.0), axis=1)[0]
+    return np.sort(np.maximum(proposal, 0.0), axis=0)[:, 0]
 
 
 def scalar_drift_a(params, eps, lam):
@@ -399,6 +403,46 @@ class TestFrozenRowsAreNotStepped:
         for lev, mon in res.monitors.items():
             for kind, values in mon.items():
                 assert np.array_equal(again.monitors[lev][kind], values, equal_nan=True)
+
+
+class TestInitialStates:
+    @pytest.mark.parametrize(
+        "initial",
+        [[math.nan, 1.0], [1.0, math.inf], [[1.0, 2.0], [0.5, math.nan]]],
+        ids=["nan", "inf", "nan_in_one_row"],
+    )
+    def test_non_finite_start_is_config_error(self, initial):
+        p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
+        cfg = SimConfig(dt=1e-2, horizon=0.1, seed=5, paths=2)
+        with pytest.raises(ConfigError, match="finite"):
+            simulate_batch(p, cfg, initial=initial)
+
+
+# np.sort orders -0.0 and 0.0 as equals, so the blocks hold +0.0 only.
+_SORT_ELEMENTS = (
+    st.sampled_from([0.0, 1.0, 2.5, math.inf, -math.inf])
+    | st.floats(-1e6, 1e6).map(lambda v: v + 0.0)
+)
+
+
+class TestSortColumns:
+    @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 40)), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_np_sort_bit_for_bit(self, shape, data):
+        # n = 1..6 crosses the cutoff between the network and np.sort.
+        block = data.draw(arrays(np.float64, shape, elements=_SORT_ELEMENTS))
+        want = np.sort(block, axis=0)
+        assert _sort_columns(block.copy()).tobytes() == want.tobytes()
+
+    @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 40)), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_columns_with_nan_stay_non_finite(self, shape, data):
+        block = data.draw(arrays(np.float64, shape, elements=_SORT_ELEMENTS))
+        nan_at = data.draw(arrays(np.bool_, shape))
+        block[nan_at] = math.nan
+        got = _sort_columns(block.copy())
+        assert np.array_equal(np.isnan(got).any(axis=0), nan_at.any(axis=0))
+        assert np.array_equal(np.isfinite(got).all(axis=0), np.isfinite(block).all(axis=0))
 
 
 class TestStopOnStatus:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cir_particles import (
     CoincidentCoordinates,
@@ -21,7 +22,9 @@ from cir_particles import (
     drift_lambda,
     drift_lambda_dual,
     drift_root,
+    SimConfig,
     grad_potential,
+    interaction_sum,
     multiple_collision_threshold,
     potential_value,
 )
@@ -55,6 +58,64 @@ class TestModelParams:
         kwargs[name] = value
         with pytest.raises(ConfigError, match=name):
             ModelParams(**kwargs)
+
+
+def row_major_interaction_sum(lam, floor=None, *, inverse=False):
+    """The pair loop over a path-major (P, n) batch, kept as an oracle.
+
+    Floored denominators keep the sign of l_i - l_j (ties count as
+    l_i < l_j) with magnitude max(|l_i - l_j|, floor), for rows in any order.
+    """
+    out = np.zeros_like(lam)
+    n = lam.shape[1]
+    for i in range(n):
+        for j in range(i + 1, n):
+            s = lam[:, i] + lam[:, j]
+            den = lam[:, i] - lam[:, j]
+            if floor is not None:
+                den = np.where(den != 0.0, np.sign(den), -1.0) * np.maximum(
+                    np.abs(den), floor(s)
+                )
+            t = (1.0 if inverse else s) / den
+            out[:, i] += t
+            out[:, j] -= t
+    return out
+
+
+# Few distinct values, so rows carry ties and zeros; and the wide range puts
+# some gaps above the floor and some below it.
+_LAM_ELEMENTS = st.sampled_from([0.0, 1e-4, 0.5, 1.0]) | st.floats(0.0, 1e3)
+
+
+class TestInteractionSum:
+    @given(
+        shape=st.tuples(st.integers(1, 30), st.integers(2, 6)),
+        inverse=st.booleans(),
+        dt=st.sampled_from([1e-6, 1e-3, 1e-1]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_floored_sums_of_ascending_columns_match_the_oracle(
+        self, shape, inverse, dt, data
+    ):
+        lam = np.sort(data.draw(arrays(np.float64, shape, elements=_LAM_ELEMENTS)), axis=1)
+        floor = SimConfig(dt=dt, horizon=1.0, collision_tol=1e-3).make_guard(0.5).floor
+        want = row_major_interaction_sum(lam, floor, inverse=inverse)
+        got = interaction_sum(np.ascontiguousarray(lam.T), floor, inverse=inverse)
+        assert np.array_equal(got.T, want)
+
+    @given(
+        shape=st.tuples(st.integers(1, 30), st.integers(2, 6)),
+        inverse=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_unfloored_sums_match_the_oracle_in_any_order(self, shape, inverse, data):
+        lam = data.draw(arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
+        with np.errstate(all="ignore"):
+            want = row_major_interaction_sum(lam, inverse=inverse)
+            got = interaction_sum(np.ascontiguousarray(lam.T), inverse=inverse)
+        assert np.array_equal(got.T, want, equal_nan=True)
 
 
 class TestDriftLambda:

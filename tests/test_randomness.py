@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from scipy.special import gammainc, ndtr
+from scipy.special import gammainc, ndtr, ndtri
 
 from cir_particles import ks_test, rng_streams
 from cir_particles.randomness import step_normals, step_uniforms
@@ -65,3 +65,19 @@ class TestDistributions:
         # Poisson variance equals the mean
         var_se = math.sqrt(2.0 * lam**2 / k.size)  # approximate
         assert abs(k.var(ddof=1) - lam) <= 5 * var_se
+
+
+class TestUniformFloor:
+    def test_floor_alone_equals_the_two_sided_clip(self):
+        # 1 - 2**-55 rounds to 1.0 and random() never returns 1.0, so an upper
+        # clamp at 1 - 2**-55 never acted.
+        u = step_uniforms(5, 3, 0, 4000, 3)
+        want = ndtri(np.clip(u, 2.0**-55, 1.0))
+        assert step_normals(5, 3, 0, 4000, 3).tobytes() == want.tobytes()
+
+    def test_zero_uniform_maps_to_a_finite_normal(self, monkeypatch):
+        from cir_particles import randomness
+
+        monkeypatch.setattr(randomness, "step_uniforms", lambda *args: np.zeros((1, 2)))
+        z = randomness.step_normals(0, 0, 0, 1, 2)
+        assert np.isfinite(z).all() and (z < -8.0).all()
