@@ -193,9 +193,8 @@ def _run_fields(values: dict, keys=None) -> dict:
         "kick_cap": f"{values['kick_cap']:g}",
         "seed": f"{values['seed']}", "paths": f"{values['paths']}",
         "record_stride": f"{values['record_stride']}",
+        "x0": ",".join(map(repr, _start(values, params.n).tolist())),
     }
-    if keys is None or "x0" in keys:
-        fields["x0"] = ",".join(map(repr, _start(values, params.n).tolist()))
     return fields if keys is None else {key: fields[key] for key in keys}
 
 

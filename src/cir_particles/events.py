@@ -83,7 +83,7 @@ def event_conditions(lam: np.ndarray, levels) -> dict[float, dict[str, np.ndarra
     because the joint event's first gap is small.
     """
     gaps = lam[1:] - lam[:-1]
-    # Row by row, the same additions in the same order as a cumulative sum.
+    # Row adds: np.cumsum's bits, without its cost along the short axis.
     psums = np.empty_like(lam)
     psums[0] = lam[0]
     for k in range(1, lam.shape[0]):

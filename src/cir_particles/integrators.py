@@ -386,7 +386,6 @@ def drift_B_eps(params: ModelParams, epsilon: float, lam) -> np.ndarray:
 # n = 4, 350 at n = 5 and 1000 at n = 6.  At 5000 rows it is 6-30x faster for
 # n <= 4.  Beyond n = 4 _sort_columns calls np.sort.
 _NETWORKS = {
-    1: (),
     2: ((0, 1),),
     3: ((0, 2), (0, 1), (1, 2)),
     4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)),
@@ -487,7 +486,10 @@ def _new_monitor(levels: Sequence[float], p: int, n: int) -> dict:
 def _update_monitors(
     mon: dict, lam: np.ndarray, rows: np.ndarray | None, t: float
 ) -> None:
-    """Stamp t on the events first seen in ``lam``, the batch columns ``rows`` (None: all)."""
+    """Stamp t on the events first seen in ``lam``.
+
+    The columns of ``lam`` are the batch rows ``rows`` (None: all of them).
+    """
     for lev, conditions in event_conditions(lam, mon).items():
         for kind, cond in conditions.items():
             if not cond.any():
