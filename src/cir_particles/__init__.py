@@ -8,17 +8,11 @@ and the closed-form stationary law.
 """
 
 from .cirprocess import (
-    CirBoundary,
     CirParams,
-    CirState,
     LaplaceQuery,
-    boundary_classification,
-    conditional_mean,
     exact_step,
     integrated_laplace,
     integrated_sum_paths,
-    invariant_gamma,
-    partial_sum_bound_process,
     sum_process,
 )
 from .errors import (
@@ -26,22 +20,17 @@ from .errors import (
     CoincidentCoordinates,
     ConfigError,
     DomainError,
-    NoInvariantLaw,
     NotEvaluable,
     RegimeMismatch,
     TooFewSamples,
-    ZeroCoordinate,
 )
 from .events import (
     Event,
     EventKind,
     EventLog,
-    TimeChange,
     detect_events,
     event_conditions,
     first_passage_partial_sum,
-    integrability_diagnostic,
-    time_change_A,
 )
 from .integrators import (
     BatchResult,
@@ -50,11 +39,8 @@ from .integrators import (
     SimConfig,
     Terminated,
     contraction_curve,
-    drift_A_eps,
-    drift_B_eps,
     grid_step,
     simulate_batch,
-    simulate_coupled,
     simulate_coupled_cir,
     simulate_path,
 )
@@ -67,8 +53,6 @@ from .model import (
     ZeroHitLambda1,
     classify_regime,
     drift_lambda,
-    drift_lambda_dual,
-    drift_root,
     grad_potential,
     interaction_sum,
     multiple_collision_threshold,
@@ -77,11 +61,9 @@ from .model import (
 from .randomness import rng_streams, step_normals
 from .stationary import (
     SampleSet,
-    StationaryDensity,
     compare_long_run,
     estimate_log_normalizer,
     gamma_sum_law,
-    log_density_unnormalized,
     mh_sampler,
     rejection_sample_pair,
 )

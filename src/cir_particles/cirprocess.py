@@ -2,36 +2,33 @@
 
 The process is dr = (a - b r) dt + sigma sqrt(r) dW.  The sum of the particle
 coordinates is a CIR process with a = n*alpha, b = 2*gamma, sigma = 2, which
-is the main hook this module serves: exact transition sampling, the boundary
-classification, the conditional mean, the invariant Gamma law, and the closed
-form for the Laplace transform of the integrated process.
+is the main hook this module serves: exact transition sampling, and the closed
+form for the Laplace transform of the integrated process with its exact-path
+Monte Carlo.  The zero-hit verdicts live in
+:func:`cir_particles.model.multiple_collision_threshold` and the stationary
+Gamma law of the sum in :func:`cir_particles.stationary.gamma_sum_law`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import NoInvariantLaw
-from .model import ModelParams, multiple_collision_threshold
+from .model import ModelParams
 
 __all__ = [
-    "CirBoundary",
     "CirParams",
-    "CirState",
     "LaplaceQuery",
-    "boundary_classification",
-    "conditional_mean",
     "exact_step",
     "integrated_laplace",
     "integrated_sum_paths",
-    "invariant_gamma",
-    "partial_sum_bound_process",
     "sum_process",
 ]
+
+# numpy's largest Poisson mean: max(int64) - 10*sqrt(max(int64)), about 9.2e18.
+_POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -49,66 +46,9 @@ class CirParams:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
 
 
-@dataclass(frozen=True)
-class CirState:
-    """Scalar CIR state: nonnegative value r at time t."""
-
-    t: float
-    r: float
-
-    def __post_init__(self) -> None:
-        if self.r < 0:
-            raise ValueError(f"r must be >= 0, got {self.r}")
-
-
 def sum_process(params: ModelParams) -> CirParams:
     """CIR law of the coordinate sum: a = n*alpha, b = 2*gamma, sigma = 2."""
     return CirParams(a=params.n * params.alpha, b=2.0 * params.gamma, sigma=2.0)
-
-
-def partial_sum_bound_process(params: ModelParams, k: int) -> CirParams:
-    """CIR process bounding the partial sum lambda_1 + ... + lambda_k.
-
-    The interaction of the lowest k particles with the rest is nonpositive,
-    so the partial sum is dominated by a CIR process with constant drift
-    k*(alpha - (n-k)*beta).  For k = n this is :func:`sum_process` exactly.
-    """
-    a = multiple_collision_threshold(params, k)[0]
-    return CirParams(a=max(a, 0.0), b=2.0 * params.gamma, sigma=2.0)
-
-
-class CirBoundary(Enum):
-    NEVER_HITS_ZERO = "never_hits_zero"
-    HITS_ZERO_AS = "hits_zero_as"
-    HITS_ZERO_PROB_IN_0_1 = "hits_zero_prob_in_0_1"
-
-
-def boundary_classification(cir: CirParams) -> CirBoundary:
-    """Zero-boundary behaviour: never if a >= sigma^2/2, else a.s. for b >= 0
-    and with probability strictly inside (0, 1) for b < 0."""
-    if cir.a >= cir.sigma**2 / 2.0:
-        return CirBoundary.NEVER_HITS_ZERO
-    if cir.b >= 0.0:
-        return CirBoundary.HITS_ZERO_AS
-    return CirBoundary.HITS_ZERO_PROB_IN_0_1
-
-
-def conditional_mean(cir: CirParams, r, dt):
-    """E[r_{t+dt} | r_t = r] = r e^{-b dt} + (a/b)(1 - e^{-b dt}).
-
-    The b = 0 limit r + a*dt is taken analytically; -expm1 keeps the
-    transient factor accurate for small b*dt.
-    """
-    r = np.asarray(r, dtype=float)
-    if dt < 0:
-        raise ValueError(f"dt must be >= 0, got {dt}")
-    if cir.b == 0.0:
-        out = r + cir.a * dt
-    else:
-        decay = math.exp(-cir.b * dt) if np.isfinite(dt) else 0.0
-        ramp = -math.expm1(-cir.b * dt) if np.isfinite(dt) else 1.0
-        out = r * decay + cir.a / cir.b * ramp
-    return out if out.ndim else float(out)
 
 
 def _transition_constants(cir: CirParams, dt: float) -> tuple[float, float]:
@@ -142,26 +82,28 @@ def exact_step(cir: CirParams, r, dt: float, rng: np.random.Generator):
     N ~ Poisson(nc/2), then r' = c * Gamma(nu/2 + N, scale 2).  Zero shape
     (a = 0 with N = 0) degenerates to the absorbed state 0.  Accepts scalar
     or array ``r``; returns matching shape.
+
+    An entry whose Poisson mean numpy rejects (NaN, or above about 9.2e18
+    once a run has exploded) comes back as NaN, which the integrators record
+    as a numerical failure.  numpy checks the means before it draws, so the
+    generator is untouched by the rejected call.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     r_arr = np.asarray(r, dtype=float)
     c, nu = _transition_constants(cir, dt)
     nc = _noncentrality(cir, r_arr, dt)
-    n_mix = rng.poisson(nc / 2.0)
+    exploded = None
+    try:
+        n_mix = rng.poisson(nc / 2.0)
+    except ValueError:
+        exploded = ~(nc / 2.0 <= _POISSON_MEAN_MAX)
+        n_mix = rng.poisson(np.where(exploded, 0.0, nc / 2.0))
     shape = nu / 2.0 + n_mix
     out = np.where(shape > 0.0, c * rng.gamma(np.maximum(shape, 1e-300), 2.0), 0.0)
+    if exploded is not None:
+        out = np.where(exploded, np.nan, out)
     return out if out.ndim else float(out)
-
-
-def invariant_gamma(cir: CirParams) -> tuple[float, float]:
-    """(shape, rate) of the invariant Gamma law: (2a/sigma^2, 2b/sigma^2).
-
-    For the coordinate-sum process this is Gamma(n*alpha/2, gamma).
-    """
-    if cir.b <= 0.0:
-        raise NoInvariantLaw("invariant law requires mean reversion b > 0")
-    return 2.0 * cir.a / cir.sigma**2, 2.0 * cir.b / cir.sigma**2
 
 
 @dataclass(frozen=True)

@@ -5,20 +5,14 @@ __all__ = [
     "CoincidentCoordinates",
     "ConfigError",
     "DomainError",
-    "NoInvariantLaw",
     "NotEvaluable",
     "RegimeMismatch",
     "TooFewSamples",
-    "ZeroCoordinate",
 ]
 
 
 class CoincidentCoordinates(ValueError):
     """Two coordinates are exactly equal, so a pairwise term is singular."""
-
-
-class ZeroCoordinate(ValueError):
-    """A root coordinate is exactly zero where 1/x is required."""
 
 
 class DomainError(ValueError):
@@ -31,10 +25,6 @@ class BadK(ValueError):
 
 class NotEvaluable(ValueError):
     """Stationary density requested outside gamma > 0, kappa > 0."""
-
-
-class NoInvariantLaw(ValueError):
-    """CIR process has no invariant distribution (no mean reversion)."""
 
 
 class RegimeMismatch(ValueError):

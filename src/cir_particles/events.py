@@ -25,12 +25,9 @@ __all__ = [
     "Event",
     "EventKind",
     "EventLog",
-    "TimeChange",
     "detect_events",
     "event_conditions",
     "first_passage_partial_sum",
-    "integrability_diagnostic",
-    "time_change_A",
 ]
 
 
@@ -193,48 +190,3 @@ def first_passage_partial_sum(
         )
     return out
 
-
-@dataclass(frozen=True)
-class TimeChange:
-    """Cumulative clock A_t = 4 * integral_0^t (lambda_i + lambda_{i-1}) ds."""
-
-    i: int
-    grid: np.ndarray  # (T, 2) columns (t, A_t)
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.grid[:, 1]
-
-
-def time_change_A(path: "PathRecord", i: int) -> TimeChange:
-    """Trapezoidal cumulative time change for the neighbour pair (i-1, i).
-
-    ``i`` is 1-based and must be >= 2; A is nondecreasing with A(0) = 0.
-    """
-    lam = np.asarray(path.lambdas, dtype=float)
-    n = lam.shape[1]
-    if not 2 <= i <= n:
-        raise BadK(f"i must be in 2..{n}, got {i}")
-    times = np.asarray(path.times, dtype=float)
-    integrand = 4.0 * (lam[:, i - 1] + lam[:, i - 2])
-    steps = np.diff(times)
-    increments = 0.5 * (integrand[1:] + integrand[:-1]) * steps
-    a = np.concatenate([[0.0], np.cumsum(increments)])
-    return TimeChange(i, np.column_stack([times, a]))
-
-
-def integrability_diagnostic(path: "PathRecord") -> np.ndarray:
-    """Cumulative integrals of lambda_{i+1}/(lambda_{i+1} - lambda_i).
-
-    One value per adjacent pair, trapezoidal on the recorded grid with the
-    static denominator floor max(collision_tol^2, dt).  Finite, dt-stable
-    values diagnose an integrable interaction; growth under refinement near a
-    collision time flags the singular set.
-    """
-    lam = np.asarray(path.lambdas, dtype=float)
-    times = np.asarray(path.times, dtype=float)
-    g = path.config.guard
-    gaps = np.maximum(lam[:, 1:] - lam[:, :-1], g)
-    integrand = lam[:, 1:] / gaps
-    steps = np.diff(times)[:, None]
-    return (0.5 * (integrand[1:] + integrand[:-1]) * steps).sum(axis=0)

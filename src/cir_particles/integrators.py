@@ -75,7 +75,7 @@ from typing import Sequence
 import numpy as np
 
 from .cirprocess import CirParams, exact_step
-from .errors import CoincidentCoordinates, ConfigError
+from .errors import ConfigError
 from .events import event_conditions
 from .model import ModelParams, interaction_sum
 from .randomness import exact_step_stream, step_normals
@@ -87,11 +87,8 @@ __all__ = [
     "SimConfig",
     "Terminated",
     "contraction_curve",
-    "drift_A_eps",
-    "drift_B_eps",
     "grid_step",
     "simulate_batch",
-    "simulate_coupled",
     "simulate_coupled_cir",
     "simulate_path",
 ]
@@ -176,9 +173,6 @@ class SimConfig:
     def guard(self) -> float:
         """Static magnitude floor for interaction denominators."""
         return max(self.collision_tol**2, self.dt)
-
-    def make_guard(self, beta: float) -> "_Guard":
-        return _Guard(beta, self)
 
 
 def grid_step(t: float, dt: float, what: str) -> int:
@@ -335,46 +329,6 @@ def _drift_root_batch(
 
 
 # ---------------------------------------------------------------------------
-# Pure single-state operations (exact, raising on singular input)
-# ---------------------------------------------------------------------------
-
-
-def _require_strictly_increasing(lam: np.ndarray, start: int = 0) -> None:
-    if np.any(np.diff(lam[start:]) <= 0.0):
-        raise CoincidentCoordinates(
-            f"coordinates from index {start} must be strictly increasing: {lam}"
-        )
-
-
-def drift_A_eps(params: ModelParams, epsilon: float, lam) -> np.ndarray:
-    """Drift of the zero-boundary-regularized system.
-
-    kappa + 1 - [0 v (2 sqrt2/sqrt eps)(sqrt(l_i) - sqrt(eps)/(2 sqrt2)) ^ 1]
-    - 2 gamma l_i + 2 beta l_i sum_{j != i} 1/(l_i - l_j).
-
-    Coincides with :func:`cir_particles.model.drift_lambda_dual` once every
-    coordinate is at least eps/2 (the clamp saturates at 1).
-    """
-    lam = np.asarray(lam, dtype=float)
-    _require_strictly_increasing(lam)
-    return _drift_a_batch(params, epsilon, lam[:, None], None)[:, 0]
-
-
-def drift_B_eps(params: ModelParams, epsilon: float, lam) -> np.ndarray:
-    """Drift of the first-gap-regularized system.
-
-    The first coordinate keeps the bare constant drift kappa and feels the
-    others only through the bounded term
-    -2 beta (l_1 ^ eps)/((l_j - l_1 ^ eps) v eps); coordinates 2..n interact
-    among themselves with the plain dual form.  Only indices >= 2 are
-    required to be strictly ordered.
-    """
-    lam = np.asarray(lam, dtype=float)
-    _require_strictly_increasing(lam, start=1)
-    return _drift_b_batch(params, epsilon, lam[:, None], None)[:, 0]
-
-
-# ---------------------------------------------------------------------------
 # Batch simulation
 # ---------------------------------------------------------------------------
 
@@ -422,7 +376,7 @@ def _make_step(params: ModelParams, config: SimConfig, path_offset: int = 0):
     at zero and the re-sort.  The state's columns must be ascending.
     """
     dt, eps = config.dt, config.epsilon
-    guard = config.make_guard(params.beta)
+    guard = _Guard(params.beta, config)
     floor = guard.floor
     scheme = config.scheme
     if scheme == Scheme.TRUNCATED_EULER:
@@ -781,26 +735,6 @@ def simulate_path(
         track_switches=config.scheme == Scheme.REGULARIZED_SWITCHING,
     ).path_record(0)
     return record, detect_events(record, config.collision_tol)
-
-
-def simulate_coupled(
-    params_a: ModelParams,
-    params_b: ModelParams,
-    config: SimConfig,
-    initial_a=None,
-    initial_b=None,
-    path_index: int = 0,
-):
-    """Two paths driven by the identical Brownian increments.
-
-    Noise depends only on (seed, step, path, coordinate), so running two
-    systems with the same config shares the noise stream exactly.
-    """
-    if params_a.n != params_b.n:
-        raise ConfigError("coupled systems must share n")
-    rec_a, _ = simulate_path(params_a, config, path_index, initial_a)
-    rec_b, _ = simulate_path(params_b, config, path_index, initial_b)
-    return rec_a, rec_b
 
 
 def contraction_curve(

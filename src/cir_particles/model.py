@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BadK, CoincidentCoordinates, ConfigError, DomainError, ZeroCoordinate
+from .errors import BadK, CoincidentCoordinates, ConfigError, DomainError
 
 __all__ = [
     "CollisionVerdict",
@@ -45,8 +45,6 @@ __all__ = [
     "ZeroHitLambda1",
     "classify_regime",
     "drift_lambda",
-    "drift_lambda_dual",
-    "drift_root",
     "grad_potential",
     "interaction_sum",
     "multiple_collision_threshold",
@@ -186,33 +184,6 @@ def drift_lambda(params: ModelParams, lam) -> np.ndarray:
     return params.alpha - 2.0 * params.gamma * lam + params.beta * pair
 
 
-def drift_lambda_dual(params: ModelParams, lam) -> np.ndarray:
-    """Equivalent drift kappa - 2*gamma*lambda_i + 2*beta*lambda_i*sum 1/(li-lj)."""
-    lam = _as_vector(lam, params.n, "lambda")
-    _require_distinct(lam)
-    inv = interaction_sum(lam[:, None], inverse=True)[:, 0]
-    return params.kappa - 2.0 * params.gamma * lam + 2.0 * params.beta * lam * inv
-
-
-def drift_root(params: ModelParams, x) -> np.ndarray:
-    """Drift of the root-coordinate system.
-
-    (alpha-1)/(2 x_i) - gamma*x_i
-        + beta/(2 x_i) * sum_{j != i} (x_i^2 + x_j^2)/(x_i^2 - x_j^2).
-    """
-    x = _as_vector(x, params.n, "x")
-    if np.any(x == 0.0):
-        raise ZeroCoordinate("root coordinates must be nonzero")
-    lam = x**2
-    _require_distinct(lam)
-    pair = interaction_sum(lam[:, None])[:, 0]
-    return (
-        (params.alpha - 1.0) / (2.0 * x)
-        - params.gamma * x
-        + params.beta / (2.0 * x) * pair
-    )
-
-
 def _require_root_cone(x: np.ndarray) -> None:
     if np.any(x <= 0.0) or np.any(np.diff(x) <= 0.0):
         raise DomainError(f"x must satisfy 0 < x1 < ... < xn, got {x}")
@@ -233,12 +204,13 @@ def potential_value(params: ModelParams, x) -> float:
 
 
 def grad_potential(params: ModelParams, x) -> np.ndarray:
-    """Gradient of :func:`potential_value`; equals -drift_root entrywise.
+    """Gradient of :func:`potential_value`, minus the root-coordinate drift.
 
     Computed from the dual form
-    dV/dx_i = -[(kappa-1)/(2 x_i) - gamma*x_i + beta*x_i*sum 1/(x_i^2-x_j^2)],
-    which is an independent expression from the primal form in
-    :func:`drift_root`; agreement of the two is a checked identity.
+    dV/dx_i = -[(kappa-1)/(2 x_i) - gamma*x_i + beta*x_i*sum 1/(x_i^2-x_j^2)].
+    The tests hold it to an independent primal-form oracle,
+    (alpha-1)/(2 x_i) - gamma*x_i + beta/(2 x_i)*sum (x_i^2+x_j^2)/(x_i^2-x_j^2),
+    and to finite differences of the potential.
     """
     x = _as_vector(x, params.n, "x")
     _require_root_cone(x)
@@ -277,8 +249,9 @@ def classify_regime(params: ModelParams) -> RegimeReport:
     kappa < 0: no global solution (stop when lambda_1 reaches zero);
     0 <= kappa < 1-beta: solution up to the joint event lambda_1 and the
     first gap both small, which happens in finite time; kappa >= 1-beta:
-    global solution.  Pair collisions occur almost surely iff beta < 1, and
-    lambda_1 never touches zero iff kappa >= 2.
+    global solution.  Pair collisions occur almost surely iff beta < 1.
+    lambda_1 never touches zero iff the k = 1 verdict of
+    :func:`multiple_collision_threshold` is NEVER, i.e. kappa >= 2.
     """
     kappa = params.kappa
     if kappa < 0.0:
@@ -290,10 +263,14 @@ def classify_regime(params: ModelParams) -> RegimeReport:
     pair = (
         PairCollisions.IMPOSSIBLE if params.beta >= 1.0 else PairCollisions.ALMOST_SURE
     )
-    zero_hit = ZeroHitLambda1.NEVER if kappa >= 2.0 else ZeroHitLambda1.POSSIBLE
     verdicts = {
         k: multiple_collision_threshold(params, k)[1] for k in range(1, params.n + 1)
     }
+    zero_hit = (
+        ZeroHitLambda1.NEVER
+        if verdicts[1] is CollisionVerdict.NEVER
+        else ZeroHitLambda1.POSSIBLE
+    )
     return RegimeReport(
         kappa=kappa,
         global_solution=global_solution,

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
-__all__ = ["rng_streams", "step_normals", "stream_key"]
+__all__ = ["rng_streams", "step_normals"]
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15

@@ -31,26 +31,12 @@ from .stats import StatSummary, ks_test, ks_test_two_sample, moment_summary
 
 __all__ = [
     "SampleSet",
-    "StationaryDensity",
     "compare_long_run",
     "estimate_log_normalizer",
     "gamma_sum_law",
-    "log_density_unnormalized",
     "mh_sampler",
     "rejection_sample_pair",
 ]
-
-
-@dataclass(frozen=True)
-class StationaryDensity:
-    """Evaluability record for the closed-form stationary density."""
-
-    params: ModelParams
-    log_normalizer: float | None = None
-
-    @property
-    def evaluable(self) -> bool:
-        return self.params.gamma > 0.0 and self.params.kappa > 0.0
 
 
 @dataclass(frozen=True)
@@ -58,7 +44,6 @@ class SampleSet:
     """Sampled states on the ordered cone, one row per sample."""
 
     points: np.ndarray
-    weights: np.ndarray | None = None
 
     @property
     def sums(self) -> np.ndarray:
@@ -140,20 +125,6 @@ def _log_density_point(params: ModelParams):
         return (power * sum_log - gamma * sum_lam) + beta * sum_log_gap
 
     return log_density
-
-
-def log_density_unnormalized(params: ModelParams, lam) -> float:
-    """Unnormalized log of the stationary density at one state.
-
-    -1/2 sum ln(lambda_i) + sum [ (alpha-1-(n-1)beta)/2 * ln(lambda_i)
-    - gamma*lambda_i ] + beta * sum_{i<j} ln(lambda_j - lambda_i), with the
-    power terms combined; -inf off the open ordered cone.
-    """
-    _require_evaluable(params)
-    arr = np.asarray(lam, dtype=float)
-    if arr.shape != (params.n,):
-        raise ValueError(f"state must have shape ({params.n},)")
-    return _log_density_point(params)(arr.tolist())
 
 
 def mh_sampler(
@@ -402,7 +373,7 @@ def estimate_log_normalizer(
     rng: np.random.Generator | None = None,
     log_offset: float = 0.0,
 ) -> StatSummary:
-    """log of integral over the cone of exp(log_density_unnormalized + offset).
+    """log of integral over the cone of exp(log_density_rows + offset).
 
     ``quadrature``: tensor generalized Gauss-Laguerre over the symmetrized
     orthant divided by n! (n <= 3).  ``importance``: sorted-Gamma-product

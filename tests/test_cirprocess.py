@@ -1,27 +1,20 @@
-"""Exact CIR oracle checks: boundary law, moments, invariant law, transform."""
+"""Exact CIR oracle checks: transition moments, invariant law, transform."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.special import gammainc
 
 from cir_particles import (
-    CirBoundary,
     CirParams,
-    CirState,
     ModelParams,
-    NoInvariantLaw,
-    boundary_classification,
-    conditional_mean,
     exact_step,
+    gamma_sum_law,
     integrated_laplace,
     integrated_sum_paths,
-    invariant_gamma,
     ks_test,
-    partial_sum_bound_process,
+    multiple_collision_threshold,
     rng_streams,
     sum_process,
 )
@@ -40,46 +33,9 @@ def transition_variance(cir: CirParams, r0: float, dt: float) -> float:
     return r0 * s2 * (e1 - e1**2) / b + a * s2 * (1.0 - e1) ** 2 / (2.0 * b**2)
 
 
-class TestBoundaryClassification:
-    def test_three_regions(self):
-        assert boundary_classification(CirParams(2, 0, 2)) is CirBoundary.NEVER_HITS_ZERO
-        assert boundary_classification(CirParams(1, 1, 2)) is CirBoundary.HITS_ZERO_AS
-        assert (
-            boundary_classification(CirParams(1, -1, 2))
-            is CirBoundary.HITS_ZERO_PROB_IN_0_1
-        )
-
-    @given(a=st.floats(0.0, 5.0), b=st.floats(-2.0, 2.0), sigma=st.floats(0.2, 3.0))
-    @settings(max_examples=300, deadline=None)
-    def test_partition_of_parameter_plane(self, a, b, sigma):
-        verdict = boundary_classification(CirParams(a, b, sigma))
-        if a >= sigma**2 / 2:
-            assert verdict is CirBoundary.NEVER_HITS_ZERO
-        elif b >= 0:
-            assert verdict is CirBoundary.HITS_ZERO_AS
-        else:
-            assert verdict is CirBoundary.HITS_ZERO_PROB_IN_0_1
-
-
-class TestConditionalMean:
-    def test_hand_value(self):
-        assert conditional_mean(CirParams(2, 1, 2), 1.0, math.log(2)) == pytest.approx(1.5)
-
-    def test_zero_reversion_limit(self):
-        assert conditional_mean(CirParams(2, 0, 2), 1.0, 1.0) == pytest.approx(3.0)
-
-    def test_pure_reversion_to_zero(self):
-        assert conditional_mean(CirParams(0, 2, 2), 5.0, 1e3) == pytest.approx(0.0, abs=1e-12)
-
-    @given(b=st.floats(1e-12, 1e-6))
-    @settings(max_examples=50, deadline=None)
-    def test_continuous_at_b_zero(self, b):
-        near = conditional_mean(CirParams(2, b, 2), 1.0, 1.0)
-        assert near == pytest.approx(conditional_mean(CirParams(2, 0, 2), 1.0, 1.0), rel=1e-5)
-
-
 class TestExactStep:
     def test_mean_matches_conditional_mean(self):
+        # E[r_dt | r_0] = r_0 e^{-b dt} + (a/b)(1 - e^{-b dt}) = 1/2 + 1 at dt = ln 2.
         cir = CirParams(2, 1, 2)
         rng = rng_streams(12, 0)
         samples = exact_step(cir, np.full(100_000, 1.0), math.log(2), rng)
@@ -119,8 +75,9 @@ class TestExactStep:
         assert abs(samples.mean() - cir.a / cir.b) <= 4 * se
 
     def test_invariant_law_reached_from_arbitrary_start(self):
-        cir = CirParams(4, 2, 2)  # invariant Gamma(2, 1)
-        shape, rate = invariant_gamma(cir)
+        # The invariant law of CIR(a, b, sigma) is Gamma(2a/sigma^2, rate 2b/sigma^2).
+        cir = CirParams(4, 2, 2)
+        shape, rate = 2.0, 1.0
         rng = rng_streams(16, 0)
         r = np.full(10_000, 9.0)
         # burn-in so that b * t >= 10, then one decorrelated endpoint per path
@@ -129,26 +86,23 @@ class TestExactStep:
         d, p = ks_test(r, lambda x: gammainc(shape, rate * np.asarray(x)))
         assert p >= 0.01
 
+    def test_exploded_entries_are_nan_and_leave_the_generator_alone(self):
+        # b dt = -9: the noncentrality is about 10 r, so r = 1e30 is past
+        # numpy's Poisson limit, and a NaN r has a NaN mean.
+        cir = CirParams(1, -10, 2)
+        got = exact_step(cir, np.array([1.0, 1e30, math.nan]), 0.9, rng_streams(18, 0))
+        assert np.isnan(got[1:]).all()
+        want = exact_step(cir, np.array([1.0]), 0.9, rng_streams(18, 0))
+        assert got[0] == want[0]
+        assert math.isnan(exact_step(cir, math.inf, 0.9, rng_streams(18, 0)))
+
 
 class TestInvariantGamma:
     def test_sum_process_law(self):
-        assert invariant_gamma(CirParams(4, 2, 2)) == (2.0, 1.0)
-
-    def test_exponential_case(self):
-        assert invariant_gamma(CirParams(2, 2, 2)) == (1.0, 1.0)
-
-    def test_no_law_without_reversion(self):
-        with pytest.raises(NoInvariantLaw):
-            invariant_gamma(CirParams(3, -1, 2))
-        with pytest.raises(NoInvariantLaw):
-            invariant_gamma(CirParams(3, 0, 2))
-
-
-class TestCirState:
-    def test_nonnegative_value(self):
-        CirState(t=0.0, r=0.0)
-        with pytest.raises(ValueError):
-            CirState(t=0.0, r=-0.1)
+        # CIR(a, b, sigma) has the invariant law Gamma(2a/sigma^2, rate 2b/sigma^2).
+        p = ModelParams(alpha=2.0, beta=0.4, gamma=1.0, n=3)
+        cir = sum_process(p)
+        assert (2 * cir.a / cir.sigma**2, 2 * cir.b / cir.sigma**2) == gamma_sum_law(p)
 
 
 class TestProcessMaps:
@@ -157,11 +111,11 @@ class TestProcessMaps:
         assert (cir.a, cir.b, cir.sigma) == (6.0, 2.0, 2.0)
 
     def test_partial_sum_bound(self):
+        # lambda_1 + ... + lambda_k is bounded by a CIR process with constant
+        # drift k(alpha - (n-k) beta); at k = n that is the sum process.
         p = ModelParams(alpha=1.0, beta=0.4, gamma=0.5, n=3)
-        cir = partial_sum_bound_process(p, 2)
-        assert cir.a == pytest.approx(2 * (1.0 - 0.4))
-        assert cir.b == pytest.approx(1.0)
-        assert partial_sum_bound_process(p, p.n).a == sum_process(p).a
+        assert multiple_collision_threshold(p, 2)[0] == pytest.approx(2 * (1.0 - 0.4))
+        assert multiple_collision_threshold(p, p.n)[0] == sum_process(p).a
 
 
 class TestIntegratedLaplace:

@@ -291,6 +291,13 @@ class TestErrors:
         assert rc == 1
         assert captured.err.startswith("config error: ") and captured.out == ""
 
+    @pytest.mark.parametrize("scheme", ["truncated_euler", "exact_cir_splitting"])
+    def test_blow_up_exits_3(self, scheme, tmp_path, capsys):
+        rc = run_cli(["simulate", "--scheme", scheme, "--gamma", "-5", "--dt", "0.9",
+                      "--horizon", "405", "--paths", "1", "--out", str(tmp_path)])
+        assert rc == 3
+        assert (tmp_path / "trajectories.csv").exists()
+
     def test_nan_dt_is_config_error(self, tmp_path, capsys):
         rc = run_cli(["simulate", "--dt", "nan", "--paths", "1", "--out", str(tmp_path)])
         assert rc == 1

@@ -1,4 +1,4 @@
-"""Event detection, first-passage estimation, time change, diagnostics."""
+"""Event detection and first-passage estimation."""
 
 import math
 
@@ -6,19 +6,15 @@ import numpy as np
 import pytest
 
 from cir_particles import (
-    CirBoundary,
+    CollisionVerdict,
     EventKind,
     ModelParams,
     Scheme,
     SimConfig,
     Terminated,
-    boundary_classification,
     detect_events,
     first_passage_partial_sum,
-    integrability_diagnostic,
-    simulate_path,
-    sum_process,
-    time_change_A,
+    multiple_collision_threshold,
 )
 from cir_particles.errors import BadK
 from cir_particles.integrators import PathRecord
@@ -85,21 +81,21 @@ class TestDetectEvents:
 
 class TestFirstPassage:
     def test_k_equals_n_matches_cir_boundary_oracle(self):
-        # a = n*alpha < sigma^2/2 and b >= 0: the sum hits zero almost surely.
+        # n*alpha < 2 and gamma >= 0: the sum hits zero almost surely.
         p_hit = ModelParams(alpha=0.7, beta=0.5, gamma=0.5, n=2)
-        assert boundary_classification(sum_process(p_hit)) is CirBoundary.HITS_ZERO_AS
+        assert (
+            multiple_collision_threshold(p_hit, p_hit.n)[1]
+            is CollisionVerdict.ALMOST_SURE_ZERO_HIT
+        )
         cfg = SimConfig(
             scheme=Scheme.EXACT_CIR_SPLITTING, dt=1e-3, horizon=40.0, seed=10, paths=200
         )
         ladder = first_passage_partial_sum(p_hit, cfg, 2, levels=(1e-2,))
         assert ladder[1e-2].estimate >= 0.95
 
-        # a >= sigma^2/2: the sum never hits zero.
+        # n*alpha >= 2: the sum never hits zero.
         p_never = ModelParams(alpha=2.6, beta=0.5, gamma=0.5, n=2)
-        assert (
-            boundary_classification(sum_process(p_never))
-            is CirBoundary.NEVER_HITS_ZERO
-        )
+        assert multiple_collision_threshold(p_never, p_never.n)[1] is CollisionVerdict.NEVER
         ladder = first_passage_partial_sum(p_never, cfg, 2, levels=(1e-3,))
         assert ladder[1e-3].estimate <= 0.01
 
@@ -130,82 +126,3 @@ class TestFirstPassage:
         with pytest.raises(BadK):
             first_passage_partial_sum(p, cfg, 4)
 
-
-class TestTimeChange:
-    def test_constant_pair_value(self):
-        times = np.linspace(0.0, 1.0, 11)
-        lam = np.tile([1.0, 2.0], (11, 1))
-        tc = time_change_A(synthetic_path(times, lam), 2)
-        assert tc.values[-1] == pytest.approx(12.0)
-        assert tc.values[0] == 0.0
-
-    def test_zero_path(self):
-        times = np.linspace(0.0, 1.0, 11)
-        lam = np.zeros((11, 2))
-        tc = time_change_A(synthetic_path(times, lam), 2)
-        assert np.all(tc.values == 0.0)
-
-    def test_nondecreasing_and_growing_with_horizon(self):
-        p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
-        values = []
-        for horizon in (1.0, 2.0):
-            cfg = SimConfig(dt=1e-3, horizon=horizon, seed=3)
-            rec, _ = simulate_path(p, cfg, 0)
-            tc = time_change_A(rec, 2)
-            assert np.all(np.diff(tc.values) >= 0.0)
-            values.append(tc.values[-1])
-        assert values[1] > values[0]
-
-    def test_index_validation(self):
-        times = np.linspace(0.0, 1.0, 3)
-        lam = np.tile([1.0, 2.0], (3, 1))
-        with pytest.raises(BadK):
-            time_change_A(synthetic_path(times, lam), 1)
-
-
-class TestIntegrabilityDiagnostic:
-    def test_constant_path_value(self):
-        times = np.linspace(0.0, 1.0, 101)
-        lam = np.tile([1.0, 3.0], (101, 1))
-        diag = integrability_diagnostic(synthetic_path(times, lam, dt=1e-2))
-        assert diag[0] == pytest.approx(1.5)
-
-    def test_stable_under_refinement_without_collisions(self):
-        # dt halving on a shared noise tree: the same Brownian path, so the
-        # diagnostic is a property of the trajectory, not the grid.
-        from cir_particles import simulate_batch
-        from cir_particles.integrators import PathRecord
-
-        p = ModelParams(alpha=3.0, beta=1.2, gamma=1.0, n=2)
-        values = []
-        for dt, refine in ((2e-3, 2), (1e-3, 1)):
-            cfg = SimConfig(dt=dt, horizon=2.0, seed=19)
-            res = simulate_batch(
-                p, cfg, n_paths=1, initial=np.array([1.0, 3.0]),
-                record=True, noise_refine=refine,
-            )
-            rec = PathRecord(
-                params=p, config=cfg, path_index=0, times=res.times,
-                lambdas=res.trajectories[0], terminated=res.terminated(0),
-                stop_time=float(res.stop_time[0]),
-            )
-            values.append(integrability_diagnostic(rec)[0])
-        assert abs(values[0] - values[1]) / values[1] <= 0.05
-
-    def test_log_growth_near_synthetic_collision(self):
-        # gap = (t0 - t): integral of lambda_2/gap = ln(t0/res) + (t0 - res),
-        # so the diagnostic grows like -log of the residual gap.
-        t0 = 1.0
-        diags = []
-        residuals = (1e-2, 1e-4)
-        for residual in residuals:
-            times = np.linspace(0.0, t0 - residual, 4001)
-            gap = t0 - times
-            lam = np.column_stack([np.ones_like(times), 1.0 + gap])
-            diags.append(
-                integrability_diagnostic(synthetic_path(times, lam, dt=1e-4))[0]
-            )
-        closed0 = math.log(t0 / residuals[0]) + (t0 - residuals[0])
-        assert diags[0] == pytest.approx(closed0, rel=0.02)
-        increment = diags[1] - diags[0]
-        assert increment == pytest.approx(math.log(residuals[0] / residuals[1]), rel=0.15)

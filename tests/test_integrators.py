@@ -10,23 +10,23 @@ from hypothesis.extra.numpy import arrays
 
 from cir_particles import (
     CirParams,
-    CoincidentCoordinates,
     ConfigError,
     ModelParams,
     Scheme,
     SimConfig,
     Terminated,
     contraction_curve,
-    drift_A_eps,
-    drift_B_eps,
     drift_lambda,
-    drift_lambda_dual,
     simulate_batch,
-    simulate_coupled,
     simulate_coupled_cir,
     simulate_path,
 )
-from cir_particles.integrators import _make_step, _sort_columns
+from cir_particles.integrators import (
+    _drift_a_batch,
+    _drift_b_batch,
+    _make_step,
+    _sort_columns,
+)
 
 
 def one_step(params, config, state, dw=None):
@@ -38,6 +38,11 @@ def one_step(params, config, state, dw=None):
     dw = np.zeros_like(state) if dw is None else np.asarray(dw)[:, None]
     proposal = _make_step(params, config)(state, dw, np.zeros(1, dtype=bool))
     return np.sort(np.maximum(proposal, 0.0), axis=0)[:, 0]
+
+
+def column_drift(batch_drift, params, eps, lam):
+    """A batch drift of simulate_batch, unfloored, at one state as an (n, 1) column."""
+    return batch_drift(params, eps, np.asarray(lam, dtype=float)[:, None], None)[:, 0]
 
 
 def scalar_drift_a(params, eps, lam):
@@ -148,19 +153,17 @@ class TestDriftAEps:
         p = ModelParams(alpha=1.0, beta=0.5, gamma=0.3, n=3)
         eps = 0.04
         lam = np.array([0.02, 0.7, 1.9])  # lambda_1 >= eps/2
-        np.testing.assert_allclose(
-            drift_A_eps(p, eps, lam), drift_lambda_dual(p, lam), rtol=1e-12
-        )
-        np.testing.assert_allclose(
-            drift_A_eps(p, eps, lam), drift_lambda(p, lam), rtol=1e-10
-        )
+        drift = column_drift(_drift_a_batch, p, eps, lam)
+        # With the clamp at 1 the scalar oracle is the plain dual form.
+        np.testing.assert_allclose(drift, scalar_drift_a(p, eps, lam), rtol=1e-12)
+        np.testing.assert_allclose(drift, drift_lambda(p, lam), rtol=1e-10)
 
     def test_clamp_lower_edge(self):
         # lambda_i = eps/8 makes the clamp exactly 0.
         p = ModelParams(alpha=1.0, beta=0.5, gamma=0.0, n=2)
         eps = 0.04
         lam = np.array([eps / 8.0, 1.0])
-        drift = drift_A_eps(p, eps, lam)
+        drift = column_drift(_drift_a_batch, p, eps, lam)
         inter = 2 * p.beta * lam[0] / (lam[0] - lam[1])
         assert drift[0] == pytest.approx(p.kappa + 1.0 + inter, rel=1e-12)
 
@@ -168,13 +171,9 @@ class TestDriftAEps:
         p = ModelParams(alpha=1.0, beta=0.5, gamma=0.0, n=2)
         lam = np.array([0.01, 1.0])
         np.testing.assert_allclose(
-            drift_A_eps(p, 0.04, lam), scalar_drift_a(p, 0.04, lam), rtol=1e-12
+            column_drift(_drift_a_batch, p, 0.04, lam), scalar_drift_a(p, 0.04, lam),
+            rtol=1e-12,
         )
-
-    def test_coincident_raises(self):
-        p = ModelParams(alpha=1.0, beta=0.5, gamma=0.0, n=2)
-        with pytest.raises(CoincidentCoordinates):
-            drift_A_eps(p, 0.04, np.array([1.0, 1.0]))
 
 
 class TestDriftBEps:
@@ -183,26 +182,24 @@ class TestDriftBEps:
         p = ModelParams(alpha=1.0, beta=0.3, gamma=0.5, n=3)
         eps = 0.1
         lam = np.array([0.05, 0.5, 1.0])
-        np.testing.assert_allclose(
-            drift_B_eps(p, eps, lam), drift_lambda(p, lam), rtol=1e-10
-        )
-        np.testing.assert_allclose(
-            drift_B_eps(p, eps, lam), scalar_drift_b(p, eps, lam), rtol=1e-12
-        )
+        drift = column_drift(_drift_b_batch, p, eps, lam)
+        np.testing.assert_allclose(drift, drift_lambda(p, lam), rtol=1e-10)
+        np.testing.assert_allclose(drift, scalar_drift_b(p, eps, lam), rtol=1e-12)
 
     def test_zero_first_coordinate_kills_interaction(self):
         p = ModelParams(alpha=1.0, beta=0.3, gamma=0.5, n=3)
-        drift = drift_B_eps(p, 0.1, np.array([0.0, 0.5, 1.0]))
+        drift = column_drift(_drift_b_batch, p, 0.1, [0.0, 0.5, 1.0])
         assert drift[0] == pytest.approx(p.kappa)
 
     def test_first_coordinate_free_of_order_constraint(self):
+        # lambda_1 above lambda_2: every pair with lambda_1 uses lambda_1 ^ eps
+        # and a gap floored at eps, so the B drift assumes no order there.
         p = ModelParams(alpha=1.0, beta=0.3, gamma=0.5, n=3)
-        drift_B_eps(p, 0.1, np.array([0.6, 0.5, 1.0]))  # must not raise
-
-    def test_coincident_upper_block_raises(self):
-        p = ModelParams(alpha=1.0, beta=0.3, gamma=0.5, n=3)
-        with pytest.raises(CoincidentCoordinates):
-            drift_B_eps(p, 0.1, np.array([0.05, 0.5, 0.5]))
+        lam = [0.6, 0.5, 1.0]
+        np.testing.assert_allclose(
+            column_drift(_drift_b_batch, p, 0.1, lam), scalar_drift_b(p, 0.1, lam),
+            rtol=1e-12,
+        )
 
 
 class TestSwitchingScheme:
@@ -365,6 +362,15 @@ class TestSimulatePath:
         rec, _ = simulate_path(p, cfg, 0, initial=np.array([1.0, 2.0]))
         assert rec.terminated is Terminated.NUMERICAL_FAILURE
         assert rec.stop_time < 405.0
+
+    def test_exact_splitting_blow_up_is_a_numerical_failure(self):
+        # The exact step's Poisson mean passes numpy's limit as the run explodes.
+        p = ModelParams(alpha=1.0, beta=0.5, gamma=-5.0, n=2)
+        cfg = SimConfig(scheme=Scheme.EXACT_CIR_SPLITTING, dt=0.9, horizon=405.0,
+                        seed=1, paths=2)
+        res = simulate_batch(p, cfg)
+        assert [res.terminated(i) for i in range(2)] == [Terminated.NUMERICAL_FAILURE] * 2
+        assert np.all(res.stop_time < 405.0)
 
     def test_splitting_rerun_identical(self):
         p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
@@ -612,19 +618,6 @@ class TestNoiseTree:
 
 
 class TestCoupling:
-    def test_identical_params_identical_paths(self):
-        p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
-        cfg = SimConfig(dt=1e-3, horizon=0.5, seed=13)
-        rec_a, rec_b = simulate_coupled(p, p, cfg)
-        assert np.array_equal(rec_a.lambdas, rec_b.lambdas)
-
-    def test_dimension_mismatch_rejected(self):
-        cfg = SimConfig(dt=1e-3, horizon=0.5, seed=13)
-        with pytest.raises(ConfigError):
-            simulate_coupled(
-                ModelParams(2.0, 0.5, 1.0, 2), ModelParams(2.0, 0.5, 1.0, 3), cfg
-            )
-
     def test_coupled_cir_ordering(self):
         out = simulate_coupled_cir(
             CirParams(3.0, 1.0, 1.0), CirParams(2.5, 1.0, 1.0),

@@ -16,12 +16,9 @@ from cir_particles import (
     GlobalSolution,
     ModelParams,
     PairCollisions,
-    ZeroCoordinate,
     ZeroHitLambda1,
     classify_regime,
     drift_lambda,
-    drift_lambda_dual,
-    drift_root,
     SimConfig,
     grad_potential,
     interaction_sum,
@@ -29,6 +26,7 @@ from cir_particles import (
     potential_value,
 )
 from cir_particles.errors import BadK
+from cir_particles.integrators import _Guard
 from cir_particles.stats import finite_diff_gradient
 
 EPS = np.finfo(float).eps
@@ -82,6 +80,27 @@ def row_major_interaction_sum(lam, floor=None, *, inverse=False):
     return out
 
 
+def drift_lambda_dual(params, lam):
+    """Dual form of the drift, kappa - 2 gamma l_i + 2 beta l_i sum 1/(l_i - l_j)."""
+    lam = np.asarray(lam, dtype=float)
+    inv = row_major_interaction_sum(lam[None, :], inverse=True)[0]
+    return params.kappa - 2.0 * params.gamma * lam + 2.0 * params.beta * lam * inv
+
+
+def drift_root(params, x):
+    """Primal form of the root-coordinate drift, the oracle of grad_potential.
+
+    (alpha-1)/(2 x_i) - gamma x_i + beta/(2 x_i) sum (x_i^2 + x_j^2)/(x_i^2 - x_j^2).
+    """
+    x = np.asarray(x, dtype=float)
+    pair = row_major_interaction_sum((x**2)[None, :])[0]
+    return (
+        (params.alpha - 1.0) / (2.0 * x)
+        - params.gamma * x
+        + params.beta / (2.0 * x) * pair
+    )
+
+
 # Few distinct values, so rows carry ties and zeros; and the wide range puts
 # some gaps above the floor and some below it.
 _LAM_ELEMENTS = st.sampled_from([0.0, 1e-4, 0.5, 1.0]) | st.floats(0.0, 1e3)
@@ -99,7 +118,7 @@ class TestInteractionSum:
         self, shape, inverse, dt, data
     ):
         lam = np.sort(data.draw(arrays(np.float64, shape, elements=_LAM_ELEMENTS)), axis=1)
-        floor = SimConfig(dt=dt, horizon=1.0, collision_tol=1e-3).make_guard(0.5).floor
+        floor = _Guard(0.5, SimConfig(dt=dt, horizon=1.0, collision_tol=1e-3)).floor
         want = row_major_interaction_sum(lam, floor, inverse=inverse)
         got = interaction_sum(np.ascontiguousarray(lam.T), floor, inverse=inverse)
         assert np.array_equal(got.T, want)
@@ -213,8 +232,8 @@ class TestDriftRoot:
 
     def test_zero_coordinate_raises(self):
         p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
-        with pytest.raises(ZeroCoordinate):
-            drift_root(p, [0.0, 2.0])
+        with pytest.raises(DomainError):
+            grad_potential(p, [0.0, 2.0])
 
     def test_ito_correspondence_with_lambda_drift(self):
         # d(lambda_i) drift = 2 x_i * root drift + 1 at lambda = x^2.
@@ -306,6 +325,9 @@ class TestRegimeClassifier:
     @settings(max_examples=200, deadline=None)
     def test_never_verdict_monotone_in_k(self, alpha, beta, gamma, n):
         report = classify_regime(ModelParams(alpha=alpha, beta=beta, gamma=gamma, n=n))
+        assert (report.zero_hit_lambda1 is ZeroHitLambda1.NEVER) == (
+            report.multiple_collision_k[1] is CollisionVerdict.NEVER
+        )
         seen_never = False
         for k in range(1, n + 1):
             verdict = report.multiple_collision_k[k]

@@ -17,15 +17,10 @@ from cir_particles import (
     estimate_log_normalizer,
     gamma_sum_law,
     ks_test,
-    log_density_unnormalized,
     mh_sampler,
     rejection_sample_pair,
 )
-from cir_particles.stationary import (
-    StationaryDensity,
-    _log_density_point,
-    log_density_rows,
-)
+from cir_particles.stationary import _log_density_point, log_density_rows
 
 P2 = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
 
@@ -46,26 +41,32 @@ def logz_closed_form_n2(alpha: float, beta: float, gamma: float) -> float:
     )
 
 
+def log_density_at(params, lam):
+    return log_density_rows(params, np.array([lam], dtype=float))[0]
+
+
 class TestLogDensity:
     def test_hand_value(self):
         # -0.25 ln 4 - gamma * (1 + 4) + 0.5 ln 3 for (alpha,beta,gamma)=(2,0.5,1)
         expected = -0.25 * math.log(4.0) - 5.0 + 0.5 * math.log(3.0)
-        assert log_density_unnormalized(P2, [1.0, 4.0]) == pytest.approx(expected, rel=1e-14)
+        assert log_density_at(P2, [1.0, 4.0]) == pytest.approx(expected, rel=1e-14)
 
     def test_coincident_is_minus_infinity(self):
-        assert log_density_unnormalized(P2, [2.0, 2.0]) == -math.inf
+        assert log_density_at(P2, [2.0, 2.0]) == -math.inf
 
     def test_unordered_is_minus_infinity(self):
-        assert log_density_unnormalized(P2, [4.0, 1.0]) == -math.inf
+        assert log_density_at(P2, [4.0, 1.0]) == -math.inf
 
     def test_zero_boundary_is_minus_infinity(self):
-        assert log_density_unnormalized(P2, [0.0, 1.0]) == -math.inf
+        assert log_density_at(P2, [0.0, 1.0]) == -math.inf
 
     def test_not_evaluable_outside_regime(self):
-        with pytest.raises(NotEvaluable):
-            log_density_unnormalized(ModelParams(2.0, 0.5, 0.0, 2), [1.0, 2.0])
-        with pytest.raises(NotEvaluable):
-            log_density_unnormalized(ModelParams(0.4, 0.5, 1.0, 2), [1.0, 2.0])
+        # gamma = 0, then kappa < 0.
+        for params in (ModelParams(2.0, 0.5, 0.0, 2), ModelParams(0.4, 0.5, 1.0, 2)):
+            with pytest.raises(NotEvaluable):
+                gamma_sum_law(params)
+            with pytest.raises(NotEvaluable):
+                mh_sampler(params, 10, np.random.default_rng(0))
 
     def test_vanishes_continuously_at_coincidence(self):
         gaps = [1e-1, 1e-3, 1e-6]
@@ -89,10 +90,6 @@ class TestLogDensity:
             vals = np.exp(log_density_rows(P2, np.column_stack([x, np.full(m, lam2)])))
             estimates.append(vals.sum() * 0.1 / m)
         assert estimates[1] == pytest.approx(estimates[0], rel=1e-2)
-
-    def test_evaluable_flag(self):
-        assert StationaryDensity(P2).evaluable
-        assert not StationaryDensity(ModelParams(2.0, 0.5, -1.0, 2)).evaluable
 
 
 class TestGammaSumLaw:
