@@ -11,6 +11,7 @@ from .cirprocess import (
     CirParams,
     LaplaceQuery,
     exact_step,
+    exact_step_decomposed,
     integrated_laplace,
     integrated_sum_paths,
     sum_process,

@@ -7,6 +7,14 @@ form for the Laplace transform of the integrated process with its exact-path
 Monte Carlo.  The zero-hit verdicts live in
 :func:`cir_particles.model.multiple_collision_threshold` and the stationary
 Gamma law of the sum in :func:`cir_particles.stationary.gamma_sum_law`.
+
+The exact transition c * chi'^2_nu(nc) has two samplers.
+:func:`exact_step` draws it as a Poisson mixture of Gammas; it is the oracle
+of the acceptance criteria and the tests.  :func:`exact_step_decomposed`
+draws the same law as c * ((Z + sqrt(nc))^2 + chi^2_{nu-1}) for nu >= 1,
+one normal plus at most one Gamma per entry, and drives the
+``exact_cir_splitting`` scheme.  Keeping both means the scheme is never
+checked against its own sampler.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ __all__ = [
     "CirParams",
     "LaplaceQuery",
     "exact_step",
+    "exact_step_decomposed",
     "integrated_laplace",
     "integrated_sum_paths",
     "sum_process",
@@ -103,6 +112,32 @@ def exact_step(cir: CirParams, r, dt: float, rng: np.random.Generator):
     out = np.where(shape > 0.0, c * rng.gamma(np.maximum(shape, 1e-300), 2.0), 0.0)
     if exploded is not None:
         out = np.where(exploded, np.nan, out)
+    return out if out.ndim else float(out)
+
+
+def exact_step_decomposed(cir: CirParams, r, dt: float, rng: np.random.Generator):
+    """Sample the exact CIR transition as c * ((Z + sqrt(nc))^2 + chi^2_{nu-1}).
+
+    For nu = 4a/sigma^2 >= 1 the noncentral chi-square splits into a shifted
+    squared normal and an independent central chi-square with nu - 1 degrees
+    of freedom (Glasserman, Monte Carlo Methods in Financial Engineering,
+    2003, sec. 3.4): Z comes from ``rng.standard_normal`` and the chi-square
+    from ``rng.gamma((nu - 1)/2, 2)``, drawn only when nu > 1.  Below nu = 1
+    the split does not exist and this is :func:`exact_step`.  An infinite
+    noncentrality gives inf and a NaN one NaN.
+    """
+    if dt <= 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    c, nu = _transition_constants(cir, dt)
+    if nu < 1.0:
+        return exact_step(cir, r, dt, rng)
+    root_nc = np.sqrt(_noncentrality(cir, r, dt))
+    out = rng.standard_normal(root_nc.shape)
+    out += root_nc
+    np.square(out, out=out)
+    if nu > 1.0:
+        out += rng.gamma((nu - 1.0) / 2.0, 2.0, out.shape)
+    out *= c
     return out if out.ndim else float(out)
 
 

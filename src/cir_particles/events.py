@@ -68,33 +68,40 @@ class EventLog:
         return None
 
 
-def event_conditions(lam: np.ndarray, levels) -> dict[float, dict[str, np.ndarray]]:
-    """Event indicators of every column of ``lam`` (n, R) at each detection level.
+def event_conditions(lam: np.ndarray, levels) -> dict[str, np.ndarray]:
+    """Event indicators of every column of ``lam`` (n, R) at m detection levels.
 
-    Row i of ``lam`` holds coordinate i of every one of the R states.  Per
-    level: ``gap`` (n-1, R) marks lambda_{i+1} - lambda_i <= level, ``psum``
-    (n, R) marks lambda_1 + ... + lambda_k <= level, ``zeta`` (R,) the joint
-    event lambda_1 <= level and lambda_2 - lambda_1 <= level, and ``double``
-    (R,) two distinct small gaps in the same column.  The boundary case, the
-    joint event together with a small gap above the first, is a double event
-    because the joint event's first gap is small.
+    Row i of ``lam`` holds coordinate i of every one of the R states; the
+    leading axis of every indicator is the level.  ``gap`` (m, n-1, R) marks
+    lambda_{i+1} - lambda_i <= level, ``psum`` (m, n, R) marks
+    lambda_1 + ... + lambda_k <= level, ``zeta`` (m, R) the joint event
+    lambda_1 <= level and lambda_2 - lambda_1 <= level, and ``double``
+    (m, R) two distinct small gaps in the same column.  The boundary case,
+    the joint event together with a small gap above the first, is a double
+    event because the joint event's first gap is small.
     """
-    gaps = lam[1:] - lam[:-1]
-    # Row adds: np.cumsum's bits, without its cost along the short axis.
-    psums = np.empty_like(lam)
+    n = lam.shape[0]
+    # Gaps then partial sums, compared with every level at once.  Row adds
+    # give np.cumsum's bits without its cost along the short axis.
+    gaps_psums = np.empty((2 * n - 1,) + lam.shape[1:])
+    np.subtract(lam[1:], lam[:-1], out=gaps_psums[: n - 1])
+    psums = gaps_psums[n - 1 :]
     psums[0] = lam[0]
-    for k in range(1, lam.shape[0]):
+    for k in range(1, n):
         np.add(psums[k - 1], lam[k], out=psums[k])
-    out = {}
-    for lev in levels:
-        gap = gaps <= lev
-        out[lev] = {
-            "gap": gap,
-            "psum": psums <= lev,
-            "zeta": (lam[0] <= lev) & gap[0],
-            "double": gap.sum(axis=0) >= 2,
-        }
-    return out
+    below = gaps_psums <= np.asarray(levels, dtype=float)[:, None, None]
+    # Two small gaps: one small gap above another already seen.
+    double = np.zeros_like(below[:, 0])
+    seen = below[:, 0]
+    for i in range(1, n - 1):
+        double |= seen & below[:, i]
+        seen = seen | below[:, i]
+    return {
+        "gap": below[:, : n - 1],
+        "psum": below[:, n - 1 :],
+        "zeta": below[:, n - 1] & below[:, 0],
+        "double": double,
+    }
 
 
 def detect_events(path: "PathRecord", delta: float) -> EventLog:
@@ -108,7 +115,8 @@ def detect_events(path: "PathRecord", delta: float) -> EventLog:
     if delta <= 0:
         raise ValueError(f"delta must be > 0, got {delta}")
     times = np.asarray(path.times, dtype=float)
-    cond = event_conditions(np.asarray(path.lambdas, dtype=float).T, (delta,))[delta]
+    lam = np.asarray(path.lambdas, dtype=float).T
+    cond = {kind: c[0] for kind, c in event_conditions(lam, (delta,)).items()}
     log = EventLog()
 
     for kind, key in (

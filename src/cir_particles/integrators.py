@@ -36,9 +36,13 @@ chosen once per run:
     Euler overshoot through the origin), and because independent
     noncentral chi-squares with a common scale add, the coordinate sum is
     advanced by the exact sum-CIR transition up to the interaction terms,
-    which cancel in the sum.  This scheme draws no Gaussian increments, so
-    shared-noise coupling and noise_refine do not apply to it, and its
-    determinism is per batch layout rather than per path.
+    which cancel in the sum.  For alpha >= 1 the transition is drawn as a
+    shifted squared normal plus a central chi-square
+    (:func:`cir_particles.cirprocess.exact_step_decomposed`), below that as a
+    Poisson mixture of Gammas.  Its variates come from one generator per
+    batch rather than from the per-path Brownian increments, so shared-noise
+    coupling and noise_refine do not apply to it, and its determinism is per
+    batch layout rather than per path.
 
 For the Gaussian schemes, noise is keyed by (seed, step, path, coordinate)
 through :mod:`cir_particles.randomness`, so a path is bit-identical whether it
@@ -53,8 +57,9 @@ of :func:`cir_particles.model.interaction_sum`, the event conditions, the
 non-finite check and the stopping rules all read whole rows.  Every array of
 the :class:`BatchResult` is path-major, (P, ...).  Each step re-sorts the
 columns once with :func:`_sort_columns` (the splitting step three times).
-``exact_step`` gets the path-major view of the state, so its variates are
-drawn path by path as in a (P, n) layout.
+The exact CIR factor is drawn on the coordinate-major state, coordinate row
+by coordinate row.  The online event monitors stack their detection levels
+on a leading axis, so one pass per event kind covers every level.
 
 :func:`simulate_batch` steps only the live rows.  A row frozen by a stopping
 rule, by ``stop_on`` or by a non-finite step keeps its state and draws no
@@ -74,7 +79,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cirprocess import CirParams, exact_step
+from .cirprocess import CirParams, exact_step_decomposed
 from .errors import ConfigError
 from .events import event_conditions
 from .model import ModelParams, interaction_sum
@@ -412,9 +417,7 @@ def _make_step(params: ModelParams, config: SimConfig, path_offset: int = 0):
         def step(state, dw, mode_is_b):
             mid = state + half * (params.beta * interaction_sum(state, floor))
             mid = _sort_columns(np.maximum(mid, 0.0))
-            # The path-major view keeps the stream's draw order path by path.
-            moved = np.ascontiguousarray(exact_step(cir, mid.T, dt, gen).T)
-            moved = _sort_columns(moved)
+            moved = _sort_columns(exact_step_decomposed(cir, mid, dt, gen))
             return moved + half * (params.beta * interaction_sum(moved, floor))
 
     return step
@@ -424,46 +427,64 @@ def _default_initial(params: ModelParams) -> np.ndarray:
     return np.arange(1.0, params.n + 1.0)
 
 
-def _new_monitor(levels: Sequence[float], p: int, n: int) -> dict:
-    """First-hit times per level, coordinate-major: ``gap`` (n-1, P), ``psum`` (n, P)."""
-    mon = {}
-    for lev in levels:
-        mon[float(lev)] = {
-            "gap": np.full((n - 1, p), np.nan),
-            "psum": np.full((n, p), np.nan),
-            "zeta": np.full(p, np.nan),
-            "double": np.full(p, np.nan),
-        }
-    return mon
+def _new_monitor(m: int, p: int, n: int) -> dict[str, np.ndarray]:
+    """First-hit times at m levels, level-major then coordinate-major.
+
+    ``gap`` is (m, n-1, P), ``psum`` (m, n, P), ``zeta`` and ``double`` (m, P).
+    """
+    return {
+        "gap": np.full((m, n - 1, p), np.nan),
+        "psum": np.full((m, n, p), np.nan),
+        "zeta": np.full((m, p), np.nan),
+        "double": np.full((m, p), np.nan),
+    }
 
 
 def _update_monitors(
-    mon: dict, lam: np.ndarray, rows: np.ndarray | None, t: float
+    mon: dict, levels: np.ndarray, lam: np.ndarray, rows: np.ndarray | None, t: float
 ) -> None:
-    """Stamp t on the events first seen in ``lam``.
+    """Stamp t on the events first seen in ``lam`` at any of ``levels``.
 
     The columns of ``lam`` are the batch rows ``rows`` (None: all of them).
     """
-    for lev, conditions in event_conditions(lam, mon).items():
-        for kind, cond in conditions.items():
-            if not cond.any():
-                continue
-            first = mon[lev][kind]
-            seen = first if rows is None else first[..., rows]
-            hit = cond & np.isnan(seen)
-            if hit.any():
-                seen[hit] = t
-                if rows is not None:
-                    first[..., rows] = seen
+    if not levels.size:
+        return
+    for kind, cond in event_conditions(lam, levels).items():
+        if not cond.any():
+            continue
+        first = mon[kind]
+        seen = first if rows is None else first[..., rows]
+        hit = cond & np.isnan(seen)
+        if hit.any():
+            seen[hit] = t
+            if rows is not None:
+                first[..., rows] = seen
+
+
+def _level(value, what: str) -> float:
+    """``value`` as a detection level; ConfigError unless it is finite and > 0."""
+    try:
+        level = float(value)
+    except (TypeError, ValueError):
+        level = math.nan
+    if not (math.isfinite(level) and level > 0.0):
+        raise ConfigError(f"{what} must be finite and > 0, got {value!r}")
+    return level
 
 
 def _stop_monitor(stop_on, n: int) -> tuple[float, str, slice]:
-    """(level, monitor kind, monitor rows) whose first hit freezes a path under stop_on."""
-    if stop_on[0] == "gap_any":
-        return float(stop_on[1]), "gap", slice(None)
-    if stop_on[0] == "psum" and 1 <= stop_on[1] <= n:
-        k = stop_on[1]
-        return float(stop_on[2]), "psum", slice(k - 1, k)
+    """(level, monitor kind, monitor rows) whose first hit freezes a path under stop_on.
+
+    The rules are ``("gap_any", level)`` and ``("psum", k, level)`` with an
+    integer 1 <= k <= n; anything else is a ConfigError.
+    """
+    rule = tuple(stop_on) if isinstance(stop_on, (tuple, list)) else ()
+    if len(rule) == 2 and rule[0] == "gap_any":
+        return _level(rule[1], "stop_on level"), "gap", slice(None)
+    if len(rule) == 3 and rule[0] == "psum":
+        k = rule[1]
+        if isinstance(k, (int, np.integer)) and not isinstance(k, bool) and 1 <= k <= n:
+            return _level(rule[2], "stop_on level"), "psum", slice(k - 1, k)
     raise ConfigError(f"invalid stop_on rule {stop_on!r}")
 
 
@@ -487,15 +508,17 @@ def simulate_batch(
     per-path noise is identical to what any other batch decomposition would
     produce.  ``initial`` is one finite, sorted, nonnegative start or one per
     path.  ``event_levels`` enables online first-hit monitoring at each
-    detection level (every step, independent of ``record_stride``);
-    ``stop_on`` optionally freezes a path at its first monitored event.
+    detection level, finite and > 0 (every step, independent of
+    ``record_stride``); ``stop_on``, ``("gap_any", level)`` or
+    ``("psum", k, level)``, optionally freezes a path at its first monitored
+    event.
     ``snapshot_times`` must be grid times k*dt of the run, 0 <= k <= n_steps.
 
     Each step advances only the rows still live; a frozen row keeps its
     state, and recording and snapshots stay full-size.  The loop ends once
     every row is frozen.  Gaussian noise is drawn by path index, so the rows
     do not depend on which others are live; ``exact_cir_splitting`` draws
-    its Poisson and Gamma variates for the live rows only.  Inside the loop
+    its exact CIR variates for the live rows only.  Inside the loop
     the state is coordinate-major, (n, P); every array of the result is
     path-major, (P, ...).
 
@@ -565,16 +588,17 @@ def simulate_batch(
     if track_switches:
         switch_log = [[] for _ in range(p)]
 
-    levels = list(dict.fromkeys(float(l) for l in event_levels))
+    levels = list(dict.fromkeys(_level(lev, "event_levels") for lev in event_levels))
     if stop_on is not None:
         stop_level, stop_kind, stop_cols = _stop_monitor(stop_on, n)
         if stop_level not in levels:
             levels.append(stop_level)
-    mon = _new_monitor(levels, p, n)
-    _update_monitors(mon, lam_view, None, 0.0)
+    level_axis = np.array(levels)
+    mon = _new_monitor(len(levels), p, n)
+    _update_monitors(mon, level_axis, lam_view, None, 0.0)
     if stop_on is not None:
         # A view: first-hit times of the stopping event, updated in place.
-        stop_first = mon[stop_level][stop_kind][stop_cols]
+        stop_first = mon[stop_kind][levels.index(stop_level), stop_cols]
         freeze(np.flatnonzero(np.isfinite(stop_first).any(axis=0)), _T_EVENT, 0.0)
 
     rec_steps = None
@@ -650,7 +674,7 @@ def simulate_batch(
             lam_view = live_lam
         else:
             lam_view[:, live] = live_lam
-        _update_monitors(mon, live_lam, None if every else live, t_next)
+        _update_monitors(mon, level_axis, live_lam, None if every else live, t_next)
 
         if scheme == Scheme.REGULARIZED_SWITCHING:
             lam1 = new[0]
@@ -698,8 +722,8 @@ def simulate_batch(
         stop_time=stop_time,
         terminated_code=term,
         monitors={
-            lev: {kind: first.T.copy() for kind, first in kinds.items()}
-            for lev, kinds in mon.items()
+            lev: {kind: first[i].T.copy() for kind, first in mon.items()}
+            for i, lev in enumerate(levels)
         },
         times=times,
         trajectories=traj,

@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammainc
+from scipy.special import chndtr, gammainc
 
 from cir_particles import (
     CirParams,
     ModelParams,
     exact_step,
+    exact_step_decomposed,
     gamma_sum_law,
     integrated_laplace,
     integrated_sum_paths,
@@ -95,6 +96,59 @@ class TestExactStep:
         want = exact_step(cir, np.array([1.0]), 0.9, rng_streams(18, 0))
         assert got[0] == want[0]
         assert math.isnan(exact_step(cir, math.inf, 0.9, rng_streams(18, 0)))
+
+
+def transition_cdf(cir: CirParams, r0: float, dt: float):
+    """Independent oracle: CDF of the exact CIR step, c * chi'^2_nu(nc), for b != 0."""
+    decay = math.exp(-cir.b * dt)
+    c = cir.sigma**2 * (1.0 - decay) / (4.0 * cir.b)
+    nu = 4.0 * cir.a / cir.sigma**2
+    nc = r0 * decay / c
+    return lambda x: chndtr(np.asarray(x) / c, nu, nc)
+
+
+class TestExactStepDecomposed:
+    @pytest.mark.parametrize("r0", [1e-3, 1.0, 50.0])
+    @pytest.mark.parametrize("nu", [1.0, 1.6, 2.0, 4.0])
+    def test_law_is_the_noncentral_chi_square(self, nu, r0):
+        cir = CirParams(a=nu, b=1.0, sigma=2.0)  # nu = 4a/sigma^2
+        rng = rng_streams(21, int(10 * nu))
+        samples = exact_step_decomposed(cir, np.full(100_000, r0), 0.5, rng)
+        d, p = ks_test(samples, transition_cdf(cir, r0, 0.5))
+        assert p >= 1e-3, (d, p)
+
+    @pytest.mark.parametrize("nu", [1.0, 1.6, 4.0])
+    def test_mean_and_variance_match_closed_forms(self, nu):
+        cir = CirParams(a=nu, b=1.0, sigma=2.0)
+        rng = rng_streams(22, int(10 * nu))
+        dt = math.log(2)
+        samples = exact_step_decomposed(cir, np.full(100_000, 1.0), dt, rng)
+        # E[r_dt | r_0] = r_0 e^{-b dt} + (a/b)(1 - e^{-b dt}) = 1/2 + a/2 at dt = ln 2.
+        se = samples.std(ddof=1) / math.sqrt(samples.size)
+        assert abs(samples.mean() - (0.5 + 0.5 * cir.a)) <= 4 * se
+        var = samples.var(ddof=1)
+        m4 = np.mean((samples - samples.mean()) ** 4)
+        se_var = math.sqrt((m4 - var**2) / samples.size)
+        assert abs(var - transition_variance(cir, 1.0, dt)) <= 5 * se_var
+
+    def test_below_nu_one_it_is_the_poisson_gamma_sampler(self):
+        cir = CirParams(a=0.6, b=1.0, sigma=2.0)  # nu = 0.6
+        r = np.array([[0.0, 1e-3, 0.5], [1.0, 2.0, 40.0]])
+        got = exact_step_decomposed(cir, r, 0.1, rng_streams(23, 0))
+        want = exact_step(cir, r, 0.1, rng_streams(23, 0))
+        assert np.array_equal(got, want)
+        assert exact_step_decomposed(cir, 0.7, 0.1, rng_streams(23, 1)) == exact_step(
+            cir, 0.7, 0.1, rng_streams(23, 1)
+        )
+
+    @pytest.mark.parametrize("nu", [1.0, 2.0])
+    def test_infinite_noncentrality_is_not_finite(self, nu):
+        cir = CirParams(a=nu, b=1.0, sigma=2.0)
+        got = exact_step_decomposed(cir, np.array([1.0, math.inf, math.nan]), 0.1,
+                                    rng_streams(24, 0))
+        assert np.isfinite(got[0]) and got[0] >= 0.0
+        assert not np.isfinite(got[1:]).any()
+        assert not math.isfinite(exact_step_decomposed(cir, math.inf, 0.1, rng_streams(24, 0)))
 
 
 class TestInvariantGamma:

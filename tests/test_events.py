@@ -79,6 +79,37 @@ class TestDetectEvents:
         assert log.first(EventKind.STOP_S) is not None
 
 
+    def test_log_matches_the_online_monitors_of_a_recorded_row(self):
+        # Recorded every step, detect_events reads the same first-hit times
+        # as the batch monitors at its level.
+        from cir_particles import simulate_batch
+
+        p = ModelParams(alpha=1.0, beta=0.5, gamma=0.5, n=3)
+        cfg = SimConfig(dt=1e-2, horizon=3.0, seed=9)
+        initial = np.sort(np.random.default_rng(9).uniform(0.001, 0.5, (8, 3)), axis=1)
+        res = simulate_batch(p, cfg, n_paths=8, initial=initial, record=True,
+                             event_levels=(1e-2, 0.05, 1e-3))
+        assert np.isfinite(res.monitors[1e-3]["psum"]).any()
+        assert np.isfinite(res.monitors[0.05]["double"]).any()
+        def time_of(ev):
+            return ev.time if ev else math.nan
+
+        for delta in (0.05, 1e-2, 1e-3):
+            mon = res.monitors[delta]
+            for i in range(8):
+                log = detect_events(res.path_record(i), delta)
+                got = {
+                    "gap": [time_of(log.first(EventKind.PAIR_COLLISION, j)) for j in (1, 2)],
+                    "psum": [time_of(log.first(EventKind.ZERO_HIT_PARTIAL_SUM, k))
+                             for k in (1, 2, 3)],
+                    "zeta": time_of(log.first(EventKind.JOINT_EVENT_ZETA)),
+                    "double": min((t for t, _, _ in log.multiple_collisions),
+                                  default=math.nan),
+                }
+                for kind, times in got.items():
+                    np.testing.assert_allclose(times, mon[kind][i], rtol=1e-12)
+
+
 class TestFirstPassage:
     def test_k_equals_n_matches_cir_boundary_oracle(self):
         # n*alpha < 2 and gamma >= 0: the sum hits zero almost surely.

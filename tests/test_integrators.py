@@ -388,13 +388,13 @@ class TestFrozenRowsAreNotStepped:
         cfg = SimConfig(scheme=Scheme.EXACT_CIR_SPLITTING, dt=1e-2, horizon=2.0,
                         seed=8, paths=24)
         stepped = []
-        real = integrators.exact_step
+        real = integrators.exact_step_decomposed
 
         def counting(cir, r, dt, rng):
-            stepped.append(len(r))
+            stepped.append(r.shape[1])  # the (n, P) state: one column per live row
             return real(cir, r, dt, rng)
 
-        monkeypatch.setattr(integrators, "exact_step", counting)
+        monkeypatch.setattr(integrators, "exact_step_decomposed", counting)
         kwargs = dict(stop_on=("psum", 2, 1e-2), event_levels=(0.1,), record=True)
         res = simulate_batch(p, cfg, **kwargs)
         steps = np.rint(res.stop_time / cfg.dt).astype(int)
@@ -463,12 +463,50 @@ class TestStopOnStatus:
         assert res.terminated(1) is Terminated.HORIZON
 
 
-    @pytest.mark.parametrize("stop_on", [("psum", 0, 1e-3), ("psum", 3, 1e-3), ("gap", 1e-3)])
+    @pytest.mark.parametrize(
+        "stop_on",
+        [
+            ("psum", 0, 1e-3),
+            ("psum", 3, 1e-3),
+            ("gap", 1e-3),
+            ("gap_any",),
+            ("psum", 2.0, 1e-3),
+            ("psum", True, 1e-3),
+            ("psum", 1),
+            ("psum", 1, 1e-3, 0.0),
+            ("psum", 1, math.nan),
+            ("psum", 1, 0.0),
+            ("gap_any", -1e-3),
+            ("gap_any", math.inf),
+            "gap_any",
+            (),
+        ],
+    )
     def test_invalid_rule_is_config_error(self, stop_on):
         p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
         cfg = SimConfig(dt=1e-2, horizon=0.1, seed=5, paths=2)
         with pytest.raises(ConfigError, match="stop_on"):
             simulate_batch(p, cfg, stop_on=stop_on)
+
+    def test_numpy_integer_k_is_accepted(self):
+        p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
+        cfg = SimConfig(dt=1e-2, horizon=0.1, seed=5, paths=2)
+        initial = np.array([[2e-4, 5e-4], [1.0, 2.0]])
+        want = simulate_batch(p, cfg, initial=initial, stop_on=("psum", 2, 1e-3))
+        got = simulate_batch(p, cfg, initial=initial, stop_on=("psum", np.int64(2), 1e-3))
+        assert np.array_equal(got.terminated_code, want.terminated_code)
+        assert np.array_equal(got.final_lambda, want.final_lambda)
+
+    @pytest.mark.parametrize(
+        "levels",
+        [(math.nan,), (0.0,), (-1e-3,), (1e-2, math.inf), (1e-2, math.nan)],
+        ids=["nan", "zero", "negative", "inf", "nan_after_good"],
+    )
+    def test_invalid_event_level_is_config_error(self, levels):
+        p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
+        cfg = SimConfig(dt=1e-2, horizon=0.1, seed=5, paths=2)
+        with pytest.raises(ConfigError, match="event_levels"):
+            simulate_batch(p, cfg, event_levels=levels)
 
     def test_unknown_code_is_not_reported_as_horizon(self):
         p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
@@ -565,6 +603,35 @@ class TestBatchDecomposition:
             alone = simulate_batch(params, cfg, n_paths=1, path_offset=i,
                                    initial=initial[i:i + 1], **kwargs)
             _assert_rows_match(alone, whole, i, i + 1)
+
+
+class TestStackedMonitors:
+    @pytest.mark.parametrize(
+        "scheme",
+        [Scheme.TRUNCATED_EULER, Scheme.REGULARIZED_SWITCHING,
+         Scheme.ROOT_COORDINATES, Scheme.C_EPSILON],
+    )
+    def test_each_level_equals_a_run_at_that_level_alone(self, scheme):
+        params = ModelParams(alpha=_GAUSSIAN_ALPHA[scheme, 3], beta=0.5, gamma=0.5, n=3)
+        cfg = SimConfig(scheme=scheme, dt=1e-2, horizon=3.0, seed=9, epsilon=0.01)
+        initial = np.sort(np.random.default_rng(9).uniform(0.001, 0.5, (30, 3)), axis=1)
+        stop_on = ("psum", 2, 1e-3)
+        levels = (1e-2, 1e-3, 1e-4)
+        together = simulate_batch(params, cfg, n_paths=30, initial=initial,
+                                  event_levels=levels, stop_on=stop_on)
+        # Compaction: rows freeze at different steps, so the live set shrinks.
+        assert np.unique(together.stop_time).size > 2
+        for lev in levels:
+            mon = together.monitors[lev]
+            assert sum(np.isfinite(v).sum() for v in mon.values()) > 0
+            alone = simulate_batch(params, cfg, n_paths=30, initial=initial,
+                                   event_levels=(lev,), stop_on=stop_on)
+            assert list(alone.monitors) == list(dict.fromkeys((lev, 1e-3)))
+            assert list(alone.monitors[lev]) == list(mon)
+            for kind, values in alone.monitors[lev].items():
+                assert mon[kind].shape == values.shape and mon[kind].flags.c_contiguous
+                assert np.array_equal(mon[kind], values, equal_nan=True)
+            assert np.array_equal(alone.stop_time, together.stop_time)
 
 
 class TestNoiseTree:
