@@ -30,7 +30,7 @@ from .events import (
     EventKind,
     EventLog,
     detect_events,
-    event_conditions,
+    event_values,
     first_passage_partial_sum,
 )
 from .integrators import (

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .cirprocess import integrated_laplace, integrated_sum_paths
-from .errors import BadK, ConfigError, NotEvaluable, RegimeMismatch
+from .errors import BadK, ConfigError, NotEvaluable, RegimeMismatch, TooFewSamples
 from .events import detect_events, first_passage_partial_sum
 from .integrators import Scheme, SimConfig, Terminated, grid_step, simulate_batch
 from .model import ModelParams, classify_regime, multiple_collision_threshold
@@ -37,6 +37,15 @@ _INT_KEYS = {"n", "seed", "paths", "record_stride", "k"}
 _STR_KEYS = {"scheme", "x0", "out", "sweep"}
 
 
+def _number(kind, field: str, text: str):
+    """``text`` read by ``kind`` (int or float); a ConfigError naming ``field`` if it is not one."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{field} must be {what}, got {text!r}") from None
+
+
 def _parse_config_file(path: str) -> dict:
     values: dict = {}
     for raw in Path(path).read_text().splitlines():
@@ -48,9 +57,9 @@ def _parse_config_file(path: str) -> dict:
         key, val = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
         if key in _FLOAT_KEYS:
-            values[key] = float(val)
+            values[key] = _number(float, key, val)
         elif key in _INT_KEYS:
-            values[key] = int(val)
+            values[key] = _number(int, key, val)
         elif key in _STR_KEYS:
             values[key] = val
         else:
@@ -288,7 +297,7 @@ def _parse_sweep(spec: str) -> list[dict]:
         key = key.strip()
         if key not in ("alpha", "beta", "gamma"):
             raise ConfigError(f"sweep axis must be alpha/beta/gamma, got {key!r}")
-        axes[key] = [float(v) for v in vals.split(",") if v.strip()]
+        axes[key] = [_number(float, f"sweep axis {key}", v) for v in vals.split(",") if v.strip()]
         if not axes[key]:
             raise ConfigError(f"sweep axis {key} is empty")
     if not axes:
@@ -345,11 +354,15 @@ def cmd_phase_diagram(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .acceptance import run_acceptance
+    from .acceptance import CRITERIA, run_acceptance
 
     only = None
     if getattr(args, "only", None):
-        only = [int(v) for v in args.only.split(",")]
+        only = [_number(int, "only", v) for v in args.only.split(",")]
+        known = sorted(idx for idx, _ in CRITERIA)
+        unknown = [idx for idx in only if idx not in known]
+        if unknown:
+            raise ConfigError(f"only names no criterion {unknown}; the criteria are {known}")
     values = _resolve(args)
     results = run_acceptance(only=only)
     if _out_given(values, args):
@@ -392,6 +405,11 @@ def cmd_laplace_check(args) -> int:
     mus = getattr(args, "mu", None) or [0.5, 1.0]
     t_probes = sorted(getattr(args, "t_probe", None) or [0.5, 1.0, 2.0])
     n_paths = values["paths"]
+    if n_paths < 2:
+        raise ConfigError(f"paths must be >= 2 for a Monte Carlo stderr, got {n_paths}")
+    for mu in mus:
+        if not mu >= 0.0:
+            raise ConfigError(f"mu must be >= 0, got {mu:g}")
     sub_dt = values["dt"]
     if not sub_dt > 0.0:
         raise ConfigError(f"dt must be > 0, got {sub_dt}")
@@ -475,6 +493,9 @@ def main(argv=None) -> int:
         return 1
     except BadK as exc:
         print(f"bad k: {exc}", file=sys.stderr)
+        return 1
+    except TooFewSamples as exc:
+        print(f"too few samples: {exc}", file=sys.stderr)
         return 1
 
 

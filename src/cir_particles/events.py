@@ -8,8 +8,10 @@ dt-refinement quantify the induced bias.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -26,7 +28,7 @@ __all__ = [
     "EventKind",
     "EventLog",
     "detect_events",
-    "event_conditions",
+    "event_values",
     "first_passage_partial_sum",
 ]
 
@@ -68,40 +70,51 @@ class EventLog:
         return None
 
 
-def event_conditions(lam: np.ndarray, levels) -> dict[str, np.ndarray]:
-    """Event indicators of every column of ``lam`` (n, R) at m detection levels.
+@functools.lru_cache(maxsize=None)
+def _kind_rows(n: int) -> MappingProxyType:
+    """Rows of :func:`event_values` per event kind for n coordinates, read-only.
 
-    Row i of ``lam`` holds coordinate i of every one of the R states; the
-    leading axis of every indicator is the level.  ``gap`` (m, n-1, R) marks
-    lambda_{i+1} - lambda_i <= level, ``psum`` (m, n, R) marks
-    lambda_1 + ... + lambda_k <= level, ``zeta`` (m, R) the joint event
-    lambda_1 <= level and lambda_2 - lambda_1 <= level, and ``double``
-    (m, R) two distinct small gaps in the same column.  The boundary case,
-    the joint event together with a small gap above the first, is a double
-    event because the joint event's first gap is small.
+    ``gap`` and ``psum`` are slices, ``zeta`` and ``double`` row indices;
+    ``double`` is None at n = 2, which has a single gap.
+    """
+    return MappingProxyType({
+        "gap": slice(0, n - 1),
+        "psum": slice(n - 1, 2 * n - 1),
+        "zeta": 2 * n - 1,
+        "double": 2 * n if n >= 3 else None,
+    })
+
+
+def event_values(lam: np.ndarray) -> np.ndarray:
+    """Event values of every column of ``lam`` (n, R): (K, R), one row per event.
+
+    Row i of ``lam`` holds coordinate i of every one of the R states.  An
+    event holds at detection level delta exactly when its value is <= delta.
+    The rows are the n-1 adjacent gaps lambda_{i+1} - lambda_i, the n partial
+    sums lambda_1 + ... + lambda_k, zeta = max(lambda_1, lambda_2 - lambda_1)
+    (the joint event lambda_1 <= delta and lambda_2 - lambda_1 <= delta), and
+    for n >= 3 the second-smallest gap (two distinct small gaps in the same
+    column, the double event).  The boundary case, the joint event together
+    with a small gap above the first, is a double event because the joint
+    event's first gap is small.  K is 2n at n = 2 and 2n + 1 above.
     """
     n = lam.shape[0]
-    # Gaps then partial sums, compared with every level at once.  Row adds
-    # give np.cumsum's bits without its cost along the short axis.
-    gaps_psums = np.empty((2 * n - 1,) + lam.shape[1:])
-    np.subtract(lam[1:], lam[:-1], out=gaps_psums[: n - 1])
-    psums = gaps_psums[n - 1 :]
+    rows = _kind_rows(n)
+    values = np.empty((2 * n + (n >= 3),) + lam.shape[1:])
+    gaps = values[rows["gap"]]
+    np.subtract(lam[1:], lam[:-1], out=gaps)
+    # Row adds give np.cumsum's bits without its cost along the short axis.
+    psums = values[rows["psum"]]
     psums[0] = lam[0]
     for k in range(1, n):
         np.add(psums[k - 1], lam[k], out=psums[k])
-    below = gaps_psums <= np.asarray(levels, dtype=float)[:, None, None]
-    # Two small gaps: one small gap above another already seen.
-    double = np.zeros_like(below[:, 0])
-    seen = below[:, 0]
-    for i in range(1, n - 1):
-        double |= seen & below[:, i]
-        seen = seen | below[:, i]
-    return {
-        "gap": below[:, : n - 1],
-        "psum": below[:, n - 1 :],
-        "zeta": below[:, n - 1] & below[:, 0],
-        "double": double,
-    }
+    np.maximum(lam[0], gaps[0], out=values[rows["zeta"]])
+    # NaN gaps sort last and np.maximum keeps them, so a NaN is never small.
+    if n == 3:
+        np.maximum(gaps[0], gaps[1], out=values[rows["double"]])
+    elif n > 3:
+        values[rows["double"]] = np.sort(gaps, axis=0)[1]
+    return values
 
 
 def detect_events(path: "PathRecord", delta: float) -> EventLog:
@@ -116,25 +129,29 @@ def detect_events(path: "PathRecord", delta: float) -> EventLog:
         raise ValueError(f"delta must be > 0, got {delta}")
     times = np.asarray(path.times, dtype=float)
     lam = np.asarray(path.lambdas, dtype=float).T
-    cond = {kind: c[0] for kind, c in event_conditions(lam, (delta,)).items()}
+    rows = _kind_rows(lam.shape[0])
+    below = event_values(lam) <= delta
     log = EventLog()
 
     for kind, key in (
         (EventKind.PAIR_COLLISION, "gap"),
         (EventKind.ZERO_HIT_PARTIAL_SUM, "psum"),
     ):
-        for i, row in enumerate(cond[key]):
+        for i, row in enumerate(below[rows[key]]):
             hits = np.flatnonzero(row)
             if hits.size:
                 log.events.append(Event(float(times[hits[0]]), kind, i + 1, delta))
-    hits = np.flatnonzero(cond["zeta"])
+    zeta = below[rows["zeta"]]
+    hits = np.flatnonzero(zeta)
     if hits.size:
         log.events.append(
             Event(float(times[hits[0]]), EventKind.JOINT_EVENT_ZETA, None, delta)
         )
 
-    small = cond["gap"]
-    doubles = np.flatnonzero(cond["double"])
+    small = below[rows["gap"]]
+    doubles = np.zeros(0, dtype=int)  # n = 2 has no double event
+    if rows["double"] is not None:
+        doubles = np.flatnonzero(below[rows["double"]])
     for step in doubles:
         idx = np.flatnonzero(small[:, step]) + 1
         for a in range(idx.size):
@@ -142,7 +159,7 @@ def detect_events(path: "PathRecord", delta: float) -> EventLog:
                 log.multiple_collisions.append(
                     (float(times[step]), int(idx[a]), int(idx[b]))
                 )
-    for step in doubles[cond["zeta"][doubles]]:
+    for step in doubles[zeta[doubles]]:
         for j in np.flatnonzero(small[1:, step]) + 2:
             log.multiple_collisions.append((float(times[step]), 0, int(j)))
 

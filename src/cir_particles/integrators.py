@@ -53,21 +53,25 @@ systems run with the same seed are driven by the same Brownian increments
 
 Inside :func:`simulate_batch` the state is coordinate-major: an (n, P) array
 with one contiguous row per coordinate, so the step maps, the pairwise sums
-of :func:`cir_particles.model.interaction_sum`, the event conditions, the
+of :func:`cir_particles.model.interaction_sum`, the event values, the
 non-finite check and the stopping rules all read whole rows.  Every array of
 the :class:`BatchResult` is path-major, (P, ...).  Each step re-sorts the
 columns once with :func:`_sort_columns` (the splitting step three times).
 The exact CIR factor is drawn on the coordinate-major state, coordinate row
-by coordinate row.  The online event monitors stack their detection levels
-on a leading axis, so one pass per event kind covers every level.
+by coordinate row.  The online event monitors read
+:func:`cir_particles.events.event_values`, one row per event, and keep one
+pending threshold per (event, path): the largest detection level that has
+not fired yet.  A step compares the values with the thresholds once, and
+only the entries that crossed are stamped.
 
-:func:`simulate_batch` steps only the live rows.  A row frozen by a stopping
-rule, by ``stop_on`` or by a non-finite step keeps its state and draws no
-further noise.  For the Gaussian schemes every number is the same as if all
-rows were stepped to the end.  Under
-``exact_cir_splitting`` the batch stream feeds only the live rows, so its
-draws depend on when rows freeze; a rerun of the same inputs still
-reproduces them bit for bit.
+:func:`simulate_batch` steps only the live rows.  Their state, B-mode and
+pending thresholds are held packed, in ascending path order, and compacted
+on the steps where a row freezes.  A row frozen by a stopping rule, by
+``stop_on`` or by a non-finite step keeps its state and draws no further
+noise.  For the Gaussian schemes every number is the same as if all rows
+were stepped to the end.  Under ``exact_cir_splitting`` the batch stream
+feeds only the live rows, in path order, so its draws depend on when rows
+freeze; a rerun of the same inputs still reproduces them bit for bit.
 """
 
 from __future__ import annotations
@@ -81,7 +85,7 @@ import numpy as np
 
 from .cirprocess import CirParams, exact_step_decomposed
 from .errors import ConfigError
-from .events import event_conditions
+from .events import _kind_rows, event_values
 from .model import ModelParams, interaction_sum
 from .randomness import exact_step_stream, step_normals
 
@@ -427,38 +431,11 @@ def _default_initial(params: ModelParams) -> np.ndarray:
     return np.arange(1.0, params.n + 1.0)
 
 
-def _new_monitor(m: int, p: int, n: int) -> dict[str, np.ndarray]:
-    """First-hit times at m levels, level-major then coordinate-major.
-
-    ``gap`` is (m, n-1, P), ``psum`` (m, n, P), ``zeta`` and ``double`` (m, P).
-    """
-    return {
-        "gap": np.full((m, n - 1, p), np.nan),
-        "psum": np.full((m, n, p), np.nan),
-        "zeta": np.full((m, p), np.nan),
-        "double": np.full((m, p), np.nan),
-    }
-
-
-def _update_monitors(
-    mon: dict, levels: np.ndarray, lam: np.ndarray, rows: np.ndarray | None, t: float
-) -> None:
-    """Stamp t on the events first seen in ``lam`` at any of ``levels``.
-
-    The columns of ``lam`` are the batch rows ``rows`` (None: all of them).
-    """
-    if not levels.size:
-        return
-    for kind, cond in event_conditions(lam, levels).items():
-        if not cond.any():
-            continue
-        first = mon[kind]
-        seen = first if rows is None else first[..., rows]
-        hit = cond & np.isnan(seen)
-        if hit.any():
-            seen[hit] = t
-            if rows is not None:
-                first[..., rows] = seen
+def _span_pick(rows: np.ndarray) -> np.ndarray | None:
+    """Positions of the sorted ``rows`` in the span rows[0] .. rows[-1], None if it has no gaps."""
+    if rows.size == 0 or rows[-1] - rows[0] + 1 == rows.size:
+        return None
+    return rows - rows[0]
 
 
 def _level(value, what: str) -> float:
@@ -472,19 +449,20 @@ def _level(value, what: str) -> float:
     return level
 
 
-def _stop_monitor(stop_on, n: int) -> tuple[float, str, slice]:
-    """(level, monitor kind, monitor rows) whose first hit freezes a path under stop_on.
+def _stop_rule(stop_on, n: int) -> tuple[float, slice]:
+    """(level, rows of :func:`event_values`) whose first hit freezes a path under stop_on.
 
     The rules are ``("gap_any", level)`` and ``("psum", k, level)`` with an
     integer 1 <= k <= n; anything else is a ConfigError.
     """
     rule = tuple(stop_on) if isinstance(stop_on, (tuple, list)) else ()
     if len(rule) == 2 and rule[0] == "gap_any":
-        return _level(rule[1], "stop_on level"), "gap", slice(None)
+        return _level(rule[1], "stop_on level"), _kind_rows(n)["gap"]
     if len(rule) == 3 and rule[0] == "psum":
         k = rule[1]
         if isinstance(k, (int, np.integer)) and not isinstance(k, bool) and 1 <= k <= n:
-            return _level(rule[2], "stop_on level"), "psum", slice(k - 1, k)
+            row = _kind_rows(n)["psum"].start + k - 1
+            return _level(rule[2], "stop_on level"), slice(row, row + 1)
     raise ConfigError(f"invalid stop_on rule {stop_on!r}")
 
 
@@ -514,13 +492,14 @@ def simulate_batch(
     event.
     ``snapshot_times`` must be grid times k*dt of the run, 0 <= k <= n_steps.
 
-    Each step advances only the rows still live; a frozen row keeps its
-    state, and recording and snapshots stay full-size.  The loop ends once
-    every row is frozen.  Gaussian noise is drawn by path index, so the rows
-    do not depend on which others are live; ``exact_cir_splitting`` draws
-    its exact CIR variates for the live rows only.  Inside the loop
-    the state is coordinate-major, (n, P); every array of the result is
-    path-major, (P, ...).
+    Each step advances only the rows still live, held packed in path order;
+    a frozen row keeps its state, and recording and snapshots stay
+    full-size.  The loop ends once every row is frozen.  Gaussian noise is
+    drawn by path index, so the rows do not depend on which others are
+    live; ``exact_cir_splitting`` draws its exact CIR variates for the live
+    rows only.  Inside the loop the state is coordinate-major, (n, P);
+    every array of the result is path-major, (P, ...).  With no
+    ``event_levels`` and no ``stop_on`` no event value is computed.
 
     ``noise_refine = m`` makes each increment the normalized sum of m
     fine-grid increments, so a run at step size m*dt_fine shares a noise tree
@@ -552,11 +531,14 @@ def simulate_batch(
         raise ConfigError("initial states must be sorted and nonnegative")
 
     in_root = scheme in (Scheme.ROOT_COORDINATES, Scheme.C_EPSILON)
+
+    def lam_of(x: np.ndarray) -> np.ndarray:
+        return x**2 if in_root else x
+
     # Coordinate-major: row i holds coordinate i of every path.
     state = np.ascontiguousarray(init.T)
     if in_root:
         state = np.sqrt(state)
-    lam_view = state**2 if in_root else state
 
     dt = config.dt
     eps = config.epsilon
@@ -564,51 +546,105 @@ def simulate_batch(
     sqrt_dt = math.sqrt(dt)
     step_fn = _make_step(params, config, path_offset)
 
-    active = np.ones(p, dtype=bool)
     stop_time = np.full(p, n_steps * dt)
     term = np.full(p, _T_HORIZON, dtype=np.int8)
-
-    def freeze(which: np.ndarray, code: int, t: float) -> None:
-        term[which] = code
-        stop_time[which] = t
-        active[which] = False
-
-    def live_rows() -> tuple[np.ndarray, np.ndarray | None]:
-        """The live rows, and their positions in the span rows[0] .. rows[-1] if it has gaps."""
-        rows = np.flatnonzero(active)
-        if rows.size == 0 or rows[-1] - rows[0] + 1 == rows.size:
-            return rows, None
-        return rows, rows - rows[0]
-
-    if scheme == Scheme.REGULARIZED_SWITCHING:
-        mode_is_b = state[0] < eps
-    else:
-        mode_is_b = np.zeros(p, dtype=bool)
     switch_log: list[list[tuple[float, str]]] | None = None
     if track_switches:
         switch_log = [[] for _ in range(p)]
 
     levels = list(dict.fromkeys(_level(lev, "event_levels") for lev in event_levels))
     if stop_on is not None:
-        stop_level, stop_kind, stop_cols = _stop_monitor(stop_on, n)
+        stop_level, stop_rows = _stop_rule(stop_on, n)
         if stop_level not in levels:
             levels.append(stop_level)
-    level_axis = np.array(levels)
-    mon = _new_monitor(len(levels), p, n)
-    _update_monitors(mon, level_axis, lam_view, None, 0.0)
-    if stop_on is not None:
-        # A view: first-hit times of the stopping event, updated in place.
-        stop_first = mon[stop_kind][levels.index(stop_level), stop_cols]
-        freeze(np.flatnonzero(np.isfinite(stop_first).any(axis=0)), _T_EVENT, 0.0)
+    # Pending-threshold monitors.  A hit at one level is a hit at every larger
+    # level, so the levels of an (event, row) pair fire largest first, and
+    # its pending threshold is the largest level not yet fired (-inf once all
+    # have).  ``first`` holds the first-hit times, levels in descending order.
+    descending = sorted(levels, reverse=True)
+    ascending = np.array(descending[::-1])
+    # The threshold left once the levels at or above a value have fired,
+    # indexed by the number of levels below that value.
+    pending_below = np.array([-math.inf] + descending[::-1])
+    level_col = np.array(descending)[:, None]
+    n_values = event_values(state[:, :0]).shape[0]
+    first = np.full((len(levels), n_values, p), np.nan)
+
+    def monitor(lam: np.ndarray, t: float):
+        """Stamp t on the pending levels the live rows reached; their stop_on hits.
+
+        ``lam`` holds the live rows, and their thresholds in ``pending`` are
+        lowered in place.  Returns the (R,) stop_on mask, or None when no
+        pending threshold was crossed (then no row meets its stop rule).
+        """
+        values = event_values(lam)
+        crossed = np.flatnonzero(values <= pending)
+        if not crossed.size:
+            return None
+        value = values.take(crossed)
+        fresh_level, fresh = np.nonzero(
+            (value <= level_col) & (level_col <= pending.take(crossed))
+        )
+        kinds, cols = np.divmod(crossed[fresh], values.shape[1])
+        first[fresh_level, kinds, rows[cols]] = t
+        np.put(pending, crossed, pending_below[np.searchsorted(ascending, value)])
+        if stop_on is None:
+            return None
+        return (values[stop_rows] <= stop_level).any(axis=0)
+
+    # The full-size lambda state, allocated at the first write-back, so a
+    # run that freezes no row and records nothing holds no copy while it
+    # steps.  A frozen row is written once, when it freezes; the live rows
+    # on recorded and snapshot steps and at the end.
+    lam_full = None
+
+    def write_back(which: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        nonlocal lam_full
+        if lam_full is None:
+            lam_full = np.empty((n, p))
+        lam_full[:, which] = lam
+        return lam_full
+
+    def synced() -> np.ndarray:
+        """The full-size lambda state, with the live rows written in."""
+        return write_back(rows, lam_of(state))
+
+    def freeze(mask: np.ndarray, code: int, t: float, lam: np.ndarray) -> None:
+        """Freeze the live ``rows[mask]`` at t with lambda state ``lam[:, mask]``."""
+        which = rows[mask]
+        term[which] = code
+        stop_time[which] = t
+        write_back(which, lam[:, mask])
+
+    def pack(keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+        """The columns ``keep`` of each array, C-contiguous so that rows stay contiguous."""
+        return [x.compress(keep, axis=-1) for x in arrays]
+
+    # The live rows, ascending, and their packed state, B-mode and pending
+    # thresholds.  They are compacted only on a step where a row freezes.
+    rows = np.arange(p)
+    if scheme == Scheme.REGULARIZED_SWITCHING:
+        mode = state[0] < eps
+    else:
+        mode = np.zeros(p, dtype=bool)
+    pending = np.empty((0, p))
+    if levels:
+        pending = np.full((n_values, p), descending[0])
+        lam = lam_of(state)
+        hit = monitor(lam, 0.0)
+        if hit is not None and hit.any():
+            freeze(hit, _T_EVENT, 0.0, lam)
+            rows, state, mode, pending = pack(~hit, rows, state, mode, pending)
 
     rec_steps = None
     times = None
     traj = None
+    rec_pos: dict[int, int] = {}
     if record:
         rec_steps = sorted(set(range(0, n_steps + 1, config.record_stride)) | {n_steps})
         times = np.asarray(rec_steps, dtype=float) * dt
         traj = np.empty((p, len(rec_steps), n))
-        traj[:, 0, :] = lam_view.T
+        traj[:, 0, :] = synced().T
         rec_pos = {s: i for i, s in enumerate(rec_steps)}
 
     snap_steps: dict[int, list[float]] = {}
@@ -619,25 +655,23 @@ def simulate_batch(
         snap_steps.setdefault(s, []).append(float(t))
     snapshots: dict[float, np.ndarray] = {}
     for t in snap_steps.get(0, ()):
-        snapshots[t] = lam_view.T.copy()
+        snapshots[t] = synced().T.copy()
 
-    # Only the live rows are stepped.  ``rows`` changes only when a row
-    # freezes; while every row is live the step needs no gather or scatter.
     # Gaussian noise is drawn over the span of paths rows[0] .. rows[-1],
-    # whose rows equal those of any other draw covering the same paths.
-    rows, span_pick = live_rows()
+    # whose rows equal those of any other draw covering the same paths, and
+    # ``span_pick`` picks the live rows out of it.
+    span_pick = _span_pick(rows)
     for step in range(n_steps):
         if rows.size == 0:
-            if record:
-                for s in rec_steps:
-                    if s > step:
-                        traj[:, rec_pos[s], :] = lam_view.T
+            full = synced()
+            for s in rec_steps or ():
+                if s > step:
+                    traj[:, rec_pos[s], :] = full.T
             for s, probes in snap_steps.items():
                 if s > step:
                     for t in probes:
-                        snapshots[t] = lam_view.T.copy()
+                        snapshots[t] = full.T.copy()
             break
-        every = rows.size == p
         dw = None
         if scheme != Scheme.EXACT_CIR_SPLITTING:
             first_path = path_offset + int(rows[0])
@@ -651,80 +685,84 @@ def simulate_batch(
             dw = np.multiply(sqrt_dt, z, order="C")
         t_next = (step + 1) * dt
 
+        # ``cur`` keeps the pre-step state alive through the next step's noise
+        # draw, so that the next step's temporaries reuse its memory.  Freed
+        # any earlier, at 5000 rows the glibc heap shrinks and regrows on
+        # every step (about 90 page faults per step, measured with getrusage).
+        cur = state
         # Non-finite states are tolerated here and recorded as failures below.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            cur, mode = (state, mode_is_b) if every else (state[:, rows], mode_is_b[rows])
             new = _sort_columns(np.maximum(step_fn(cur, dw, mode), 0.0))
 
-        live = rows
+        # A failed row keeps its last finite state and sees no monitor.
         ok = np.isfinite(new).all(axis=0)
-        froze = not ok.all()
-        if froze:
-            freeze(rows[~ok], _T_FAIL, t_next)
-            live, new, mode = rows[ok], new[:, ok], mode[ok]
-            every = False
-        if every:
-            state = new
-        else:
-            state[:, live] = new
-        live_lam = new**2 if in_root else new
-        if not in_root:
-            lam_view = state
-        elif every:
-            lam_view = live_lam
-        else:
-            lam_view[:, live] = live_lam
-        _update_monitors(mon, level_axis, live_lam, None if every else live, t_next)
+        if not ok.all():
+            freeze(~ok, _T_FAIL, t_next, lam_of(cur))
+            rows, new, mode, pending = pack(ok, rows, new, mode, pending)
+            span_pick = _span_pick(rows)
+        state = new
+        lam = lam_of(new)
+        hit = monitor(lam, t_next) if levels else None
 
+        done = None
         if scheme == Scheme.REGULARIZED_SWITCHING:
             lam1 = new[0]
-            moving = ~((lam1 <= eps) & (new[1] - lam1 <= eps))
-            if not moving.all():
-                freeze(live[~moving], _T_ZETA, t_next)
-                froze = True
-            to_b = live[moving & ~mode & (lam1 <= eps / 2.0)]
-            to_a = live[moving & mode & (lam1 >= eps)]
+            halt = (lam1 <= eps) & (new[1] - lam1 <= eps)
+            if halt.any():
+                freeze(halt, _T_ZETA, t_next, lam)
+                done = halt
+            moving = ~halt
+            to_b = moving & ~mode & (lam1 <= eps / 2.0)
+            to_a = moving & mode & (lam1 >= eps)
             if track_switches:
-                for i in to_b:
+                for i in rows[to_b]:
                     switch_log[i].append((t_next, "B"))
-                for i in to_a:
+                for i in rows[to_a]:
                     switch_log[i].append((t_next, "A"))
-            mode_is_b[to_b] = True
-            mode_is_b[to_a] = False
+            mode[to_b] = True
+            mode[to_a] = False
         elif scheme == Scheme.C_EPSILON:
             s_eps = new[0] <= math.sqrt(eps)
             if s_eps.any():
-                freeze(live[s_eps], _T_S_EPS, t_next)
-                froze = True
+                freeze(s_eps, _T_S_EPS, t_next, lam)
+                done = s_eps
 
-        if stop_on is not None:
-            hit = np.isfinite(stop_first if every else stop_first[:, live]).any(axis=0)
-            if froze:
-                hit &= active[live]
+        if hit is not None:
+            if done is not None:
+                hit &= ~done
             if hit.any():
-                freeze(live[hit], _T_EVENT, t_next)
-                froze = True
+                freeze(hit, _T_EVENT, t_next, lam)
+                done = hit if done is None else done | hit
+        if done is not None:
+            rows, state, mode, pending = pack(~done, rows, state, mode, pending)
+            span_pick = _span_pick(rows)
 
-        if froze:
-            rows, span_pick = live_rows()
+        rec = rec_pos.get(step + 1)
+        probes = snap_steps.get(step + 1, ())
+        if rec is not None or probes:
+            full = synced()
+            if rec is not None:
+                traj[:, rec, :] = full.T
+            for t in probes:
+                snapshots[t] = full.T.copy()
 
-        if record and (step + 1) in rec_pos:
-            traj[:, rec_pos[step + 1], :] = lam_view.T
-        for t in snap_steps.get(step + 1, ()):
-            snapshots[t] = lam_view.T.copy()
-
+    kind_rows = _kind_rows(n)
+    monitors = {}
+    for lev in levels:
+        at = first[descending.index(lev)]
+        mon = {kind: at[kind_rows[kind]].T.copy() for kind in ("gap", "psum", "zeta")}
+        double = kind_rows["double"]
+        mon["double"] = np.full(p, np.nan) if double is None else at[double].copy()
+        monitors[lev] = mon
     return BatchResult(
         params=params,
         config=config,
         path_offset=path_offset,
         n_paths=p,
-        final_lambda=lam_view.T.copy(),
+        final_lambda=synced().T.copy(),
         stop_time=stop_time,
         terminated_code=term,
-        monitors={
-            lev: {kind: first[i].T.copy() for kind, first in mon.items()}
-            for i, lev in enumerate(levels)
-        },
+        monitors=monitors,
         times=times,
         trajectories=traj,
         snapshots=snapshots,

@@ -354,6 +354,39 @@ class TestErrors:
             run_cli(["simulate", "--scheme", "milstein"])
 
 
+class TestExitCodeContract:
+    """Bad input exits 1 with a one-line message on stderr, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, artifact, prefix",
+        [
+            (["simulate", "--config", "{cfg}"], "trajectories.csv", "config error: paths "),
+            (["verify", "--only", "abc"], "acceptance.csv", "config error: only "),
+            (["verify", "--only", "99"], "acceptance.csv", "config error: only "),
+            (["phase-diagram", "--sweep", "alpha=abc"], "sweep.csv", "config error: sweep "),
+            (["laplace-check", "--paths", "0"], "laplace.csv", "config error: paths "),
+            (["laplace-check", "--paths", "-1"], "laplace.csv", "config error: paths "),
+            (["laplace-check", "--paths", "1"], "laplace.csv", "config error: paths "),
+            (["laplace-check", "--paths", "10", "--mu", "-1"], "laplace.csv",
+             "config error: mu "),
+            (["stationary-compare", "--paths", "5", "--horizon", "0.01"], "stationary.csv",
+             "too few samples: "),
+        ],
+        ids=["config_paths_1e3", "verify_only_abc", "verify_only_99", "sweep_abc",
+             "laplace_paths_0", "laplace_paths_negative", "laplace_paths_1",
+             "laplace_mu_negative", "stationary_too_few_samples"],
+    )
+    def test_bad_input_exits_1_with_one_line(self, argv, artifact, prefix, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("paths=1e3\n")
+        argv = [arg.format(cfg=cfg) for arg in argv] + ["--out", str(tmp_path / "out")]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / artifact).exists()
+
+
 class TestVerifyCommand:
     def test_exit_codes_follow_results(self, monkeypatch, capsys):
         from cir_particles import acceptance as acc

@@ -516,6 +516,30 @@ class TestStopOnStatus:
             res.terminated(0)
 
 
+class TestStopPrecedence:
+    @pytest.mark.parametrize(
+        "scheme, alpha, start, stop_on, code",
+        [
+            # lambda_1 <= eps implies psum_1 <= 2 eps.
+            (Scheme.C_EPSILON, 0.4, [0.5, 1.0], ("psum", 1, 0.02), 1),
+            # lambda_1 <= eps and lambda_2 - lambda_1 <= eps imply psum_2 <= 3 eps.
+            (Scheme.REGULARIZED_SWITCHING, 1.0, [0.2, 0.5], ("psum", 2, 0.04), 2),
+        ],
+        ids=["c_epsilon", "regularized_switching"],
+    )
+    def test_scheme_stop_outranks_stop_on_on_the_same_step(
+        self, scheme, alpha, start, stop_on, code
+    ):
+        p = ModelParams(alpha=alpha, beta=0.5, gamma=0.5, n=2)
+        cfg = SimConfig(scheme=scheme, dt=1e-2, horizon=2.0, seed=3, epsilon=0.01)
+        res = simulate_batch(p, cfg, n_paths=200, initial=start, stop_on=stop_on)
+        own = res.terminated_code == code
+        assert own.sum() >= 10 and (res.terminated_code == 4).sum() >= 10
+        # The stop_on event fired on the scheme's stopping step as well.
+        hit = res.monitors[stop_on[-1]]["psum"][:, stop_on[1] - 1]
+        assert np.array_equal(hit[own], res.stop_time[own])
+
+
 class TestSnapshotTimes:
     @pytest.mark.parametrize(
         "times",
@@ -605,23 +629,38 @@ class TestBatchDecomposition:
             _assert_rows_match(alone, whole, i, i + 1)
 
 
+# alpha per scheme at n coordinates for the monitor tests; beta = 0.5.
+# c_epsilon needs kappa = alpha - (n-1)/2 < 0, regularized_switching a low
+# kappa so the A/B modes switch.
+_MONITOR_ALPHA = {
+    Scheme.TRUNCATED_EULER: lambda n: 1.0,
+    Scheme.REGULARIZED_SWITCHING: lambda n: 0.5 * (n - 1) + 0.2,
+    Scheme.ROOT_COORDINATES: lambda n: 1.0,
+    Scheme.C_EPSILON: lambda n: 0.5 * (n - 1) - 0.1,
+    Scheme.EXACT_CIR_SPLITTING: lambda n: 1.0,
+}
+
+
 class TestStackedMonitors:
+    # The n = 3 cases keep the bare scheme name as their id.
     @pytest.mark.parametrize(
-        "scheme",
-        [Scheme.TRUNCATED_EULER, Scheme.REGULARIZED_SWITCHING,
-         Scheme.ROOT_COORDINATES, Scheme.C_EPSILON],
+        "scheme, n",
+        [pytest.param(scheme, n, id=scheme.value if n == 3 else f"{scheme.value}-n{n}")
+         for scheme in Scheme for n in (3, 2, 4, 5)],
     )
-    def test_each_level_equals_a_run_at_that_level_alone(self, scheme):
-        params = ModelParams(alpha=_GAUSSIAN_ALPHA[scheme, 3], beta=0.5, gamma=0.5, n=3)
-        cfg = SimConfig(scheme=scheme, dt=1e-2, horizon=3.0, seed=9, epsilon=0.01)
-        initial = np.sort(np.random.default_rng(9).uniform(0.001, 0.5, (30, 3)), axis=1)
+    def test_each_level_equals_a_run_at_that_level_alone(self, scheme, n):
+        params = ModelParams(alpha=_MONITOR_ALPHA[scheme](n), beta=0.5, gamma=0.5, n=n)
+        cfg = SimConfig(scheme=scheme, dt=1e-2, horizon=2.0, seed=9, epsilon=0.01)
+        initial = np.sort(np.random.default_rng(9).uniform(0.001, 0.5, (30, n)), axis=1)
         stop_on = ("psum", 2, 1e-3)
-        levels = (1e-2, 1e-3, 1e-4)
+        # Unsorted, with a duplicate: the monitors keep the first-seen order.
+        levels = (1e-3, 1e-2, 1e-3, 3e-2)
         together = simulate_batch(params, cfg, n_paths=30, initial=initial,
                                   event_levels=levels, stop_on=stop_on)
+        assert list(together.monitors) == [1e-3, 1e-2, 3e-2]
         # Compaction: rows freeze at different steps, so the live set shrinks.
         assert np.unique(together.stop_time).size > 2
-        for lev in levels:
+        for lev in together.monitors:
             mon = together.monitors[lev]
             assert sum(np.isfinite(v).sum() for v in mon.values()) > 0
             alone = simulate_batch(params, cfg, n_paths=30, initial=initial,
@@ -632,6 +671,65 @@ class TestStackedMonitors:
                 assert mon[kind].shape == values.shape and mon[kind].flags.c_contiguous
                 assert np.array_equal(mon[kind], values, equal_nan=True)
             assert np.array_equal(alone.stop_time, together.stop_time)
+            assert np.array_equal(alone.final_lambda, together.final_lambda)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_double_is_two_small_gaps_in_a_recorded_step(self, n):
+        # Recorded every step, the first time two adjacent gaps are at or
+        # below the level is the double monitor's first hit.
+        params = ModelParams(alpha=1.0, beta=0.2, gamma=0.5, n=n)
+        cfg = SimConfig(dt=1e-2, horizon=2.0, seed=4)
+        initial = np.sort(np.random.default_rng(n).uniform(0.0, 2.0, (40, n)), axis=1)
+        levels = (0.005, 0.02)
+        res = simulate_batch(params, cfg, n_paths=40, initial=initial, event_levels=levels,
+                             record=True)
+        small = np.diff(res.trajectories, axis=2)[..., None] <= np.array(levels)
+        two = np.count_nonzero(small, axis=2) >= 2  # (P, recorded steps, levels)
+        for j, lev in enumerate(levels):
+            want = np.where(two[:, :, j].any(axis=1),
+                            res.times[np.argmax(two[:, :, j], axis=1)], np.nan)
+            assert np.isfinite(want).sum() >= 5
+            assert np.isnan(want).sum() >= 1
+            np.testing.assert_array_equal(res.monitors[lev]["double"], want)
+
+    def test_double_never_fires_with_one_gap(self):
+        params = ModelParams(alpha=1.0, beta=0.5, gamma=0.5, n=2)
+        cfg = SimConfig(dt=1e-2, horizon=1.0, seed=4)
+        res = simulate_batch(params, cfg, n_paths=4, initial=[0.0, 0.0], event_levels=(0.1,))
+        assert np.isfinite(res.monitors[0.1]["gap"]).all()
+        assert np.isnan(res.monitors[0.1]["double"]).all()
+
+
+class TestEveryRowFrozenAtStart:
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_batch_frozen_at_t0_returns_its_start(self, scheme, monkeypatch):
+        from cir_particles import integrators
+
+        drawn = []
+        for name in ("step_normals", "exact_step_decomposed"):
+            real = getattr(integrators, name)
+            monkeypatch.setattr(integrators, name,
+                                lambda *args, real=real: drawn.append(args) or real(*args))
+        n = 3
+        params = ModelParams(alpha=_MONITOR_ALPHA[scheme](n), beta=0.5, gamma=0.5, n=n)
+        cfg = SimConfig(scheme=scheme, dt=1e-2, horizon=0.5, seed=2, epsilon=0.01)
+        start = np.array([[0.0, 0.0, 0.5], [1e-4, 2e-4, 1.0]])
+        res = simulate_batch(params, cfg, n_paths=2, initial=start, event_levels=(1e-2,),
+                             stop_on=("psum", 1, 1e-3), record=True,
+                             snapshot_times=(0.0, 0.2, 0.5), track_switches=True)
+        assert drawn == []
+        assert np.array_equal(res.terminated_code, [4, 4])
+        assert np.array_equal(res.stop_time, [0.0, 0.0])
+        lam0 = res.trajectories[:, 0]
+        np.testing.assert_allclose(lam0, start, rtol=1e-15)
+        assert np.array_equal(res.trajectories,
+                              np.broadcast_to(lam0[:, None], res.trajectories.shape))
+        for t in (0.0, 0.2, 0.5):
+            assert np.array_equal(res.snapshots[t], lam0)
+        assert np.array_equal(res.final_lambda, lam0)
+        assert res.switch_log == [[], []]
+        for lev in (1e-2, 1e-3):
+            assert np.array_equal(res.monitors[lev]["psum"][:, 0], [0.0, 0.0])
 
 
 class TestNoiseTree:
