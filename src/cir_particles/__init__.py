@@ -30,6 +30,7 @@ from .events import (
     EventKind,
     EventLog,
     detect_events,
+    event_rows,
     event_values,
     first_passage_partial_sum,
 )

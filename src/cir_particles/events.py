@@ -8,10 +8,8 @@ dt-refinement quantify the induced bias.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from enum import Enum
-from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -28,6 +26,7 @@ __all__ = [
     "EventKind",
     "EventLog",
     "detect_events",
+    "event_rows",
     "event_values",
     "first_passage_partial_sum",
 ]
@@ -70,19 +69,18 @@ class EventLog:
         return None
 
 
-@functools.lru_cache(maxsize=None)
-def _kind_rows(n: int) -> MappingProxyType:
-    """Rows of :func:`event_values` per event kind for n coordinates, read-only.
+def event_rows(n: int) -> dict:
+    """Rows of :func:`event_values` per event kind at n coordinates.
 
     ``gap`` and ``psum`` are slices, ``zeta`` and ``double`` row indices;
-    ``double`` is None at n = 2, which has a single gap.
+    there are K = 2n + 1 rows.
     """
-    return MappingProxyType({
+    return {
         "gap": slice(0, n - 1),
         "psum": slice(n - 1, 2 * n - 1),
         "zeta": 2 * n - 1,
-        "double": 2 * n if n >= 3 else None,
-    })
+        "double": 2 * n,
+    }
 
 
 def event_values(lam: np.ndarray) -> np.ndarray:
@@ -90,17 +88,18 @@ def event_values(lam: np.ndarray) -> np.ndarray:
 
     Row i of ``lam`` holds coordinate i of every one of the R states.  An
     event holds at detection level delta exactly when its value is <= delta.
-    The rows are the n-1 adjacent gaps lambda_{i+1} - lambda_i, the n partial
-    sums lambda_1 + ... + lambda_k, zeta = max(lambda_1, lambda_2 - lambda_1)
-    (the joint event lambda_1 <= delta and lambda_2 - lambda_1 <= delta), and
-    for n >= 3 the second-smallest gap (two distinct small gaps in the same
-    column, the double event).  The boundary case, the joint event together
-    with a small gap above the first, is a double event because the joint
-    event's first gap is small.  K is 2n at n = 2 and 2n + 1 above.
+    The rows, laid out by :func:`event_rows`, are the n-1 adjacent gaps
+    lambda_{i+1} - lambda_i, the n partial sums lambda_1 + ... + lambda_k,
+    zeta = max(lambda_1, lambda_2 - lambda_1) (the joint event lambda_1 <=
+    delta and lambda_2 - lambda_1 <= delta), and the second-smallest gap (two
+    distinct small gaps in the same column, the double event), NaN at n = 2,
+    which has one gap.  The boundary case, the joint event together with a
+    small gap above the first, is a double event because the joint event's
+    first gap is small.
     """
     n = lam.shape[0]
-    rows = _kind_rows(n)
-    values = np.empty((2 * n + (n >= 3),) + lam.shape[1:])
+    rows = event_rows(n)
+    values = np.empty((2 * n + 1,) + lam.shape[1:])
     gaps = values[rows["gap"]]
     np.subtract(lam[1:], lam[:-1], out=gaps)
     # Row adds give np.cumsum's bits without its cost along the short axis.
@@ -109,10 +108,13 @@ def event_values(lam: np.ndarray) -> np.ndarray:
     for k in range(1, n):
         np.add(psums[k - 1], lam[k], out=psums[k])
     np.maximum(lam[0], gaps[0], out=values[rows["zeta"]])
-    # NaN gaps sort last and np.maximum keeps them, so a NaN is never small.
-    if n == 3:
+    # NaN is never <= a level, and NaN gaps sort last and np.maximum keeps
+    # them, so a NaN is never small.
+    if n == 2:
+        values[rows["double"]] = np.nan
+    elif n == 3:
         np.maximum(gaps[0], gaps[1], out=values[rows["double"]])
-    elif n > 3:
+    else:
         values[rows["double"]] = np.sort(gaps, axis=0)[1]
     return values
 
@@ -129,7 +131,7 @@ def detect_events(path: "PathRecord", delta: float) -> EventLog:
         raise ValueError(f"delta must be > 0, got {delta}")
     times = np.asarray(path.times, dtype=float)
     lam = np.asarray(path.lambdas, dtype=float).T
-    rows = _kind_rows(lam.shape[0])
+    rows = event_rows(lam.shape[0])
     below = event_values(lam) <= delta
     log = EventLog()
 
@@ -149,9 +151,7 @@ def detect_events(path: "PathRecord", delta: float) -> EventLog:
         )
 
     small = below[rows["gap"]]
-    doubles = np.zeros(0, dtype=int)  # n = 2 has no double event
-    if rows["double"] is not None:
-        doubles = np.flatnonzero(below[rows["double"]])
+    doubles = np.flatnonzero(below[rows["double"]])
     for step in doubles:
         idx = np.flatnonzero(small[:, step]) + 1
         for a in range(idx.size):

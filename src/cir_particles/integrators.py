@@ -85,7 +85,7 @@ import numpy as np
 
 from .cirprocess import CirParams, exact_step_decomposed
 from .errors import ConfigError
-from .events import _kind_rows, event_values
+from .events import event_rows, event_values
 from .model import ModelParams, interaction_sum
 from .randomness import exact_step_stream, step_normals
 
@@ -457,11 +457,11 @@ def _stop_rule(stop_on, n: int) -> tuple[float, slice]:
     """
     rule = tuple(stop_on) if isinstance(stop_on, (tuple, list)) else ()
     if len(rule) == 2 and rule[0] == "gap_any":
-        return _level(rule[1], "stop_on level"), _kind_rows(n)["gap"]
+        return _level(rule[1], "stop_on level"), event_rows(n)["gap"]
     if len(rule) == 3 and rule[0] == "psum":
         k = rule[1]
         if isinstance(k, (int, np.integer)) and not isinstance(k, bool) and 1 <= k <= n:
-            row = _kind_rows(n)["psum"].start + k - 1
+            row = event_rows(n)["psum"].start + k - 1
             return _level(rule[2], "stop_on level"), slice(row, row + 1)
     raise ConfigError(f"invalid stop_on rule {stop_on!r}")
 
@@ -560,15 +560,9 @@ def simulate_batch(
     # Pending-threshold monitors.  A hit at one level is a hit at every larger
     # level, so the levels of an (event, row) pair fire largest first, and
     # its pending threshold is the largest level not yet fired (-inf once all
-    # have).  ``first`` holds the first-hit times, levels in descending order.
-    descending = sorted(levels, reverse=True)
-    ascending = np.array(descending[::-1])
-    # The threshold left once the levels at or above a value have fired,
-    # indexed by the number of levels below that value.
-    pending_below = np.array([-math.inf] + descending[::-1])
-    level_col = np.array(descending)[:, None]
-    n_values = event_values(state[:, :0]).shape[0]
-    first = np.full((len(levels), n_values, p), np.nan)
+    # have).  ``first`` holds the first-hit times, levels in ascending order.
+    ascending = np.array(sorted(levels))
+    first = np.full((len(levels), 2 * n + 1, p), np.nan)
 
     def monitor(lam: np.ndarray, t: float):
         """Stamp t on the pending levels the live rows reached; their stop_on hits.
@@ -582,12 +576,15 @@ def simulate_batch(
         if not crossed.size:
             return None
         value = values.take(crossed)
+        level_col = ascending[:, None]
         fresh_level, fresh = np.nonzero(
             (value <= level_col) & (level_col <= pending.take(crossed))
         )
         kinds, cols = np.divmod(crossed[fresh], values.shape[1])
         first[fresh_level, kinds, rows[cols]] = t
-        np.put(pending, crossed, pending_below[np.searchsorted(ascending, value)])
+        # The levels >= value have fired; the largest one below it is pending.
+        below = np.searchsorted(ascending, value)
+        np.put(pending, crossed, np.where(below > 0, ascending[below - 1], -math.inf))
         if stop_on is None:
             return None
         return (values[stop_rows] <= stop_level).any(axis=0)
@@ -629,7 +626,7 @@ def simulate_batch(
         mode = np.zeros(p, dtype=bool)
     pending = np.empty((0, p))
     if levels:
-        pending = np.full((n_values, p), descending[0])
+        pending = np.full((2 * n + 1, p), ascending[-1])
         lam = lam_of(state)
         hit = monitor(lam, 0.0)
         if hit is not None and hit.any():
@@ -746,14 +743,10 @@ def simulate_batch(
             for t in probes:
                 snapshots[t] = full.T.copy()
 
-    kind_rows = _kind_rows(n)
     monitors = {}
     for lev in levels:
-        at = first[descending.index(lev)]
-        mon = {kind: at[kind_rows[kind]].T.copy() for kind in ("gap", "psum", "zeta")}
-        double = kind_rows["double"]
-        mon["double"] = np.full(p, np.nan) if double is None else at[double].copy()
-        monitors[lev] = mon
+        at = first[np.searchsorted(ascending, lev)]
+        monitors[lev] = {kind: at[row].T.copy() for kind, row in event_rows(n).items()}
     return BatchResult(
         params=params,
         config=config,

@@ -642,22 +642,27 @@ _MONITOR_ALPHA = {
 
 
 class TestStackedMonitors:
-    # The n = 3 cases keep the bare scheme name as their id.
+    # The n = 3 Gaussian cases keep the bare scheme name as their id.  The
+    # other cases take unsorted levels with a duplicate, which the monitors
+    # keep in first-seen order; 1e-4 lies below the stop level, so it can
+    # fire on the step a row freezes.
     @pytest.mark.parametrize(
-        "scheme, n",
-        [pytest.param(scheme, n, id=scheme.value if n == 3 else f"{scheme.value}-n{n}")
-         for scheme in Scheme for n in (3, 2, 4, 5)],
+        "scheme, n, alpha, levels",
+        [pytest.param(scheme, 3, _GAUSSIAN_ALPHA[scheme, 3], (1e-2, 1e-3, 1e-4), id=scheme.value)
+         for scheme in (Scheme.TRUNCATED_EULER, Scheme.REGULARIZED_SWITCHING,
+                        Scheme.ROOT_COORDINATES, Scheme.C_EPSILON)]
+        + [pytest.param(scheme, n, _MONITOR_ALPHA[scheme](n), (1e-3, 1e-2, 1e-4, 1e-3, 3e-2),
+                        id=f"{scheme.value}-n{n}-unsorted")
+           for scheme in Scheme for n in (2, 3, 4, 5)],
     )
-    def test_each_level_equals_a_run_at_that_level_alone(self, scheme, n):
-        params = ModelParams(alpha=_MONITOR_ALPHA[scheme](n), beta=0.5, gamma=0.5, n=n)
-        cfg = SimConfig(scheme=scheme, dt=1e-2, horizon=2.0, seed=9, epsilon=0.01)
+    def test_each_level_equals_a_run_at_that_level_alone(self, scheme, n, alpha, levels):
+        params = ModelParams(alpha=alpha, beta=0.5, gamma=0.5, n=n)
+        cfg = SimConfig(scheme=scheme, dt=1e-2, horizon=3.0, seed=9, epsilon=0.01)
         initial = np.sort(np.random.default_rng(9).uniform(0.001, 0.5, (30, n)), axis=1)
         stop_on = ("psum", 2, 1e-3)
-        # Unsorted, with a duplicate: the monitors keep the first-seen order.
-        levels = (1e-3, 1e-2, 1e-3, 3e-2)
         together = simulate_batch(params, cfg, n_paths=30, initial=initial,
                                   event_levels=levels, stop_on=stop_on)
-        assert list(together.monitors) == [1e-3, 1e-2, 3e-2]
+        assert list(together.monitors) == list(dict.fromkeys(levels))
         # Compaction: rows freeze at different steps, so the live set shrinks.
         assert np.unique(together.stop_time).size > 2
         for lev in together.monitors:
