@@ -9,12 +9,15 @@ Monte Carlo.  The zero-hit verdicts live in
 Gamma law of the sum in :func:`cir_particles.stationary.gamma_sum_law`.
 
 The exact transition c * chi'^2_nu(nc) has two samplers.
-:func:`exact_step` draws it as a Poisson mixture of Gammas; it is the oracle
-of the acceptance criteria and the tests.  :func:`exact_step_decomposed`
-draws the same law as c * ((Z + sqrt(nc))^2 + chi^2_{nu-1}) for nu >= 1,
-one normal plus at most one Gamma per entry, and drives the
-``exact_cir_splitting`` scheme.  Keeping both means the scheme is never
-checked against its own sampler.
+:func:`exact_step_decomposed` draws every exact path: the
+``exact_cir_splitting`` scheme and :func:`integrated_sum_paths`.  For
+nu >= 1 it draws c * ((Z + sqrt(nc))^2 + chi^2_{nu-1}), one normal plus at
+most one more normal or Gamma per entry.  :func:`exact_step` draws the law
+as a Poisson mixture of Gammas and is kept as an oracle only: it gives the
+reference sample of acceptance criterion 1, serves the decomposed sampler
+below nu = 1, where the split does not exist, and checks it in the tests.
+Criterion 7 checks the exact-path Monte Carlo against the closed-form
+:func:`integrated_laplace`, not against a second sampler.
 """
 
 from __future__ import annotations
@@ -121,10 +124,11 @@ def exact_step_decomposed(cir: CirParams, r, dt: float, rng: np.random.Generator
     For nu = 4a/sigma^2 >= 1 the noncentral chi-square splits into a shifted
     squared normal and an independent central chi-square with nu - 1 degrees
     of freedom (Glasserman, Monte Carlo Methods in Financial Engineering,
-    2003, sec. 3.4): Z comes from ``rng.standard_normal`` and the chi-square
-    from ``rng.gamma((nu - 1)/2, 2)``, drawn only when nu > 1.  Below nu = 1
-    the split does not exist and this is :func:`exact_step`.  An infinite
-    noncentrality gives inf and a NaN one NaN.
+    2003, sec. 3.4).  Z comes from one ``rng.standard_normal`` block.  The
+    chi-square is drawn only when nu > 1: at nu = 2 as the square of a second
+    standard normal block, otherwise from ``rng.gamma((nu - 1)/2, 2)``.  Below
+    nu = 1 the split does not exist and this is :func:`exact_step`.  An
+    infinite noncentrality gives inf and a NaN one NaN.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -136,7 +140,11 @@ def exact_step_decomposed(cir: CirParams, r, dt: float, rng: np.random.Generator
     out += root_nc
     np.square(out, out=out)
     if nu > 1.0:
-        out += rng.gamma((nu - 1.0) / 2.0, 2.0, out.shape)
+        if nu == 2.0:  # chi^2_1 = Z'^2, several times cheaper than Gamma(1/2)
+            extra = rng.standard_normal(out.shape)
+            out += np.square(extra, out=extra)
+        else:
+            out += rng.gamma((nu - 1.0) / 2.0, 2.0, out.shape)
     out *= c
     return out if out.ndim else float(out)
 
@@ -208,9 +216,12 @@ def integrated_sum_paths(
     """Monte Carlo samples of integral_0^t S_s ds for the coordinate sum S.
 
     Advances ``n_paths`` copies of the sum process from ``sum0`` with exact
-    transitions of step ``dt``, integrates them by the trapezoid rule, and
-    returns the integrals at each probe time.  Probe times are taken on the
-    grid k*dt at k = round(t/dt); callers check they lie on it.
+    transitions of step ``dt`` drawn by :func:`exact_step_decomposed`
+    (nu = n*alpha), integrates them by the trapezoid rule, and returns the
+    integrals at each probe time.  Probe times are taken on the grid k*dt at
+    k = round(t/dt); callers check they lie on it.  A run that explodes
+    (gamma < 0 over a long horizon) returns non-finite integrals, which
+    callers must check.
     """
     cir = sum_process(params)
     probe_at = {int(round(t / dt)): t for t in probe_times}
@@ -218,7 +229,7 @@ def integrated_sum_paths(
     integral = np.zeros(n_paths)
     probes: dict[float, np.ndarray] = {}
     for s in range(1, max(probe_at) + 1):
-        r_new = exact_step(cir, r, dt, rng)
+        r_new = exact_step_decomposed(cir, r, dt, rng)
         integral += 0.5 * (r + r_new) * dt
         r = r_new
         if s in probe_at:

@@ -402,8 +402,11 @@ def cmd_stationary_compare(args) -> int:
 def cmd_laplace_check(args) -> int:
     values = _resolve(args)
     params = _model(values)
-    mus = getattr(args, "mu", None) or [0.5, 1.0]
-    t_probes = sorted(getattr(args, "t_probe", None) or [0.5, 1.0, 2.0])
+    # --mu / --t replace a config file's mu= / t=, which replace the defaults.
+    mus = getattr(args, "mu", None) or ([values["mu"]] if "mu" in values else [0.5, 1.0])
+    t_probes = sorted(
+        getattr(args, "t_probe", None) or ([values["t"]] if "t" in values else [0.5, 1.0, 2.0])
+    )
     n_paths = values["paths"]
     if n_paths < 2:
         raise ConfigError(f"paths must be >= 2 for a Monte Carlo stderr, got {n_paths}")
@@ -420,9 +423,16 @@ def cmd_laplace_check(args) -> int:
             )
     sum0 = float(_start(values, params.n).sum())
     out = _out_dir(values, args)
-    probes = integrated_sum_paths(
-        params, sum0, n_paths, sub_dt, t_probes, rng_streams(values["seed"], 0)
-    )
+    # An exploding sum overflows to inf; that is reported below, not warned about.
+    with np.errstate(over="ignore"):
+        probes = integrated_sum_paths(
+            params, sum0, n_paths, sub_dt, t_probes, rng_streams(values["seed"], 0)
+        )
+    for tp in t_probes:
+        if not np.isfinite(probes[tp]).all():
+            print(f"numerical failure: the integrated sum is not finite at t={tp:g}",
+                  file=sys.stderr)
+            return 3
     lines = [
         _header("laplace-check", _run_fields(values, _LAPLACE_FIELDS)),
         "mu,t,closed_form,mc_estimate,mc_stderr,z_score",

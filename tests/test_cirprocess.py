@@ -98,6 +98,18 @@ class TestExactStep:
         assert math.isnan(exact_step(cir, math.inf, 0.9, rng_streams(18, 0)))
 
 
+class _SpyGenerator:
+    """A generator that records the name of every method drawn from it."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self._rng, name)
+
+
 def transition_cdf(cir: CirParams, r0: float, dt: float):
     """Independent oracle: CDF of the exact CIR step, c * chi'^2_nu(nc), for b != 0."""
     decay = math.exp(-cir.b * dt)
@@ -109,7 +121,7 @@ def transition_cdf(cir: CirParams, r0: float, dt: float):
 
 class TestExactStepDecomposed:
     @pytest.mark.parametrize("r0", [1e-3, 1.0, 50.0])
-    @pytest.mark.parametrize("nu", [1.0, 1.6, 2.0, 4.0])
+    @pytest.mark.parametrize("nu", [1.0, 1.6, 2.0, 3.0, 4.0])
     def test_law_is_the_noncentral_chi_square(self, nu, r0):
         cir = CirParams(a=nu, b=1.0, sigma=2.0)  # nu = 4a/sigma^2
         rng = rng_streams(21, int(10 * nu))
@@ -117,7 +129,7 @@ class TestExactStepDecomposed:
         d, p = ks_test(samples, transition_cdf(cir, r0, 0.5))
         assert p >= 1e-3, (d, p)
 
-    @pytest.mark.parametrize("nu", [1.0, 1.6, 4.0])
+    @pytest.mark.parametrize("nu", [1.0, 1.6, 2.0, 3.0, 4.0])
     def test_mean_and_variance_match_closed_forms(self, nu):
         cir = CirParams(a=nu, b=1.0, sigma=2.0)
         rng = rng_streams(22, int(10 * nu))
@@ -130,6 +142,26 @@ class TestExactStepDecomposed:
         m4 = np.mean((samples - samples.mean()) ** 4)
         se_var = math.sqrt((m4 - var**2) / samples.size)
         assert abs(var - transition_variance(cir, 1.0, dt)) <= 5 * se_var
+
+    @pytest.mark.parametrize("nu, draws", [
+        (1.0, ["standard_normal"]),
+        (2.0, ["standard_normal", "standard_normal"]),
+        (3.0, ["standard_normal", "gamma"]),
+    ])
+    def test_generator_calls(self, nu, draws):
+        # At nu = 2 the chi^2_1 part is a squared normal, never numpy's slow Gamma(1/2).
+        cir = CirParams(a=nu, b=1.0, sigma=2.0)
+        r = np.array([0.0, 0.3, 2.0, 40.0])
+        spy = _SpyGenerator(rng_streams(25, 0))
+        got = exact_step_decomposed(cir, r, 0.1, spy)
+        assert spy.calls == draws
+        if nu == 2.0:
+            rng = rng_streams(25, 0)
+            z, z2 = rng.standard_normal(r.shape), rng.standard_normal(r.shape)
+            decay = math.exp(-0.1)
+            c = 1.0 - decay  # sigma^2 (1 - e^{-b dt}) / (4 b)
+            want = c * ((z + np.sqrt(r * decay / c)) ** 2 + z2**2)
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_below_nu_one_it_is_the_poisson_gamma_sampler(self):
         cir = CirParams(a=0.6, b=1.0, sigma=2.0)  # nu = 0.6
@@ -210,6 +242,15 @@ class TestIntegratedLaplace:
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         closed = integrated_laplace(p, 1.0, 0.5, 1.0).value
         assert abs(vals.mean() - closed) <= 4 * se
+
+    def test_one_step_is_the_exact_transition(self):
+        # After one step of dt the trapezoid integral is (sum0 + r1) dt / 2.
+        p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
+        sum0, dt = 3.0, 0.25
+        integral = self._integral_samples(p, sum0, dt, m=50_000, h=dt, key=13)
+        r1 = 2.0 * integral / dt - sum0
+        d, pval = ks_test(r1, transition_cdf(sum_process(p), sum0, dt))
+        assert pval >= 1e-3, (d, pval)
 
     def test_prefactor_scales_with_n_not_two(self):
         # The phi prefactor is n*alpha: at n=3 the 2*alpha variant is far off.

@@ -2,6 +2,7 @@
 
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +246,49 @@ class TestLaplaceCheck:
         assert len(zs) == 6
         assert max(zs) <= 5.0
 
+    def test_draws_no_poisson_gamma_oracle_step(self, tmp_path, monkeypatch, capsys):
+        from cir_particles import cirprocess
+
+        calls = []
+        real = cirprocess.exact_step
+        monkeypatch.setattr(cirprocess, "exact_step",
+                            lambda *args: calls.append(args) or real(*args))
+        argv = ["laplace-check", "--alpha", "2", "--beta", "0.5", "--gamma", "1",
+                "--n", "2", "--paths", "200", "--dt", "5e-3", "--out", str(tmp_path)]
+        assert run_cli(argv) == 0
+        assert calls == []
+
+    def test_mu_and_t_from_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mu=3.0\nt=0.25\npaths=10\ndt=0.05\n")
+        argv = ["laplace-check", "--config", str(cfg)]
+
+        def rows(out):
+            lines = (tmp_path / out / "laplace.csv").read_text().splitlines()[2:]
+            return [tuple(line.split(",")[:2]) for line in lines]
+
+        assert run_cli(argv + ["--out", str(tmp_path / "cfg")]) == 0
+        assert rows("cfg") == [("3", "0.25")]
+        # A flag replaces the config value of its own field only.
+        assert run_cli(argv + ["--mu", "1", "--mu", "2", "--out", str(tmp_path / "mu")]) == 0
+        assert rows("mu") == [("1", "0.25"), ("2", "0.25")]
+        assert run_cli(argv + ["--t", "0.5", "--out", str(tmp_path / "t")]) == 0
+        assert rows("t") == [("3", "0.5")]
+
+    @pytest.mark.parametrize("alpha", ["2", "0.3"])
+    def test_exploding_sum_is_a_numerical_failure(self, alpha, tmp_path, capsys):
+        # gamma = -5: the sum grows like e^{10 t}, past the largest double
+        # (about e^{709}) well before t = 100.  At n*alpha = 4 the draw
+        # overflows to inf; at n*alpha = 0.6 the Poisson-Gamma draw gives NaN.
+        argv = ["laplace-check", "--alpha", alpha, "--beta", "0.5", "--gamma", "-5",
+                "--n", "2", "--paths", "50", "--dt", "0.5", "--t", "100", "--mu", "0.5",
+                "--out", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert not (tmp_path / "laplace.csv").exists()
 
     def test_header_lists_only_what_laplace_check_reads(self, tmp_path, capsys):
         from cir_particles import __version__
