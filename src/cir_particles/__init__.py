@@ -28,7 +28,6 @@ from .errors import (
 from .events import (
     Event,
     EventKind,
-    EventLog,
     detect_events,
     event_rows,
     event_values,
@@ -80,6 +79,7 @@ from .stats import (
     ks_test,
     ks_test_two_sample,
     moment_summary,
+    z_score,
 )
 
 __version__ = "0.1.0"

@@ -7,9 +7,10 @@ comment recording the code version, the command and the inputs it reads
 own header.  Exit codes: 0 ok, 1 config error, 2 acceptance failure,
 3 numerical failure.
 
-``simulate`` runs all ``--paths`` rows as one recorded batch and cuts each row
-into its trajectory and event log.  Every simulating command starts from
-``--x0`` when given; ``laplace-check`` starts the coordinate sum at its sum.
+``simulate`` runs all ``--paths`` rows as one recorded batch, monitored at
+``--collision-tol``, and cuts each row into its trajectory and event rows.
+Every simulating command starts from ``--x0`` when given; ``laplace-check``
+starts the coordinate sum at its sum.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .events import detect_events, first_passage_partial_sum
 from .integrators import Scheme, SimConfig, Terminated, grid_step, simulate_batch
 from .model import ModelParams, classify_regime, multiple_collision_threshold
 from .randomness import rng_streams
-from .stats import empirical_laplace
+from .stats import empirical_laplace, z_score
 
 _FLOAT_KEYS = {
     "alpha", "beta", "gamma", "dt", "horizon", "epsilon", "collision_tol",
@@ -224,10 +225,6 @@ def _out_dir(values: dict, args) -> Path:
     return path
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def cmd_simulate(args) -> int:
     values = _resolve(args)
     params = _model(values)
@@ -237,8 +234,9 @@ def cmd_simulate(args) -> int:
 
     res = simulate_batch(
         params, config, initial=initial, record=True,
-        track_switches=config.scheme == Scheme.REGULARIZED_SWITCHING,
+        event_levels=[config.collision_tol],
     )
+    events = detect_events(res, config.collision_tol)
     failures = 0
     header = _header("simulate", _run_fields(values))
     traj_lines = [header,
@@ -248,14 +246,12 @@ def cmd_simulate(args) -> int:
         record = res.path_record(path_id)
         if record.terminated == Terminated.NUMERICAL_FAILURE:
             failures += 1
-        # repr of the .tolist() floats is _fmt's text without a float() per value.
+        # Times, states and event fields are Python floats: repr is their text.
         for t, row in zip(record.times.tolist(), record.lambdas.tolist()):
             traj_lines.append(f"{path_id},{t!r}," + ",".join(map(repr, row)))
-        for ev in detect_events(record, config.collision_tol).events:
+        for ev in events[path_id]:
             idx = "" if ev.index is None else ev.index
-            event_lines.append(
-                f"{path_id},{ev.kind.value},{idx},{_fmt(ev.time)},{_fmt(ev.level)}"
-            )
+            event_lines.append(f"{path_id},{ev.kind.value},{idx},{ev.time!r},{ev.level!r}")
     (out / "trajectories.csv").write_text("\n".join(traj_lines) + "\n")
     (out / "events.csv").write_text("\n".join(event_lines) + "\n")
     print(f"wrote {out / 'trajectories.csv'} and {out / 'events.csv'}")
@@ -310,6 +306,8 @@ def _parse_sweep(spec: str) -> list[dict]:
 
 def cmd_phase_diagram(args) -> int:
     values = _resolve(args)
+    if values["paths"] < 0:
+        raise ConfigError(f"paths must be >= 0 (0 skips the simulation), got {values['paths']}")
     grid = _parse_sweep(args.sweep)
     initial = _initial(values, values["n"])
     out = _out_dir(values, args)
@@ -437,18 +435,18 @@ def cmd_laplace_check(args) -> int:
         _header("laplace-check", _run_fields(values, _LAPLACE_FIELDS)),
         "mu,t,closed_form,mc_estimate,mc_stderr,z_score",
     ]
-    worst = 0.0
+    zs = []
     for tp in t_probes:
         for mu in mus:
             query = integrated_laplace(params, sum0, mu, tp)
             emp = empirical_laplace(probes[tp], mu)
-            z = (emp.estimate - query.value) / emp.stderr if emp.stderr else 0.0
-            worst = max(worst, abs(z))
+            zs.append(z_score(emp, query.value))
             lines.append(
                 f"{mu:g},{tp:g},{query.value:.8g},{emp.estimate:.8g},"
-                f"{emp.stderr:.4g},{z:.4g}"
+                f"{emp.stderr:.4g},{zs[-1]:.4g}"
             )
     (out / "laplace.csv").write_text("\n".join(lines) + "\n")
+    worst = float(np.max(np.abs(zs)))  # a NaN z stays NaN, as max() would not keep it
     print(f"wrote {out / 'laplace.csv'} (worst |z| = {worst:.2f})")
     return 0
 
@@ -506,6 +504,9 @@ def main(argv=None) -> int:
         return 1
     except TooFewSamples as exc:
         print(f"too few samples: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"config error: the run does not fit in memory ({exc})", file=sys.stderr)
         return 1
 
 

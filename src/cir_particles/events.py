@@ -1,30 +1,32 @@
 """Collision and first-passage machinery.
 
-Event times are grid times: an event is reported at the first recorded step
-where its defining inequality holds at level delta.  "Simultaneous" means
-same recorded step, the only decidable notion on a grid; the delta-ladder and
-dt-refinement quantify the induced bias.
+Event times are grid times: an event is reported at the first step of the
+run where its defining inequality holds at level delta, as the batch kernel's
+online monitors stamp it from :func:`event_values` at every step, whatever
+the recording stride.  "Simultaneous" means same step, the only decidable
+notion on a grid; the delta-ladder and dt-refinement quantify the induced
+bias.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import BadK
+from .errors import BadK, ConfigError
 from .model import ModelParams
 from .stats import StatSummary, binomial_summary
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .integrators import PathRecord, SimConfig
+    from .integrators import BatchResult, SimConfig
 
 __all__ = [
     "Event",
     "EventKind",
-    "EventLog",
     "detect_events",
     "event_rows",
     "event_values",
@@ -47,26 +49,6 @@ class Event:
     kind: EventKind
     index: int | None
     level: float
-
-
-@dataclass
-class EventLog:
-    """Detected events plus flagged same-step double observations.
-
-    ``multiple_collisions`` lists (time, i, j) for recorded steps where two
-    distinct adjacent gaps were both at or below the detection level; the
-    boundary case (a pair event at i >= 2 while lambda_1 and the first gap
-    are both small) is included with i = 0.
-    """
-
-    events: list[Event] = field(default_factory=list)
-    multiple_collisions: list[tuple[float, int, int]] = field(default_factory=list)
-
-    def first(self, kind: EventKind, index: int | None = None) -> Event | None:
-        for ev in self.events:
-            if ev.kind == kind and (index is None or ev.index == index):
-                return ev
-        return None
 
 
 def event_rows(n: int) -> dict:
@@ -119,65 +101,37 @@ def event_values(lam: np.ndarray) -> np.ndarray:
     return values
 
 
-def detect_events(path: "PathRecord", delta: float) -> EventLog:
-    """Scan a recorded trajectory for first crossings at level delta.
+def detect_events(result: "BatchResult", delta: float) -> list[list[Event]]:
+    """Event rows of every path of a batch monitored at level delta.
 
-    Logs, per adjacent pair i, the first time lambda_{i+1} - lambda_i <=
-    delta; per k, the first time lambda_1 + ... + lambda_k <= delta; the
-    first joint time (lambda_1 <= delta and lambda_2 - lambda_1 <= delta);
-    and the scheme stop event if the path terminated at S_eps or zeta_eps.
+    Per path: the first hit of each gap i = 1..n-1, each partial sum k =
+    1..n and zeta, as the online monitors stamped them, then the stop at
+    S_eps or zeta_eps at level epsilon, stable-sorted by time.  ConfigError
+    when delta was not monitored.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
-    times = np.asarray(path.times, dtype=float)
-    lam = np.asarray(path.lambdas, dtype=float).T
-    rows = event_rows(lam.shape[0])
-    below = event_values(lam) <= delta
-    log = EventLog()
-
-    for kind, key in (
-        (EventKind.PAIR_COLLISION, "gap"),
-        (EventKind.ZERO_HIT_PARTIAL_SUM, "psum"),
-    ):
-        for i, row in enumerate(below[rows[key]]):
-            hits = np.flatnonzero(row)
-            if hits.size:
-                log.events.append(Event(float(times[hits[0]]), kind, i + 1, delta))
-    zeta = below[rows["zeta"]]
-    hits = np.flatnonzero(zeta)
-    if hits.size:
-        log.events.append(
-            Event(float(times[hits[0]]), EventKind.JOINT_EVENT_ZETA, None, delta)
-        )
-
-    small = below[rows["gap"]]
-    doubles = np.flatnonzero(below[rows["double"]])
-    for step in doubles:
-        idx = np.flatnonzero(small[:, step]) + 1
-        for a in range(idx.size):
-            for b in range(a + 1, idx.size):
-                log.multiple_collisions.append(
-                    (float(times[step]), int(idx[a]), int(idx[b]))
-                )
-    for step in doubles[zeta[doubles]]:
-        for j in np.flatnonzero(small[1:, step]) + 2:
-            log.multiple_collisions.append((float(times[step]), 0, int(j)))
-
     from .integrators import Terminated
 
-    if path.terminated == Terminated.STOPPED_AT_S_EPS:
-        log.events.append(
-            Event(path.stop_time, EventKind.STOP_S, None, path.config.epsilon)
-        )
-    elif path.terminated == Terminated.STOPPED_AT_ZETA_EPS:
-        log.events.append(
-            Event(
-                path.stop_time, EventKind.JOINT_EVENT_ZETA, None, path.config.epsilon
-            )
-        )
-
-    log.events.sort(key=lambda e: e.time)
-    return log
+    delta = float(delta)
+    mon = result.monitors.get(delta)
+    if mon is None:
+        raise ConfigError(f"delta={delta!r} was not monitored, only {sorted(result.monitors)}")
+    n, eps = result.params.n, float(result.config.epsilon)
+    kinds = [(EventKind.PAIR_COLLISION, i) for i in range(1, n)]
+    kinds += [(EventKind.ZERO_HIT_PARTIAL_SUM, k) for k in range(1, n + 1)]
+    kinds.append((EventKind.JOINT_EVENT_ZETA, None))
+    stops = {
+        Terminated.STOPPED_AT_S_EPS: EventKind.STOP_S,
+        Terminated.STOPPED_AT_ZETA_EPS: EventKind.JOINT_EVENT_ZETA,
+    }
+    out = []
+    hits = np.column_stack([mon["gap"], mon["psum"], mon["zeta"]]).tolist()
+    for i, row in enumerate(hits):
+        events = [Event(t, *kind, delta) for t, kind in zip(row, kinds) if not math.isnan(t)]
+        stop = stops.get(result.terminated(i))
+        if stop is not None:
+            events.append(Event(float(result.stop_time[i]), stop, None, eps))
+        out.append(sorted(events, key=lambda e: e.time))
+    return out
 
 
 def first_passage_partial_sum(

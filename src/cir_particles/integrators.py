@@ -62,7 +62,8 @@ by coordinate row.  The online event monitors read
 :func:`cir_particles.events.event_values`, one row per event, and keep one
 pending threshold per (event, path): the largest detection level that has
 not fired yet.  A step compares the values with the thresholds once, and
-only the entries that crossed are stamped.
+only the entries that crossed are stamped.  They are the one event detector,
+read by :func:`cir_particles.events.detect_events`, whatever the record stride.
 
 :func:`simulate_batch` steps only the live rows.  Their state, B-mode and
 pending thresholds are held packed, in ascending path order, and compacted
@@ -196,14 +197,11 @@ def grid_step(t: float, dt: float, what: str) -> int:
 class PathRecord:
     """One sampled trajectory in lambda coordinates."""
 
-    params: ModelParams
-    config: SimConfig
     path_index: int
     times: np.ndarray
     lambdas: np.ndarray
     terminated: Terminated
     stop_time: float
-    switches: list[tuple[float, str]] = field(default_factory=list)
 
 
 @dataclass
@@ -226,7 +224,6 @@ class BatchResult:
     times: np.ndarray | None = None
     trajectories: np.ndarray | None = None
     snapshots: dict[float, np.ndarray] = field(default_factory=dict)
-    switch_log: list[list[tuple[float, str]]] | None = None
 
     def terminated(self, i: int) -> Terminated:
         return _CODE_TO_TERMINATED[int(self.terminated_code[i])]
@@ -238,14 +235,11 @@ class BatchResult:
         stop_t = float(self.stop_time[i])
         keep = self.times <= stop_t + 0.5 * self.config.dt
         return PathRecord(
-            params=self.params,
-            config=self.config,
             path_index=self.path_offset + i,
             times=self.times[keep],
             lambdas=self.trajectories[i][keep],
             terminated=self.terminated(i),
             stop_time=stop_t,
-            switches=self.switch_log[i] if self.switch_log else [],
         )
 
 
@@ -477,7 +471,6 @@ def simulate_batch(
     record: bool = False,
     snapshot_times: Sequence[float] = (),
     stop_on: tuple | None = None,
-    track_switches: bool = False,
     noise_refine: int = 1,
 ) -> BatchResult:
     """Simulate a contiguous block of paths with one vectorized kernel.
@@ -491,6 +484,8 @@ def simulate_batch(
     ``("psum", k, level)``, optionally freezes a path at its first monitored
     event.
     ``snapshot_times`` must be grid times k*dt of the run, 0 <= k <= n_steps.
+    ``record`` keeps steps 0, stride, 2*stride, ... and the last; a recording
+    numpy cannot allocate is a ConfigError.
 
     Each step advances only the rows still live, held packed in path order;
     a frozen row keeps its state, and recording and snapshots stay
@@ -548,9 +543,6 @@ def simulate_batch(
 
     stop_time = np.full(p, n_steps * dt)
     term = np.full(p, _T_HORIZON, dtype=np.int8)
-    switch_log: list[list[tuple[float, str]]] | None = None
-    if track_switches:
-        switch_log = [[] for _ in range(p)]
 
     levels = list(dict.fromkeys(_level(lev, "event_levels") for lev in event_levels))
     if stop_on is not None:
@@ -633,16 +625,19 @@ def simulate_batch(
             freeze(hit, _T_EVENT, 0.0, lam)
             rows, state, mode, pending = pack(~hit, rows, state, mode, pending)
 
-    rec_steps = None
+    # Step s is recorded when the stride divides it or s = n_steps, in row
+    # ceil(s / stride), so the rows after step s start at s // stride + 1.
+    stride = config.record_stride
     times = None
     traj = None
-    rec_pos: dict[int, int] = {}
     if record:
-        rec_steps = sorted(set(range(0, n_steps + 1, config.record_stride)) | {n_steps})
-        times = np.asarray(rec_steps, dtype=float) * dt
-        traj = np.empty((p, len(rec_steps), n))
+        n_rec = -(-n_steps // stride) + 1
+        try:
+            traj = np.empty((p, n_rec, n))
+        except ValueError:
+            raise ConfigError(f"a recording of {n_rec:.3g} steps does not fit in memory") from None
+        times = np.minimum(np.arange(n_rec) * stride, n_steps).astype(float) * dt
         traj[:, 0, :] = synced().T
-        rec_pos = {s: i for i, s in enumerate(rec_steps)}
 
     snap_steps: dict[int, list[float]] = {}
     for t in snapshot_times:
@@ -661,9 +656,8 @@ def simulate_batch(
     for step in range(n_steps):
         if rows.size == 0:
             full = synced()
-            for s in rec_steps or ():
-                if s > step:
-                    traj[:, rec_pos[s], :] = full.T
+            if record:
+                traj[:, step // stride + 1:, :] = full.T[:, None, :]
             for s, probes in snap_steps.items():
                 if s > step:
                     for t in probes:
@@ -711,11 +705,6 @@ def simulate_batch(
             moving = ~halt
             to_b = moving & ~mode & (lam1 <= eps / 2.0)
             to_a = moving & mode & (lam1 >= eps)
-            if track_switches:
-                for i in rows[to_b]:
-                    switch_log[i].append((t_next, "B"))
-                for i in rows[to_a]:
-                    switch_log[i].append((t_next, "A"))
             mode[to_b] = True
             mode[to_a] = False
         elif scheme == Scheme.C_EPSILON:
@@ -734,8 +723,9 @@ def simulate_batch(
             rows, state, mode, pending = pack(~done, rows, state, mode, pending)
             span_pick = _span_pick(rows)
 
-        rec = rec_pos.get(step + 1)
-        probes = snap_steps.get(step + 1, ())
+        s = step + 1
+        rec = -(-s // stride) if record and (s % stride == 0 or s == n_steps) else None
+        probes = snap_steps.get(s, ())
         if rec is not None or probes:
             full = synced()
             if rec is not None:
@@ -759,7 +749,6 @@ def simulate_batch(
         times=times,
         trajectories=traj,
         snapshots=snapshots,
-        switch_log=switch_log,
     )
 
 
@@ -769,27 +758,26 @@ def simulate_path(
     path_index: int,
     initial=None,
 ):
-    """Simulate one path; returns (PathRecord, EventLog).
+    """Simulate one path; returns (PathRecord, list[Event]).
 
     Deterministic given (seed, path_index, config).  The path is a one-row
-    recorded batch at offset ``path_index``, cut by
-    :meth:`BatchResult.path_record`: recorded every ``record_stride`` steps
-    and truncated at the scheme's stop time when a stopping rule fires.
-    Event detection at ``collision_tol`` is delegated to the collision
-    detector.
+    recorded batch at offset ``path_index``, monitored at ``collision_tol``
+    and cut by :meth:`BatchResult.path_record`: recorded every
+    ``record_stride`` steps and truncated at the scheme's stop time when a
+    stopping rule fires.  Its events are :func:`events.detect_events`'s row.
     """
     from .events import detect_events
 
-    record = simulate_batch(
+    res = simulate_batch(
         params,
         config,
         n_paths=1,
         path_offset=path_index,
         initial=initial,
         record=True,
-        track_switches=config.scheme == Scheme.REGULARIZED_SWITCHING,
-    ).path_record(0)
-    return record, detect_events(record, config.collision_tol)
+        event_levels=[config.collision_tol],
+    )
+    return res.path_record(0), detect_events(res, config.collision_tol)[0]
 
 
 def contraction_curve(

@@ -24,6 +24,7 @@ __all__ = [
     "ks_test",
     "ks_test_two_sample",
     "moment_summary",
+    "z_score",
 ]
 
 _MIN_KS_SAMPLES = 8
@@ -166,6 +167,11 @@ def empirical_laplace(integral_samples, mu: float, name: str | None = None) -> S
     se = float(vals.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
     label = name if name is not None else f"laplace(mu={mu:g})"
     return StatSummary(label, est, se, (est - 1.96 * se, est + 1.96 * se), arr.size)
+
+
+def z_score(summary: StatSummary, reference: float) -> float:
+    """(estimate - reference) / stderr; NaN at stderr 0, where equal samples inform nothing."""
+    return math.nan if summary.stderr == 0.0 else (summary.estimate - reference) / summary.stderr
 
 
 def finite_diff_gradient(f, x, h: float) -> np.ndarray:

@@ -5,8 +5,10 @@ monitors of criteria 1-5); each criterion then gets its own test so failures
 are reported individually.
 """
 
+import numpy as np
 import pytest
 
+from cir_particles import acceptance
 from cir_particles.acceptance import CRITERIA, run_acceptance
 
 _NAMES = {
@@ -38,3 +40,13 @@ def test_criterion(acceptance_results, index):
     result = acceptance_results[index]
     assert result.name == _NAMES[index]
     assert result.passed, f"criterion {index} ({result.name}): " + "; ".join(result.details)
+
+
+def test_laplace_criterion_fails_on_a_zero_stderr(monkeypatch):
+    # Equal samples: every exp(-mu I) is 1, so the stderr is 0 and z is NaN.
+    monkeypatch.setattr(acceptance, "integrated_sum_paths",
+                        lambda *args: {t: np.zeros(10) for t in args[4]})
+    result = acceptance.criterion_7_laplace(acceptance._DoubleEventRegistry())
+    assert not result.passed
+    assert any("z is NaN" in line and "stderr is 0" in line for line in result.details)
+    assert "worst |z| over (mu,t) grid = nan" in result.details[-2]

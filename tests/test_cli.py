@@ -1,7 +1,11 @@
 """CLI harness: commands, artifact schemas, config handling, exit codes."""
 
+import os
 import re
+import resource
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -90,7 +94,8 @@ class TestSimulateCommand:
 # stride 7 divides none of the step counts.
 SIMULATE_CASES = {
     "truncated_euler": ((1.0, 0.5, 0.5, 3), "0.05,0.06,1", 0.5, None, 3),
-    # switches both ways, and three of the four paths stop at zeta_eps
+    # every path enters the B region lambda_1 <= eps/2, and three of the
+    # four stop at zeta_eps
     "regularized_switching": ((0.8, 0.5, 1.0, 2), "0.1,1", 2.0, 0.05, 4),
     "root_coordinates": ((2.0, 0.5, 0.5, 3), "0.05,0.5,1", 0.5, None, 3),
     # kappa < 0: some paths stop at S_eps, the others reach the horizon
@@ -122,21 +127,21 @@ class TestSimulateArtifacts:
         initial = np.array([float(v) for v in x0.split(",")])
         traj = ["path_id,t," + ",".join(f"lambda_{i + 1}" for i in range(params.n))]
         events = ["path_id,kind,index,time,level"]
-        stopped = switched = 0
+        stopped = entered_b = 0
         for i in range(paths):
-            rec, log = simulate_path(params, config, i, initial)
+            rec, path_events = simulate_path(params, config, i, initial)
             stopped += rec.terminated.value.startswith("stopped")
-            switched += bool(rec.switches)
+            entered_b += bool((rec.lambdas[:, 0] <= config.epsilon / 2.0).any())
             for t, row in zip(rec.times, rec.lambdas):
                 traj.append(f"{i},{float(t)!r}," + ",".join(repr(float(v)) for v in row))
-            for ev in log.events:
+            for ev in path_events:
                 idx = "" if ev.index is None else ev.index
                 events.append(f"{i},{ev.kind.value},{idx},"
                               f"{float(ev.time)!r},{float(ev.level)!r}")
         if scheme in ("c_epsilon", "regularized_switching"):
             assert 0 < stopped < paths
         if scheme == "regularized_switching":
-            assert switched == paths
+            assert entered_b == paths
 
         for name, lines in (("trajectories.csv", traj), ("events.csv", events)):
             text = (tmp_path / name).read_text()
@@ -290,6 +295,25 @@ class TestLaplaceCheck:
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
         assert not (tmp_path / "laplace.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--alpha", "2", "--beta", "0.5", "--gamma", "-5", "--n", "2", "--paths", "50",
+             "--dt", "0.5", "--t", "50", "--mu", "0.5"],
+            ["--paths", "2", "--dt", "1e-300", "--t", "1e-299"],
+        ],
+        ids=["underflow", "tiny_horizon"],
+    )
+    def test_zero_stderr_gives_a_nan_z_score(self, argv, tmp_path, capsys):
+        # Every exp(-mu I) sample is equal, 0 after underflow or 1 at a tiny
+        # horizon, so the stderr is 0 and the comparison holds no information.
+        assert run_cli(["laplace-check", *argv, "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "laplace.csv").read_text().splitlines()[2:]
+        assert rows and all(row.split(",")[4:] == ["0", "nan"] for row in rows)
+        if "-5" in argv:
+            assert rows == ["0.5,50,0,0,0,nan"]
+        assert "(worst |z| = nan)" in capsys.readouterr().out
+
     def test_header_lists_only_what_laplace_check_reads(self, tmp_path, capsys):
         from cir_particles import __version__
 
@@ -408,6 +432,8 @@ class TestExitCodeContract:
             (["verify", "--only", "abc"], "acceptance.csv", "config error: only "),
             (["verify", "--only", "99"], "acceptance.csv", "config error: only "),
             (["phase-diagram", "--sweep", "alpha=abc"], "sweep.csv", "config error: sweep "),
+            (["phase-diagram", "--sweep", "alpha=2.6", "--paths", "-5"], "sweep.csv",
+             "config error: paths "),
             (["laplace-check", "--paths", "0"], "laplace.csv", "config error: paths "),
             (["laplace-check", "--paths", "-1"], "laplace.csv", "config error: paths "),
             (["laplace-check", "--paths", "1"], "laplace.csv", "config error: paths "),
@@ -417,8 +443,8 @@ class TestExitCodeContract:
              "too few samples: "),
         ],
         ids=["config_paths_1e3", "verify_only_abc", "verify_only_99", "sweep_abc",
-             "laplace_paths_0", "laplace_paths_negative", "laplace_paths_1",
-             "laplace_mu_negative", "stationary_too_few_samples"],
+             "sweep_paths_negative", "laplace_paths_0", "laplace_paths_negative",
+             "laplace_paths_1", "laplace_mu_negative", "stationary_too_few_samples"],
     )
     def test_bad_input_exits_1_with_one_line(self, argv, artifact, prefix, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -429,6 +455,52 @@ class TestExitCodeContract:
         assert err.startswith(prefix) and err.count("\n") == 1
         assert "Traceback" not in err
         assert not (tmp_path / "out" / artifact).exists()
+
+
+class TestRunTooBigForMemory:
+    """A run that cannot be allocated exits 1 with one line, not a traceback."""
+
+    @staticmethod
+    def _limit_address_space():
+        # Bounds what a regression can take: 4 GiB of address space.
+        limit = 4 << 30
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        if hard != resource.RLIM_INFINITY:
+            limit = min(limit, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--paths", "1000000000000", "--horizon", "0.002"],
+            ["--dt", "1e-300", "--horizon", "1", "--paths", "1"],
+        ],
+        ids=["too_many_paths", "too_many_recorded_steps"],
+    )
+    def test_exits_1_with_one_line(self, argv, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "cir_particles.cli", "simulate", *argv,
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=self._limit_address_space,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
+        assert "does not fit in memory" in proc.stderr
+        assert not (tmp_path / "trajectories.csv").exists()
+
+    def test_memory_error_is_a_config_error(self, monkeypatch, capsys):
+        from cir_particles import cli
+
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8 TiB")
+
+        monkeypatch.setattr(cli, "simulate_batch", refuse)
+        assert run_cli(["simulate", "--paths", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: the run does not fit in memory (Unable to allocate 8 TiB)\n"
 
 
 class TestVerifyCommand:

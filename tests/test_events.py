@@ -7,107 +7,152 @@ import pytest
 
 from cir_particles import (
     CollisionVerdict,
+    ConfigError,
+    Event,
     EventKind,
     ModelParams,
     Scheme,
     SimConfig,
     Terminated,
     detect_events,
+    event_rows,
+    event_values,
     first_passage_partial_sum,
     multiple_collision_threshold,
+    simulate_batch,
 )
 from cir_particles.errors import BadK
-from cir_particles.integrators import PathRecord
 
 
-def synthetic_path(times, lambdas, dt=1e-2, terminated=Terminated.HORIZON):
-    times = np.asarray(times, dtype=float)
-    lambdas = np.asarray(lambdas, dtype=float)
-    cfg = SimConfig(dt=dt, horizon=float(times[-1]) if times[-1] > dt else 1.0)
-    params = ModelParams(alpha=2.0, beta=0.5, gamma=0.0, n=lambdas.shape[1])
-    return PathRecord(
-        params=params, config=cfg, path_index=0, times=times, lambdas=lambdas,
-        terminated=terminated, stop_time=float(times[-1]),
-    )
+def scanned_events(res, i, delta):
+    """Events of row i found by scanning its recorded trajectory, as a list.
+
+    The reference for :func:`detect_events` at record stride 1: the first
+    recorded step at which each event value of :func:`event_values` is <=
+    delta, then the scheme's stop event, stable-sorted by time.
+    """
+    rec = res.path_record(i)
+    rows = event_rows(rec.lambdas.shape[1])
+    below = event_values(rec.lambdas.T) <= delta
+    events = []
+    for kind, key in ((EventKind.PAIR_COLLISION, "gap"),
+                      (EventKind.ZERO_HIT_PARTIAL_SUM, "psum")):
+        for j, row in enumerate(below[rows[key]], 1):
+            if row.any():
+                events.append(Event(float(rec.times[row.argmax()]), kind, j, delta))
+    if below[rows["zeta"]].any():
+        t = float(rec.times[below[rows["zeta"]].argmax()])
+        events.append(Event(t, EventKind.JOINT_EVENT_ZETA, None, delta))
+    stop = {Terminated.STOPPED_AT_S_EPS: EventKind.STOP_S,
+            Terminated.STOPPED_AT_ZETA_EPS: EventKind.JOINT_EVENT_ZETA}.get(rec.terminated)
+    if stop is not None:
+        events.append(Event(rec.stop_time, stop, None, res.config.epsilon))
+    return sorted(events, key=lambda e: e.time)
+
+
+def first_time(events, kind, index=None):
+    return next((e.time for e in events
+                 if e.kind == kind and (index is None or e.index == index)), math.nan)
+
+
+# scheme -> (alpha at n = 3, epsilon); c_epsilon needs kappa < 0, and
+# regularized_switching a low kappa so that rows stop at zeta_eps.
+_SCHEME_CASES = {
+    Scheme.TRUNCATED_EULER: (1.0, None),
+    Scheme.REGULARIZED_SWITCHING: (0.7, 0.02),
+    Scheme.ROOT_COORDINATES: (1.0, None),
+    Scheme.C_EPSILON: (0.9, 0.02),
+    Scheme.EXACT_CIR_SPLITTING: (1.0, None),
+}
 
 
 class TestDetectEvents:
-    def test_constant_separated_path_is_quiet(self):
-        times = np.linspace(0.0, 1.0, 11)
-        lam = np.tile([1.0, 2.0, 3.0], (11, 1))
-        log = detect_events(synthetic_path(times, lam), 0.5)
-        assert log.events == [] and log.multiple_collisions == []
+    def test_separated_batch_is_quiet(self):
+        p = ModelParams(alpha=2.0, beta=0.5, gamma=0.0, n=3)
+        cfg = SimConfig(dt=1e-3, horizon=0.05, seed=1)
+        res = simulate_batch(p, cfg, n_paths=4, initial=[1.0, 4.0, 9.0], event_levels=(0.05,))
+        assert detect_events(res, 0.05) == [[], [], [], []]
 
-    def test_linear_decay_crosses_partial_sum(self):
-        times = np.linspace(0.0, 1.0, 101)
-        lam = np.column_stack([np.maximum(1.0 - times, 0.0), np.full(101, 5.0)])
-        log = detect_events(synthetic_path(times, lam), 0.05)
-        ev = log.first(EventKind.ZERO_HIT_PARTIAL_SUM, 1)
-        assert ev is not None
-        # first grid time with lambda_1 <= 0.05
-        assert ev.time == pytest.approx(0.95)
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_rows_equal_a_scan_of_the_trajectories(self, scheme):
+        # At record stride 1 a scan of each recorded row finds the events
+        # the monitors stamped, in the same order.
+        alpha, eps = _SCHEME_CASES[scheme]
+        p = ModelParams(alpha=alpha, beta=0.5, gamma=0.5, n=3)
+        cfg = SimConfig(scheme=scheme, dt=1e-2, horizon=3.0, seed=9, epsilon=eps)
+        initial = np.sort(np.random.default_rng(9).uniform(0.001, 0.5, (8, 3)), axis=1)
+        levels = (1e-2, 0.05, 1e-3)
+        res = simulate_batch(p, cfg, n_paths=8, initial=initial, record=True,
+                             event_levels=levels)
+        found = 0
+        for delta in levels:
+            rows = detect_events(res, delta)
+            assert len(rows) == 8
+            for i, events in enumerate(rows):
+                assert events == scanned_events(res, i, delta)
+                found += len(events)
+        assert found > 0
+        if scheme in (Scheme.REGULARIZED_SWITCHING, Scheme.C_EPSILON):
+            assert np.any(np.isin(res.terminated_code, (1, 2)))
+
+    def test_event_between_recorded_rows_is_reported_at_its_step(self):
+        p = ModelParams(alpha=1.0, beta=0.5, gamma=0.5, n=3)
+        initial = np.array([0.05, 0.06, 1.0])
+        every = SimConfig(dt=1e-3, horizon=0.5, seed=9)
+        strided = SimConfig(dt=1e-3, horizon=0.5, seed=9, record_stride=7)
+        kwargs = dict(n_paths=3, initial=initial, record=True, event_levels=(1e-3,))
+        want = detect_events(simulate_batch(p, every, **kwargs), 1e-3)
+        res = simulate_batch(p, strided, **kwargs)
+        assert detect_events(res, 1e-3) == want
+        off_grid = [e.time for events in want for e in events
+                    if not np.isclose(res.times, e.time).any()]
+        assert off_grid
 
     def test_shrinking_delta_never_moves_events_earlier(self):
-        rng = np.random.default_rng(2)
-        times = np.linspace(0.0, 1.0, 200)
-        walk = np.abs(np.cumsum(rng.normal(0, 0.05, 200))) + 0.01
-        lam = np.column_stack([walk, walk + np.abs(np.cumsum(rng.normal(0, 0.03, 200))) + 0.005])
-        path = synthetic_path(times, np.sort(lam, axis=1))
-        for kind, idx in ((EventKind.PAIR_COLLISION, 1), (EventKind.ZERO_HIT_PARTIAL_SUM, 1)):
-            previous = -math.inf
-            for delta in (0.5, 0.2, 0.05, 0.01):
-                ev = detect_events(path, delta).first(kind, idx)
-                t = ev.time if ev else math.inf
-                assert t >= previous
-                previous = t
+        p = ModelParams(alpha=0.8, beta=0.5, gamma=0.5, n=2)
+        cfg = SimConfig(dt=1e-2, horizon=2.0, seed=2)
+        levels = (0.5, 0.2, 0.05, 0.01)
+        res = simulate_batch(p, cfg, n_paths=6, initial=[0.3, 0.8], event_levels=levels)
+        rows = {delta: detect_events(res, delta) for delta in levels}
+        for i in range(6):
+            for kind in (EventKind.PAIR_COLLISION, EventKind.ZERO_HIT_PARTIAL_SUM):
+                times = [first_time(rows[delta][i], kind, 1) for delta in levels]
+                finite = [t for t in times if not math.isnan(t)]
+                assert finite == sorted(finite)
+                # a hit at a small level is a hit at every larger one
+                assert all(math.isnan(t) <= math.isnan(u) for t, u in zip(times, times[1:]))
 
-    def test_joint_event_and_multiple_collision_flags(self):
-        times = np.array([0.0, 0.1, 0.2])
-        lam = np.array([[0.5, 1.0, 2.0], [0.005, 0.008, 2.0], [0.5, 1.0, 2.0]])
-        log = detect_events(synthetic_path(times, lam), 0.01)
-        assert log.first(EventKind.JOINT_EVENT_ZETA) is not None
-        # simultaneous distinct pair events
-        lam2 = np.array([[0.5, 1.0, 2.0], [0.5, 0.505, 0.509], [0.5, 1.0, 2.0]])
-        log2 = detect_events(synthetic_path(times, lam2), 0.01)
-        assert (0.1, 1, 2) in log2.multiple_collisions
+    def test_joint_and_double_events_at_the_start(self):
+        p = ModelParams(alpha=2.0, beta=0.5, gamma=0.0, n=3)
+        cfg = SimConfig(dt=1e-2, horizon=0.1, seed=3)
+        start = np.array([[0.005, 0.008, 2.0], [0.5, 0.505, 0.509]])
+        res = simulate_batch(p, cfg, n_paths=2, initial=start, event_levels=(0.01,))
+        joint, double = detect_events(res, 0.01)
+        assert first_time(joint, EventKind.JOINT_EVENT_ZETA) == 0.0
+        assert first_time(double, EventKind.PAIR_COLLISION, 1) == 0.0
+        assert first_time(double, EventKind.PAIR_COLLISION, 2) == 0.0
+        # the same-step double event is the monitors' own row
+        assert res.monitors[0.01]["double"][1] == 0.0
 
     def test_stop_events_reported(self):
-        times = np.array([0.0, 0.1])
-        lam = np.array([[1.0, 2.0], [0.5, 2.0]])
-        path = synthetic_path(times, lam, terminated=Terminated.STOPPED_AT_S_EPS)
-        log = detect_events(path, 1e-3)
-        assert log.first(EventKind.STOP_S) is not None
+        p = ModelParams(alpha=0.4, beta=0.5, gamma=0.0, n=2)
+        cfg = SimConfig(scheme=Scheme.C_EPSILON, dt=1e-3, horizon=5.0, seed=9,
+                        epsilon=1e-2)
+        res = simulate_batch(p, cfg, n_paths=4, event_levels=(1e-3,))
+        stopped = np.flatnonzero(res.terminated_code == 1)
+        assert stopped.size
+        rows = detect_events(res, 1e-3)
+        for i in stopped:
+            stop = [e for e in rows[i] if e.kind == EventKind.STOP_S]
+            assert stop == [Event(float(res.stop_time[i]), EventKind.STOP_S, None, 1e-2)]
+            assert rows[i][-1] == stop[0]
 
-
-    def test_log_matches_the_online_monitors_of_a_recorded_row(self):
-        # Recorded every step, detect_events reads the same first-hit times
-        # as the batch monitors at its level.
-        from cir_particles import simulate_batch
-
-        p = ModelParams(alpha=1.0, beta=0.5, gamma=0.5, n=3)
-        cfg = SimConfig(dt=1e-2, horizon=3.0, seed=9)
-        initial = np.sort(np.random.default_rng(9).uniform(0.001, 0.5, (8, 3)), axis=1)
-        res = simulate_batch(p, cfg, n_paths=8, initial=initial, record=True,
-                             event_levels=(1e-2, 0.05, 1e-3))
-        assert np.isfinite(res.monitors[1e-3]["psum"]).any()
-        assert np.isfinite(res.monitors[0.05]["double"]).any()
-        def time_of(ev):
-            return ev.time if ev else math.nan
-
-        for delta in (0.05, 1e-2, 1e-3):
-            mon = res.monitors[delta]
-            for i in range(8):
-                log = detect_events(res.path_record(i), delta)
-                got = {
-                    "gap": [time_of(log.first(EventKind.PAIR_COLLISION, j)) for j in (1, 2)],
-                    "psum": [time_of(log.first(EventKind.ZERO_HIT_PARTIAL_SUM, k))
-                             for k in (1, 2, 3)],
-                    "zeta": time_of(log.first(EventKind.JOINT_EVENT_ZETA)),
-                    "double": min((t for t, _, _ in log.multiple_collisions),
-                                  default=math.nan),
-                }
-                for kind, times in got.items():
-                    np.testing.assert_allclose(times, mon[kind][i], rtol=1e-12)
+    def test_unmonitored_level_is_a_config_error(self):
+        p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
+        res = simulate_batch(p, SimConfig(dt=1e-2, horizon=0.1), n_paths=2,
+                             event_levels=(1e-2,))
+        with pytest.raises(ConfigError, match="not monitored"):
+            detect_events(res, 1e-3)
 
 
 class TestFirstPassage:
@@ -140,8 +185,6 @@ class TestFirstPassage:
 
     def test_hit_fraction_monotone_in_k(self):
         # psum_k <= psum_{k+1} pointwise, so hits can only become rarer in k.
-        from cir_particles import simulate_batch
-
         p = ModelParams(alpha=1.0, beta=0.4, gamma=0.5, n=3)
         cfg = SimConfig(
             scheme=Scheme.EXACT_CIR_SPLITTING, dt=1e-3, horizon=30.0, seed=12, paths=150

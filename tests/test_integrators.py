@@ -203,26 +203,38 @@ class TestDriftBEps:
 
 
 class TestSwitchingScheme:
-    def test_threshold_flip_to_b(self):
-        # Each switch is logged at the post-step time: to B at lambda_1 <= eps/2,
-        # back to A at lambda_1 >= eps.
-        p = ModelParams(alpha=0.8, beta=0.5, gamma=1.0, n=2)
+    def test_rows_follow_the_switching_rule(self):
+        # A one-path loop over the scheme's step map that switches to B at
+        # lambda_1 <= eps/2, back to A at lambda_1 >= eps, and stops at the
+        # joint event reproduces every recorded row of the batch.
+        from cir_particles.randomness import step_normals
+
+        p = ModelParams(alpha=0.8, beta=0.5, gamma=1.0, n=2)  # kappa = 0.3: visits 0
         cfg = SimConfig(
             scheme=Scheme.REGULARIZED_SWITCHING, dt=1e-3, horizon=5.0,
-            seed=21, epsilon=0.05, paths=4,
+            seed=21, epsilon=0.05, paths=2,
         )
-        res = simulate_batch(p, cfg, initial=np.array([0.5, 2.0]), record=True,
-                             track_switches=True)
-        seen = set()
-        for path, switches in enumerate(res.switch_log):
-            for t, mode in switches:
-                lam1 = res.trajectories[path, int(round(t / cfg.dt)), 0]
-                if mode == "B":
-                    assert lam1 <= cfg.epsilon / 2.0
-                else:
-                    assert lam1 >= cfg.epsilon
-                seen.add(mode)
-        assert seen == {"A", "B"}
+        eps = cfg.epsilon
+        start = np.array([0.5, 2.0])
+        res = simulate_batch(p, cfg, initial=start, record=True)
+        step_fn = _make_step(p, cfg)
+        for path in range(2):
+            state = start[:, None].copy()
+            mode = state[0] < eps
+            rows, modes = [state[:, 0]], [bool(mode[0])]
+            for step in range(cfg.n_steps):
+                dw = math.sqrt(cfg.dt) * step_normals(cfg.seed, step, path, 1, 2).T
+                state = np.sort(np.maximum(step_fn(state, dw, mode), 0.0), axis=0)
+                rows.append(state[:, 0])
+                lam1 = state[0]
+                if lam1 <= eps and state[1] - lam1 <= eps:
+                    break
+                mode = np.where(mode, ~(lam1 >= eps), lam1 <= eps / 2.0)
+                modes.append(bool(mode[0]))
+            rec = res.path_record(path)
+            assert np.array_equal(rec.lambdas, np.array(rows))
+            assert True in modes and modes[0] is False
+            assert any(a and not b for a, b in zip(modes, modes[1:]))  # back to A
 
     def test_matches_truncated_euler_away_from_boundary(self):
         # beta >= 1 and a high-lying start keep every clamp saturated.
@@ -237,18 +249,6 @@ class TestSwitchingScheme:
         rec_e, _ = simulate_path(p, cfg_e, 0, initial=start)
         assert rec_s.terminated is Terminated.HORIZON
         np.testing.assert_allclose(rec_s.lambdas, rec_e.lambdas, rtol=1e-9)
-
-    def test_switch_log_alternates(self):
-        p = ModelParams(alpha=0.8, beta=0.5, gamma=1.0, n=2)  # kappa = 0.3: visits 0
-        cfg = SimConfig(
-            scheme=Scheme.REGULARIZED_SWITCHING, dt=1e-3, horizon=20.0,
-            seed=21, epsilon=0.05,
-        )
-        rec, _ = simulate_path(p, cfg, 0, initial=np.array([0.5, 2.0]))
-        times = [t for t, _ in rec.switches]
-        modes = [m for _, m in rec.switches]
-        assert times == sorted(times)
-        assert all(a != b for a, b in zip(modes, modes[1:]))
 
     def test_zeta_stopping(self):
         # kappa in (0, 1-beta) with reversion: the joint event arrives fast.
@@ -328,14 +328,13 @@ class TestSimulatePath:
                         seed=21, epsilon=0.05, record_stride=7)
         start = np.array([0.1, 1.0])
         batch = simulate_batch(p, cfg, n_paths=4, path_offset=2, initial=start,
-                               record=True, track_switches=True)
+                               record=True)
         for i in range(4):
             got = batch.path_record(i)
             want, _ = simulate_path(p, cfg, 2 + i, start)
             assert got.path_index == want.path_index == 2 + i
             assert got.terminated is want.terminated
             assert got.stop_time == want.stop_time
-            assert got.switches == want.switches
             assert np.array_equal(got.times, want.times)
             assert np.array_equal(got.lambdas, want.lambdas)
         with pytest.raises(ConfigError, match="record=True"):
@@ -592,7 +591,6 @@ def _assert_rows_match(part, whole, lo, hi):
     assert part.snapshots.keys() == whole.snapshots.keys()
     for t, values in whole.snapshots.items():
         assert np.array_equal(part.snapshots[t], values[lo:hi])
-    assert part.switch_log == whole.switch_log[lo:hi]
 
 
 class TestBatchDecomposition:
@@ -615,7 +613,7 @@ class TestBatchDecomposition:
             np.random.default_rng(seed).uniform(0.01, 1.5, (n_paths, n)), axis=1
         )
         kwargs = dict(event_levels=(0.05, 1e-3), stop_on=("gap_any", 0.01),
-                      record=True, track_switches=True, noise_refine=refine,
+                      record=True, noise_refine=refine,
                       snapshot_times=(0.5, 2.0))
         whole = simulate_batch(params, cfg, n_paths=n_paths, initial=initial, **kwargs)
         bounds = sorted({0, n_paths, *(c for c in cuts if c < n_paths)})
@@ -721,7 +719,7 @@ class TestEveryRowFrozenAtStart:
         start = np.array([[0.0, 0.0, 0.5], [1e-4, 2e-4, 1.0]])
         res = simulate_batch(params, cfg, n_paths=2, initial=start, event_levels=(1e-2,),
                              stop_on=("psum", 1, 1e-3), record=True,
-                             snapshot_times=(0.0, 0.2, 0.5), track_switches=True)
+                             snapshot_times=(0.0, 0.2, 0.5))
         assert drawn == []
         assert np.array_equal(res.terminated_code, [4, 4])
         assert np.array_equal(res.stop_time, [0.0, 0.0])
@@ -732,7 +730,6 @@ class TestEveryRowFrozenAtStart:
         for t in (0.0, 0.2, 0.5):
             assert np.array_equal(res.snapshots[t], lam0)
         assert np.array_equal(res.final_lambda, lam0)
-        assert res.switch_log == [[], []]
         for lev in (1e-2, 1e-3):
             assert np.array_equal(res.monitors[lev]["psum"][:, 0], [0.0, 0.0])
 

@@ -19,6 +19,7 @@ from cir_particles import (
     ks_test,
     ks_test_two_sample,
     moment_summary,
+    z_score,
 )
 from cir_particles.stats import StatSummary
 
@@ -101,6 +102,17 @@ class TestEmpiricalLaplace:
         rng = np.random.default_rng(5)
         s = empirical_laplace(rng.gamma(2.0, 1.0, 500), 0.7)
         assert 0.0 < s.estimate <= 1.0
+
+
+class TestZScore:
+    def test_hand_value(self):
+        s = empirical_laplace([0.0, math.log(2.0)], 1.0)  # 0.75, stderr 0.25
+        assert z_score(s, 0.5) == pytest.approx(1.0)
+
+    def test_zero_stderr_is_nan(self):
+        # mu = 0 makes every sample 1: no information, not agreement.
+        s = empirical_laplace([0.3, 1.2, 5.0], 0.0)
+        assert math.isnan(z_score(s, 1.0)) and math.isnan(z_score(s, 0.5))
 
 
 class TestFiniteDiff:
