@@ -424,7 +424,7 @@ CRITERIA = [
 ]
 
 
-def run_acceptance(only=None, quiet: bool = False) -> list[CriterionResult]:
+def run_acceptance(only=None) -> list[CriterionResult]:
     """Run the acceptance criteria, printing one pass/fail line per criterion.
 
     Each result carries its wall time in ``seconds``.  Criterion 6 consumes
@@ -444,6 +444,5 @@ def run_acceptance(only=None, quiet: bool = False) -> list[CriterionResult]:
         result.seconds = time.perf_counter() - start
         if only is None or idx in set(only):
             results.append(result)
-        if not quiet:
-            print(result.line(), flush=True)
+        print(result.line(), flush=True)
     return results

@@ -4,8 +4,8 @@ Commands: simulate, regime, phase-diagram, verify, stationary-compare,
 laplace-check, collision-scan.  Every artifact is a CSV whose first line is a
 comment recording the code version, the command and the inputs it reads
 (model, configuration, seed, start), so a report can be reproduced from its
-own header.  Exit codes: 0 ok, 1 config error, 2 acceptance failure,
-3 numerical failure.
+own header.  Exit codes: 0 ok, 1 config error (a command line the parser
+rejects included), 2 acceptance failure, 3 numerical failure.
 
 ``simulate`` runs all ``--paths`` rows as one recorded batch, monitored at
 ``--collision-tol``, and cuts each row into its trajectory and event rows.
@@ -68,8 +68,15 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ConfigErrors (exit 1, one line)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cir-particles",
         description="Monte Carlo lab for colliding CIR particle systems",
     )
@@ -99,8 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("simulate", parents=[common], help="sample trajectories")
     sub.add_parser("regime", parents=[common], help="analytic classification")
     pd = sub.add_parser("phase-diagram", parents=[common], help="sweep grid")
-    pd.add_argument("--sweep", required=True,
-                    help="grid, e.g. 'alpha=0.4,0.7,2.6;beta=0.5;gamma=0'")
+    pd.add_argument("--sweep", help="grid, e.g. 'alpha=0.4,0.7,2.6;beta=0.5;gamma=0'")
     ver = sub.add_parser("verify", parents=[common], help="run acceptance suite")
     ver.add_argument("--only", help="comma-separated criterion numbers")
     sub.add_parser("stationary-compare", parents=[common],
@@ -308,7 +314,11 @@ def cmd_phase_diagram(args) -> int:
     values = _resolve(args)
     if values["paths"] < 0:
         raise ConfigError(f"paths must be >= 0 (0 skips the simulation), got {values['paths']}")
-    grid = _parse_sweep(args.sweep)
+    # --sweep replaces a config file's sweep=.
+    spec = getattr(args, "sweep", None) or values.get("sweep")
+    if not spec:
+        raise ConfigError("sweep is not set: give --sweep or sweep= in --config")
+    grid = _parse_sweep(spec)
     initial = _initial(values, values["n"])
     out = _out_dir(values, args)
     lines = [
@@ -457,7 +467,9 @@ def cmd_collision_scan(args) -> int:
     config = _sim_config(values)
     initial = _initial(values, params.n)
     out = _out_dir(values, args)
-    ks = [args.k] if getattr(args, "k", None) else list(range(1, params.n + 1))
+    # --k replaces a config file's k=; with neither, every k is scanned.
+    k = getattr(args, "k", None) or values.get("k")
+    ks = [k] if k else list(range(1, params.n + 1))
     lines = [
         _header("collision-scan", _run_fields(values)),
         "k,delta,hit_fraction,ci_low,ci_high,n_paths",
@@ -486,9 +498,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

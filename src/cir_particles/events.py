@@ -139,12 +139,11 @@ def first_passage_partial_sum(
     config: "SimConfig",
     k: int,
     levels: tuple[float, ...] = (1e-2, 1e-3, 1e-4),
-    n_paths: int | None = None,
     initial=None,
 ) -> dict[float, StatSummary]:
     """Monte Carlo probability that lambda_1 + ... + lambda_k drops to delta.
 
-    Runs the configured scheme over ``paths`` trajectories from ``initial``
+    Runs the configured scheme over ``config.paths`` trajectories from ``initial``
     (the default start when None), monitoring the partial sum online at every
     level of the delta ladder, and returns the hit fraction by the horizon
     with a binomial 95% interval per level.
@@ -156,7 +155,6 @@ def first_passage_partial_sum(
     res = simulate_batch(
         params,
         config,
-        n_paths=n_paths,
         initial=initial,
         event_levels=levels,
         stop_on=("psum", k, min(levels)),

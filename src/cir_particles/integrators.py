@@ -55,8 +55,11 @@ Inside :func:`simulate_batch` the state is coordinate-major: an (n, P) array
 with one contiguous row per coordinate, so the step maps, the pairwise sums
 of :func:`cir_particles.model.interaction_sum`, the event values, the
 non-finite check and the stopping rules all read whole rows.  Every array of
-the :class:`BatchResult` is path-major, (P, ...).  Each step re-sorts the
-columns once with :func:`_sort_columns` (the splitting step three times).
+the :class:`BatchResult` is path-major, (P, ...).  A batch runs
+``config.paths`` paths from ``path_offset``, and its states between the start
+and the end are read from its recorded rows, every ``record_stride`` steps.
+Each step re-sorts the columns once with :func:`_sort_columns` (the splitting
+step three times).
 The exact CIR factor is drawn on the coordinate-major state, coordinate row
 by coordinate row.  The online event monitors read
 :func:`cir_particles.events.event_values`, one row per event, and keep one
@@ -77,8 +80,9 @@ freeze; a rerun of the same inputs still reproduces them bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -223,7 +227,6 @@ class BatchResult:
     monitors: dict[float, dict[str, np.ndarray]]
     times: np.ndarray | None = None
     trajectories: np.ndarray | None = None
-    snapshots: dict[float, np.ndarray] = field(default_factory=dict)
 
     def terminated(self, i: int) -> Terminated:
         return _CODE_TO_TERMINATED[int(self.terminated_code[i])]
@@ -464,35 +467,32 @@ def simulate_batch(
     params: ModelParams,
     config: SimConfig,
     *,
-    n_paths: int | None = None,
     path_offset: int = 0,
     initial=None,
     event_levels: Sequence[float] = (),
     record: bool = False,
-    snapshot_times: Sequence[float] = (),
     stop_on: tuple | None = None,
     noise_refine: int = 1,
 ) -> BatchResult:
     """Simulate a contiguous block of paths with one vectorized kernel.
 
-    Paths ``path_offset .. path_offset + n_paths - 1`` are advanced together;
-    per-path noise is identical to what any other batch decomposition would
-    produce.  ``initial`` is one finite, sorted, nonnegative start or one per
-    path.  ``event_levels`` enables online first-hit monitoring at each
-    detection level, finite and > 0 (every step, independent of
-    ``record_stride``); ``stop_on``, ``("gap_any", level)`` or
-    ``("psum", k, level)``, optionally freezes a path at its first monitored
-    event.
-    ``snapshot_times`` must be grid times k*dt of the run, 0 <= k <= n_steps.
-    ``record`` keeps steps 0, stride, 2*stride, ... and the last; a recording
-    numpy cannot allocate is a ConfigError.
+    Paths ``path_offset .. path_offset + config.paths - 1`` are advanced
+    together; per-path noise is identical to what any other batch
+    decomposition would produce.  ``initial`` is one finite, sorted,
+    nonnegative start or one per path.  ``event_levels`` enables online
+    first-hit monitoring at each detection level, finite and > 0 (every
+    step, independent of ``record_stride``); ``stop_on``,
+    ``("gap_any", level)`` or ``("psum", k, level)``, optionally freezes a
+    path at its first monitored event.  ``record`` keeps steps 0, stride,
+    2*stride, ... and the last, step s in row ceil(s / stride).  A batch or
+    a recording numpy cannot allocate is a ConfigError.
 
     Each step advances only the rows still live, held packed in path order;
-    a frozen row keeps its state, and recording and snapshots stay
-    full-size.  The loop ends once every row is frozen.  Gaussian noise is
-    drawn by path index, so the rows do not depend on which others are
-    live; ``exact_cir_splitting`` draws its exact CIR variates for the live
-    rows only.  Inside the loop the state is coordinate-major, (n, P);
+    a frozen row keeps its state, and the recording stays full-size.  The
+    loop ends once every row is frozen.  Gaussian noise is drawn by path
+    index, so the rows do not depend on which others are live;
+    ``exact_cir_splitting`` draws its exact CIR variates for the live rows
+    only.  Inside the loop the state is coordinate-major, (n, P);
     every array of the result is path-major, (P, ...).  With no
     ``event_levels`` and no ``stop_on`` no event value is computed.
 
@@ -502,7 +502,7 @@ def simulate_batch(
     same Brownian paths.
     """
     n = params.n
-    p = config.paths if n_paths is None else n_paths
+    p = config.paths
     scheme = config.scheme
     if scheme == Scheme.C_EPSILON and params.kappa >= 0.0:
         raise ConfigError("c_epsilon scheme requires kappa < 0")
@@ -517,7 +517,10 @@ def simulate_batch(
         _default_initial(params) if initial is None else initial, dtype=float
     )
     if init.ndim == 1:
-        init = np.tile(init, (p, 1))
+        try:
+            init = np.tile(init, (p, 1))
+        except ValueError:
+            raise ConfigError(f"a batch of {p:.3g} paths does not fit in memory") from None
     if init.shape != (p, n):
         raise ConfigError(f"initial must broadcast to ({p}, {n})")
     if not np.isfinite(init).all():
@@ -584,7 +587,7 @@ def simulate_batch(
     # The full-size lambda state, allocated at the first write-back, so a
     # run that freezes no row and records nothing holds no copy while it
     # steps.  A frozen row is written once, when it freezes; the live rows
-    # on recorded and snapshot steps and at the end.
+    # on recorded steps and at the end.
     lam_full = None
 
     def write_back(which: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -639,29 +642,14 @@ def simulate_batch(
         times = np.minimum(np.arange(n_rec) * stride, n_steps).astype(float) * dt
         traj[:, 0, :] = synced().T
 
-    snap_steps: dict[int, list[float]] = {}
-    for t in snapshot_times:
-        s = grid_step(t, dt, "snapshot time")
-        if not 0 <= s <= n_steps:
-            raise ConfigError(f"snapshot time t={t:g} is outside [0, {n_steps * dt:g}]")
-        snap_steps.setdefault(s, []).append(float(t))
-    snapshots: dict[float, np.ndarray] = {}
-    for t in snap_steps.get(0, ()):
-        snapshots[t] = synced().T.copy()
-
     # Gaussian noise is drawn over the span of paths rows[0] .. rows[-1],
     # whose rows equal those of any other draw covering the same paths, and
     # ``span_pick`` picks the live rows out of it.
     span_pick = _span_pick(rows)
     for step in range(n_steps):
         if rows.size == 0:
-            full = synced()
             if record:
-                traj[:, step // stride + 1:, :] = full.T[:, None, :]
-            for s, probes in snap_steps.items():
-                if s > step:
-                    for t in probes:
-                        snapshots[t] = full.T.copy()
+                traj[:, step // stride + 1:, :] = synced().T[:, None, :]
             break
         dw = None
         if scheme != Scheme.EXACT_CIR_SPLITTING:
@@ -724,14 +712,8 @@ def simulate_batch(
             span_pick = _span_pick(rows)
 
         s = step + 1
-        rec = -(-s // stride) if record and (s % stride == 0 or s == n_steps) else None
-        probes = snap_steps.get(s, ())
-        if rec is not None or probes:
-            full = synced()
-            if rec is not None:
-                traj[:, rec, :] = full.T
-            for t in probes:
-                snapshots[t] = full.T.copy()
+        if record and (s % stride == 0 or s == n_steps):
+            traj[:, -(-s // stride), :] = synced().T
 
     monitors = {}
     for lev in levels:
@@ -748,7 +730,6 @@ def simulate_batch(
         monitors=monitors,
         times=times,
         trajectories=traj,
-        snapshots=snapshots,
     )
 
 
@@ -770,8 +751,7 @@ def simulate_path(
 
     res = simulate_batch(
         params,
-        config,
-        n_paths=1,
+        dataclasses.replace(config, paths=1),
         path_offset=path_index,
         initial=initial,
         record=True,
@@ -786,24 +766,31 @@ def contraction_curve(
     initial_a,
     initial_b,
     probe_times: Sequence[float],
-    n_paths: int | None = None,
 ):
     """Mean L1 gap E sum_i |lambda_i - lambda~_i| at probe times, with stderr.
 
     Both systems use the same parameters and shared noise; only the starting
-    points differ.  Returns {probe_time: StatSummary}.
+    points differ.  A probe must be a grid time k*dt of the run, 0 <= k <=
+    n_steps, else ConfigError.  Both batches are recorded at the gcd of the
+    probe steps, so every probe is a recorded row.  Returns
+    {probe_time: StatSummary}.
     """
     from .stats import moment_summary
 
-    res_a = simulate_batch(
-        params, config, n_paths=n_paths, initial=initial_a, snapshot_times=probe_times
-    )
-    res_b = simulate_batch(
-        params, config, n_paths=n_paths, initial=initial_b, snapshot_times=probe_times
-    )
-    out = {}
+    steps = {}
     for t in probe_times:
-        gap = np.abs(res_a.snapshots[t] - res_b.snapshots[t]).sum(axis=1)
+        s = grid_step(t, config.dt, "probe time")
+        if not 0 <= s <= config.n_steps:
+            raise ConfigError(f"probe time t={t:g} is outside [0, {config.horizon:g}]")
+        steps[t] = s
+    stride = math.gcd(*steps.values()) or 1
+    recorded = dataclasses.replace(config, record_stride=stride)
+    res_a = simulate_batch(params, recorded, initial=initial_a, record=True)
+    res_b = simulate_batch(params, recorded, initial=initial_b, record=True)
+    out = {}
+    for t, s in steps.items():
+        row = s // stride
+        gap = np.abs(res_a.trajectories[:, row] - res_b.trajectories[:, row]).sum(axis=1)
         out[t] = moment_summary(gap, name=f"mean_l1_gap(t={t:g})")
     return out
 
@@ -817,7 +804,6 @@ def simulate_coupled_cir(
     horizon: float,
     seed: int,
     n_paths: int,
-    path_offset: int = 0,
 ) -> dict:
     """Coupled scalar CIR runs sharing one Brownian motion (n = 1 kernel).
 
@@ -835,7 +821,7 @@ def simulate_coupled_cir(
     violations = 0
     min_margin = math.inf
     for step in range(n_steps):
-        z = step_normals(seed, step, path_offset, n_paths, 1)[:, 0]
+        z = step_normals(seed, step, 0, n_paths, 1)[:, 0]
         dw = sqrt_dt * z
         ra = np.maximum(
             ra + (cir_a.a - cir_a.b * ra) * dt + cir_a.sigma * np.sqrt(ra) * dw, 0.0

@@ -19,6 +19,7 @@ sampler provides an independent reference.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -133,18 +134,17 @@ def mh_sampler(
     rng: np.random.Generator,
     *,
     initial=None,
-    proposal_scale: float | None = None,
     burn_in: int | None = None,
     thin: int = 1,
-    target_accept: float = 0.3,
 ) -> SampleSet:
     """Random-walk Metropolis targeting the stationary density on the cone.
 
     Proposals are coordinatewise Gaussian perturbations followed by a sort
     (a symmetric proposal on the cone, so the standard ratio applies).  The
-    proposal scale adapts toward ``target_accept`` during burn-in and is
-    frozen afterward, keeping the retained chain Markov.  Returns ``steps``
-    retained samples taken every ``thin`` iterations after ``burn_in``.
+    proposal scale starts at 0.5/gamma, adapts toward an acceptance rate of
+    0.3 during burn-in and is frozen afterward, keeping the retained chain
+    Markov.  Returns ``steps`` retained samples taken every ``thin``
+    iterations after ``burn_in``.
 
     The chain state is a list of Python floats, so an iteration costs a few
     microseconds of scalar arithmetic.  Each iteration draws exactly one
@@ -162,7 +162,7 @@ def mh_sampler(
         if x.shape != (n,):
             raise ValueError(f"initial state must have shape ({n},)")
         x = x.tolist()
-    scale = proposal_scale if proposal_scale is not None else 0.5 / params.gamma
+    scale = 0.5 / params.gamma
     log_density = _log_density_point(params)
     logp = log_density(x)
     if not math.isfinite(logp):
@@ -187,7 +187,7 @@ def mh_sampler(
         if it < burn_in:
             if window == 100:
                 rate = accepted_window / window
-                scale *= math.exp(0.5 * (rate - target_accept))
+                scale *= math.exp(0.5 * (rate - 0.3))
                 scale = min(max(scale, 1e-4 / params.gamma), 100.0 / params.gamma)
                 accepted_window = 0
                 window = 0
@@ -234,18 +234,19 @@ def compare_long_run(
     params: ModelParams,
     config,
     *,
-    n_paths: int | None = None,
     mh_steps: int = 10_000,
     mh_thin: int = 5,
-    rng: np.random.Generator | None = None,
     initial=None,
 ) -> dict[str, StatSummary]:
     """Long-horizon endpoint law versus the exact stationary references.
 
-    Simulates to the horizon, collects endpoint states across paths, and
-    compares (a) the sum statistic against the exact Gamma law, (b) the sum
-    and each marginal against an independent Metropolis sample.  Requires
-    the global regime.
+    Simulates ``config.paths`` paths to the horizon and compares (a) the
+    endpoint sum against the exact Gamma law, (b) the endpoint sum and each
+    marginal against a Metropolis sample drawn from
+    ``default_rng(config.seed + 1)``.  Each result is the moment summary of
+    one sample, the endpoint sums for (a), the Metropolis sums for the sum in
+    (b) and the endpoint marginal for each marginal, named by its key and
+    carrying its KS distance and p-value.  Requires the global regime.
     """
     from .integrators import simulate_batch
 
@@ -256,52 +257,24 @@ def compare_long_run(
             f"{report.global_solution.value}"
         )
     _require_evaluable(params)
-    if rng is None:
-        rng = np.random.default_rng(config.seed + 1)
 
-    res = simulate_batch(params, config, n_paths=n_paths, initial=initial)
+    res = simulate_batch(params, config, initial=initial)
     endpoint = res.final_lambda
     sums = endpoint.sum(axis=1)
 
-    shape, rate = gamma_sum_law(params)
-    d_exact, p_exact = ks_test(sums, lambda x: gammainc(shape, rate * np.asarray(x)))
-    summary = moment_summary(sums, name="endpoint_sum_mean")
-    out = {
-        "sum_vs_exact_gamma": StatSummary(
-            "sum_vs_exact_gamma",
-            summary.estimate,
-            summary.stderr,
-            summary.ci95,
-            summary.n_samples,
-            ks_D=d_exact,
-            ks_p=p_exact,
-        )
-    }
+    def result(key, x, ks):
+        d, p = ks
+        return dataclasses.replace(moment_summary(x, name=key), ks_D=d, ks_p=p)
 
-    mh = mh_sampler(params, mh_steps, rng, thin=mh_thin)
-    d_sum, p_sum = ks_test_two_sample(sums, mh.sums)
-    mh_summary = moment_summary(mh.sums, name="mh_sum_mean")
-    out["sum_vs_mh"] = StatSummary(
-        "sum_vs_mh",
-        mh_summary.estimate,
-        mh_summary.stderr,
-        mh_summary.ci95,
-        mh_summary.n_samples,
-        ks_D=d_sum,
-        ks_p=p_sum,
-    )
+    shape, rate = gamma_sum_law(params)
+    exact = ks_test(sums, lambda x: gammainc(shape, rate * np.asarray(x)))
+    out = {"sum_vs_exact_gamma": result("sum_vs_exact_gamma", sums, exact)}
+    mh = mh_sampler(params, mh_steps, np.random.default_rng(config.seed + 1), thin=mh_thin)
+    out["sum_vs_mh"] = result("sum_vs_mh", mh.sums, ks_test_two_sample(sums, mh.sums))
     for i in range(params.n):
-        d_i, p_i = ks_test_two_sample(endpoint[:, i], mh.points[:, i])
-        marg = moment_summary(endpoint[:, i], name=f"marginal_{i + 1}_mean")
-        out[f"marginal_{i + 1}_vs_mh"] = StatSummary(
-            f"marginal_{i + 1}_vs_mh",
-            marg.estimate,
-            marg.stderr,
-            marg.ci95,
-            marg.n_samples,
-            ks_D=d_i,
-            ks_p=p_i,
-        )
+        key = f"marginal_{i + 1}_vs_mh"
+        ks = ks_test_two_sample(endpoint[:, i], mh.points[:, i])
+        out[key] = result(key, endpoint[:, i], ks)
     return out
 
 
@@ -371,9 +344,8 @@ def estimate_log_normalizer(
     degree: int = 80,
     n_samples: int = 200_000,
     rng: np.random.Generator | None = None,
-    log_offset: float = 0.0,
 ) -> StatSummary:
-    """log of integral over the cone of exp(log_density_rows + offset).
+    """log of integral over the cone of exp(log_density_rows).
 
     ``quadrature``: tensor generalized Gauss-Laguerre over the symmetrized
     orthant divided by n! (n <= 3).  ``importance``: sorted-Gamma-product
@@ -387,11 +359,11 @@ def estimate_log_normalizer(
     if method == "quadrature":
         if n > 3:
             raise NotEvaluable("quadrature branch supports n <= 3")
-        est = _quadrature_log_normalizer(params, power, degree) + log_offset
+        est = _quadrature_log_normalizer(params, power, degree)
         # Error bar from degree refinement; the integrand is smooth away from
         # corners in the cone parameterization, so halving the degree brackets
         # the remaining error conservatively.
-        coarse = _quadrature_log_normalizer(params, power, degree // 2) + log_offset
+        coarse = _quadrature_log_normalizer(params, power, degree // 2)
         err = abs(est - coarse)
         return StatSummary(
             f"logZ_quadrature(deg={degree})",
@@ -408,11 +380,7 @@ def estimate_log_normalizer(
         lam = np.sort(
             rng.gamma(shape, 1.0 / params.gamma, size=(n_samples, n)), axis=1
         )
-        logw = (
-            log_density_rows(params, lam)
-            + log_offset
-            - _log_proposal_gamma(params, lam)
-        )
+        logw = log_density_rows(params, lam) - _log_proposal_gamma(params, lam)
         # Ties from sorting have density zero upward; drop -inf rows safely.
         logw = np.where(np.isfinite(logw), logw, -np.inf)
         peak = logw.max()

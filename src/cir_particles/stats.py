@@ -157,7 +157,7 @@ def ks_test_two_sample(x, y) -> tuple[float, float]:
     return d, kolmogorov_sf((en + 0.12 + 0.11 / en) * d)
 
 
-def empirical_laplace(integral_samples, mu: float, name: str | None = None) -> StatSummary:
+def empirical_laplace(integral_samples, mu: float) -> StatSummary:
     """Mean and stderr of exp(-mu * sample) over nonnegative samples."""
     if mu < 0:
         raise ValueError(f"mu must be >= 0, got {mu}")
@@ -165,8 +165,9 @@ def empirical_laplace(integral_samples, mu: float, name: str | None = None) -> S
     vals = np.exp(-mu * arr)
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-    label = name if name is not None else f"laplace(mu={mu:g})"
-    return StatSummary(label, est, se, (est - 1.96 * se, est + 1.96 * se), arr.size)
+    return StatSummary(
+        f"laplace(mu={mu:g})", est, se, (est - 1.96 * se, est + 1.96 * se), arr.size
+    )
 
 
 def z_score(summary: StatSummary, reference: float) -> float:

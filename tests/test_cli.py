@@ -209,6 +209,22 @@ class TestPhaseDiagram:
             assert row[6] == report.pair_collisions.value
             assert row[7] == report.zero_hit_lambda1.value
 
+    def test_sweep_from_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sweep=alpha=0.4,2.6;beta=0.5;gamma=0\npaths=0\n")
+        argv = ["phase-diagram", "--config", str(cfg)]
+
+        def alphas(out):
+            lines = (tmp_path / out / "sweep.csv").read_text().splitlines()[2:]
+            return [line.split(",")[0] for line in lines]
+
+        assert run_cli(argv + ["--out", str(tmp_path / "cfg")]) == 0
+        assert alphas("cfg") == ["0.4", "2.6"]
+        # A flag replaces the config value of its own field.
+        flag = ["--sweep", "alpha=1.2;beta=0.5;gamma=0", "--out", str(tmp_path / "flag")]
+        assert run_cli(argv + flag) == 0
+        assert alphas("flag") == ["1.2"]
+
     def test_bad_sweep_axis_is_config_error(self, tmp_path, capsys):
         rc = run_cli(["phase-diagram", "--sweep", "delta=1,2", "--out", str(tmp_path)])
         assert rc == 1
@@ -346,6 +362,21 @@ class TestCollisionScan:
         fracs = [float(r[2]) for r in rows]
         assert fracs[0] >= fracs[1] >= fracs[2]
 
+    def test_k_from_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k=2\nn=3\nalpha=1\nbeta=0.4\ngamma=0.5\npaths=8\ndt=1e-2\nhorizon=0.5\n")
+        argv = ["collision-scan", "--config", str(cfg)]
+
+        def ks(out):
+            lines = (tmp_path / out / "first_passage.csv").read_text().splitlines()[2:]
+            return sorted({line.split(",")[0] for line in lines})
+
+        assert run_cli(argv + ["--out", str(tmp_path / "cfg")]) == 0
+        assert ks("cfg") == ["2"]
+        # A flag replaces the config value of its own field.
+        assert run_cli(argv + ["--k", "3", "--out", str(tmp_path / "flag")]) == 0
+        assert ks("flag") == ["3"]
+
 
 class TestErrors:
     def test_bad_model_parameter_exit_code(self, capsys):
@@ -417,9 +448,20 @@ class TestErrors:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "laplace.csv").exists()
 
-    def test_unknown_scheme_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            run_cli(["simulate", "--scheme", "milstein"])
+    def test_unknown_scheme_rejected_by_parser(self, tmp_path, capsys):
+        rc = run_cli(["simulate", "--scheme", "milstein", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: argument --scheme: ") and err.count("\n") == 1
+        assert not (tmp_path / "trajectories.csv").exists()
+
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["simulate", "--help"]],
+                             ids=["version", "help", "command_help"])
+    def test_help_and_version_exit_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
 
 
 class TestExitCodeContract:
@@ -441,10 +483,17 @@ class TestExitCodeContract:
              "config error: mu "),
             (["stationary-compare", "--paths", "5", "--horizon", "0.01"], "stationary.csv",
              "too few samples: "),
+            (["phase-diagram"], "sweep.csv", "config error: sweep "),
+            (["regime", "--alpha", "abc"], "regime.txt", "config error: argument --alpha: "),
+            (["simulate", "--paths"], "trajectories.csv", "config error: argument --paths: "),
+            (["simulate", "--milstein"], "trajectories.csv", "config error: unrecognized "),
+            (["integrate"], "trajectories.csv", "config error: argument command: "),
         ],
         ids=["config_paths_1e3", "verify_only_abc", "verify_only_99", "sweep_abc",
              "sweep_paths_negative", "laplace_paths_0", "laplace_paths_negative",
-             "laplace_paths_1", "laplace_mu_negative", "stationary_too_few_samples"],
+             "laplace_paths_1", "laplace_mu_negative", "stationary_too_few_samples",
+             "sweep_missing", "parser_alpha_abc", "parser_paths_no_value",
+             "parser_unknown_flag", "parser_unknown_command"],
     )
     def test_bad_input_exits_1_with_one_line(self, argv, artifact, prefix, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -474,8 +523,9 @@ class TestRunTooBigForMemory:
         [
             ["--paths", "1000000000000", "--horizon", "0.002"],
             ["--dt", "1e-300", "--horizon", "1", "--paths", "1"],
+            ["--paths", "1000000000000000000", "--horizon", "0.002"],
         ],
-        ids=["too_many_paths", "too_many_recorded_steps"],
+        ids=["too_many_paths", "too_many_recorded_steps", "paths_past_numpy_size_limit"],
     )
     def test_exits_1_with_one_line(self, argv, tmp_path):
         src = Path(__file__).resolve().parents[1] / "src"
@@ -508,13 +558,13 @@ class TestVerifyCommand:
         from cir_particles import acceptance as acc
         from cir_particles.acceptance import CriterionResult
 
-        def fake_run(only=None, quiet=False):
+        def fake_run(only=None):
             return [CriterionResult(8, "gradient_and_sum_identity", True, ["ok"])]
 
         monkeypatch.setattr(acc, "run_acceptance", fake_run)
         assert run_cli(["verify", "--only", "8"]) == 0
 
-        def fake_run_fail(only=None, quiet=False):
+        def fake_run_fail(only=None):
             return [CriterionResult(8, "gradient_and_sum_identity", False, ["bad"])]
 
         monkeypatch.setattr(acc, "run_acceptance", fake_run_fail)
@@ -526,7 +576,7 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(
             acc, "run_acceptance",
-            lambda only=None, quiet=False: [CriterionResult(9, "coupled_cir_ordering", True, ["ok"])],
+            lambda only=None: [CriterionResult(9, "coupled_cir_ordering", True, ["ok"])],
         )
         assert run_cli(["verify", "--only", "9", "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "acceptance.csv").read_text().splitlines()
@@ -539,7 +589,7 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(
             acc, "run_acceptance",
-            lambda only=None, quiet=False: [CriterionResult(8, "gradient_and_sum_identity", True, ["ok"])],
+            lambda only=None: [CriterionResult(8, "gradient_and_sum_identity", True, ["ok"])],
         )
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"out={tmp_path / 'report'}\n")
@@ -556,7 +606,7 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(
             acc, "run_acceptance",
-            lambda only=None, quiet=False: [CriterionResult(8, "gradient_and_sum_identity", True, ["ok"])],
+            lambda only=None: [CriterionResult(8, "gradient_and_sum_identity", True, ["ok"])],
         )
         argv = ["verify", "--only", "8,9", "--seed", "5", "--paths", "7", "--alpha", "3",
                 "--out", str(tmp_path)]

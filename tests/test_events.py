@@ -69,8 +69,8 @@ _SCHEME_CASES = {
 class TestDetectEvents:
     def test_separated_batch_is_quiet(self):
         p = ModelParams(alpha=2.0, beta=0.5, gamma=0.0, n=3)
-        cfg = SimConfig(dt=1e-3, horizon=0.05, seed=1)
-        res = simulate_batch(p, cfg, n_paths=4, initial=[1.0, 4.0, 9.0], event_levels=(0.05,))
+        cfg = SimConfig(dt=1e-3, horizon=0.05, seed=1, paths=4)
+        res = simulate_batch(p, cfg, initial=[1.0, 4.0, 9.0], event_levels=(0.05,))
         assert detect_events(res, 0.05) == [[], [], [], []]
 
     @pytest.mark.parametrize("scheme", list(Scheme))
@@ -79,11 +79,10 @@ class TestDetectEvents:
         # the monitors stamped, in the same order.
         alpha, eps = _SCHEME_CASES[scheme]
         p = ModelParams(alpha=alpha, beta=0.5, gamma=0.5, n=3)
-        cfg = SimConfig(scheme=scheme, dt=1e-2, horizon=3.0, seed=9, epsilon=eps)
+        cfg = SimConfig(scheme=scheme, dt=1e-2, horizon=3.0, seed=9, epsilon=eps, paths=8)
         initial = np.sort(np.random.default_rng(9).uniform(0.001, 0.5, (8, 3)), axis=1)
         levels = (1e-2, 0.05, 1e-3)
-        res = simulate_batch(p, cfg, n_paths=8, initial=initial, record=True,
-                             event_levels=levels)
+        res = simulate_batch(p, cfg, initial=initial, record=True, event_levels=levels)
         found = 0
         for delta in levels:
             rows = detect_events(res, delta)
@@ -98,9 +97,9 @@ class TestDetectEvents:
     def test_event_between_recorded_rows_is_reported_at_its_step(self):
         p = ModelParams(alpha=1.0, beta=0.5, gamma=0.5, n=3)
         initial = np.array([0.05, 0.06, 1.0])
-        every = SimConfig(dt=1e-3, horizon=0.5, seed=9)
-        strided = SimConfig(dt=1e-3, horizon=0.5, seed=9, record_stride=7)
-        kwargs = dict(n_paths=3, initial=initial, record=True, event_levels=(1e-3,))
+        every = SimConfig(dt=1e-3, horizon=0.5, seed=9, paths=3)
+        strided = SimConfig(dt=1e-3, horizon=0.5, seed=9, record_stride=7, paths=3)
+        kwargs = dict(initial=initial, record=True, event_levels=(1e-3,))
         want = detect_events(simulate_batch(p, every, **kwargs), 1e-3)
         res = simulate_batch(p, strided, **kwargs)
         assert detect_events(res, 1e-3) == want
@@ -110,9 +109,9 @@ class TestDetectEvents:
 
     def test_shrinking_delta_never_moves_events_earlier(self):
         p = ModelParams(alpha=0.8, beta=0.5, gamma=0.5, n=2)
-        cfg = SimConfig(dt=1e-2, horizon=2.0, seed=2)
+        cfg = SimConfig(dt=1e-2, horizon=2.0, seed=2, paths=6)
         levels = (0.5, 0.2, 0.05, 0.01)
-        res = simulate_batch(p, cfg, n_paths=6, initial=[0.3, 0.8], event_levels=levels)
+        res = simulate_batch(p, cfg, initial=[0.3, 0.8], event_levels=levels)
         rows = {delta: detect_events(res, delta) for delta in levels}
         for i in range(6):
             for kind in (EventKind.PAIR_COLLISION, EventKind.ZERO_HIT_PARTIAL_SUM):
@@ -124,9 +123,9 @@ class TestDetectEvents:
 
     def test_joint_and_double_events_at_the_start(self):
         p = ModelParams(alpha=2.0, beta=0.5, gamma=0.0, n=3)
-        cfg = SimConfig(dt=1e-2, horizon=0.1, seed=3)
+        cfg = SimConfig(dt=1e-2, horizon=0.1, seed=3, paths=2)
         start = np.array([[0.005, 0.008, 2.0], [0.5, 0.505, 0.509]])
-        res = simulate_batch(p, cfg, n_paths=2, initial=start, event_levels=(0.01,))
+        res = simulate_batch(p, cfg, initial=start, event_levels=(0.01,))
         joint, double = detect_events(res, 0.01)
         assert first_time(joint, EventKind.JOINT_EVENT_ZETA) == 0.0
         assert first_time(double, EventKind.PAIR_COLLISION, 1) == 0.0
@@ -137,8 +136,8 @@ class TestDetectEvents:
     def test_stop_events_reported(self):
         p = ModelParams(alpha=0.4, beta=0.5, gamma=0.0, n=2)
         cfg = SimConfig(scheme=Scheme.C_EPSILON, dt=1e-3, horizon=5.0, seed=9,
-                        epsilon=1e-2)
-        res = simulate_batch(p, cfg, n_paths=4, event_levels=(1e-3,))
+                        epsilon=1e-2, paths=4)
+        res = simulate_batch(p, cfg, event_levels=(1e-3,))
         stopped = np.flatnonzero(res.terminated_code == 1)
         assert stopped.size
         rows = detect_events(res, 1e-3)
@@ -149,8 +148,7 @@ class TestDetectEvents:
 
     def test_unmonitored_level_is_a_config_error(self):
         p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
-        res = simulate_batch(p, SimConfig(dt=1e-2, horizon=0.1), n_paths=2,
-                             event_levels=(1e-2,))
+        res = simulate_batch(p, SimConfig(dt=1e-2, horizon=0.1, paths=2), event_levels=(1e-2,))
         with pytest.raises(ConfigError, match="not monitored"):
             detect_events(res, 1e-3)
 

@@ -1,5 +1,6 @@
 """Scheme contracts: hand steps, regularized drifts, stopping rules, coupling."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from cir_particles import (
     Terminated,
     contraction_curve,
     drift_lambda,
+    moment_summary,
     simulate_batch,
     simulate_coupled_cir,
     simulate_path,
@@ -257,7 +259,7 @@ class TestSwitchingScheme:
             scheme=Scheme.REGULARIZED_SWITCHING, dt=1e-3, horizon=100.0,
             seed=8, epsilon=0.02, paths=16,
         )
-        res = simulate_batch(p, cfg, n_paths=16)
+        res = simulate_batch(p, cfg)
         stopped = res.terminated_code == 2
         assert stopped.mean() >= 0.9
         lam = res.final_lambda[stopped]
@@ -277,11 +279,13 @@ class TestCEpsilonScheme:
 
     def test_matches_root_coordinates_away_from_floor(self):
         p = ModelParams(alpha=0.4, beta=0.5, gamma=0.2, n=2)
-        cfg_c = SimConfig(scheme=Scheme.C_EPSILON, dt=1e-3, horizon=0.2, seed=3, epsilon=1e-4)
-        cfg_r = SimConfig(scheme=Scheme.ROOT_COORDINATES, dt=1e-3, horizon=0.2, seed=3, epsilon=1e-4)
+        cfg_c = SimConfig(scheme=Scheme.C_EPSILON, dt=1e-3, horizon=0.2, seed=3, epsilon=1e-4,
+                          paths=4)
+        cfg_r = SimConfig(scheme=Scheme.ROOT_COORDINATES, dt=1e-3, horizon=0.2, seed=3,
+                          epsilon=1e-4, paths=4)
         start = np.array([1.0, 4.0])
-        res_c = simulate_batch(p, cfg_c, n_paths=4, initial=start, record=True)
-        res_r = simulate_batch(p, cfg_r, n_paths=4, initial=start, record=True)
+        res_c = simulate_batch(p, cfg_c, initial=start, record=True)
+        res_r = simulate_batch(p, cfg_r, initial=start, record=True)
         # identical noise and identical drift while x stays above every floor
         active = res_c.terminated_code == 0
         assert active.any()
@@ -291,9 +295,9 @@ class TestCEpsilonScheme:
 
     def test_requires_negative_kappa(self):
         p = ModelParams(alpha=2.0, beta=0.5, gamma=0.0, n=2)
-        cfg = SimConfig(scheme=Scheme.C_EPSILON, dt=1e-3, horizon=1.0)
+        cfg = SimConfig(scheme=Scheme.C_EPSILON, dt=1e-3, horizon=1.0, paths=2)
         with pytest.raises(ConfigError):
-            simulate_batch(p, cfg, n_paths=2)
+            simulate_batch(p, cfg)
 
     def test_stops_at_s_eps_in_negative_kappa_regime(self):
         p = ModelParams(alpha=0.4, beta=0.5, gamma=0.0, n=2)
@@ -317,18 +321,17 @@ class TestSimulatePath:
 
     def test_path_equals_batch_row(self):
         p = ModelParams(alpha=2.0, beta=0.4, gamma=1.0, n=3)
-        cfg = SimConfig(dt=1e-3, horizon=0.3, seed=42, record_stride=5)
+        cfg = SimConfig(dt=1e-3, horizon=0.3, seed=42, record_stride=5, paths=8)
         rec, _ = simulate_path(p, cfg, 3)
-        batch = simulate_batch(p, cfg, n_paths=8, record=True)
+        batch = simulate_batch(p, cfg, record=True)
         assert np.array_equal(rec.lambdas, batch.trajectories[3])
 
     def test_path_record_of_a_batch_row_is_the_path(self):
         p = ModelParams(alpha=0.8, beta=0.5, gamma=1.0, n=2)
         cfg = SimConfig(scheme=Scheme.REGULARIZED_SWITCHING, dt=1e-3, horizon=2.0,
-                        seed=21, epsilon=0.05, record_stride=7)
+                        seed=21, epsilon=0.05, record_stride=7, paths=4)
         start = np.array([0.1, 1.0])
-        batch = simulate_batch(p, cfg, n_paths=4, path_offset=2, initial=start,
-                               record=True)
+        batch = simulate_batch(p, cfg, path_offset=2, initial=start, record=True)
         for i in range(4):
             got = batch.path_record(i)
             want, _ = simulate_path(p, cfg, 2 + i, start)
@@ -338,7 +341,7 @@ class TestSimulatePath:
             assert np.array_equal(got.times, want.times)
             assert np.array_equal(got.lambdas, want.lambdas)
         with pytest.raises(ConfigError, match="record=True"):
-            simulate_batch(p, cfg, n_paths=1).path_record(0)
+            simulate_batch(p, dataclasses.replace(cfg, paths=1)).path_record(0)
 
     def test_recorded_states_sorted_nonnegative_all_schemes(self):
         for scheme, params in (
@@ -373,9 +376,10 @@ class TestSimulatePath:
 
     def test_splitting_rerun_identical(self):
         p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
-        cfg = SimConfig(scheme=Scheme.EXACT_CIR_SPLITTING, dt=1e-3, horizon=0.3, seed=6)
-        a = simulate_batch(p, cfg, n_paths=16)
-        b = simulate_batch(p, cfg, n_paths=16)
+        cfg = SimConfig(scheme=Scheme.EXACT_CIR_SPLITTING, dt=1e-3, horizon=0.3, seed=6,
+                        paths=16)
+        a = simulate_batch(p, cfg)
+        b = simulate_batch(p, cfg)
         assert np.array_equal(a.final_lambda, b.final_lambda)
 
 
@@ -530,8 +534,8 @@ class TestStopPrecedence:
         self, scheme, alpha, start, stop_on, code
     ):
         p = ModelParams(alpha=alpha, beta=0.5, gamma=0.5, n=2)
-        cfg = SimConfig(scheme=scheme, dt=1e-2, horizon=2.0, seed=3, epsilon=0.01)
-        res = simulate_batch(p, cfg, n_paths=200, initial=start, stop_on=stop_on)
+        cfg = SimConfig(scheme=scheme, dt=1e-2, horizon=2.0, seed=3, epsilon=0.01, paths=200)
+        res = simulate_batch(p, cfg, initial=start, stop_on=stop_on)
         own = res.terminated_code == code
         assert own.sum() >= 10 and (res.terminated_code == 4).sum() >= 10
         # The stop_on event fired on the scheme's stopping step as well.
@@ -539,7 +543,7 @@ class TestStopPrecedence:
         assert np.array_equal(hit[own], res.stop_time[own])
 
 
-class TestSnapshotTimes:
+class TestContractionProbes:
     @pytest.mark.parametrize(
         "times",
         [(0.5, 0.5004), (7.0,), (1.001,), (-0.001,), (math.nan,), (math.inf,)],
@@ -548,23 +552,36 @@ class TestSnapshotTimes:
     def test_off_grid_or_outside_run_is_config_error(self, times):
         p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
         cfg = SimConfig(dt=1e-3, horizon=1.0, paths=2)
-        with pytest.raises(ConfigError, match="snapshot"):
-            simulate_batch(p, cfg, snapshot_times=times)
+        with pytest.raises(ConfigError, match="probe time"):
+            contraction_curve(p, cfg, [1.0, 2.0], [0.5, 2.5], times)
 
     def test_contraction_curve_probes_on_one_step(self):
         p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
         cfg = SimConfig(dt=1e-3, horizon=1.0, paths=4)
-        with pytest.raises(ConfigError, match="snapshot"):
+        with pytest.raises(ConfigError, match="probe time"):
             contraction_curve(p, cfg, [1.0, 2.0], [0.5, 2.5], (0.5, 0.5004))
 
-    def test_grid_times_from_start_to_horizon(self):
-        p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
-        cfg = SimConfig(dt=1e-2, horizon=1.0, seed=3, paths=3)
-        res = simulate_batch(p, cfg, snapshot_times=(0.0, 0.3, 1.0), record=True)
-        assert sorted(res.snapshots) == [0.0, 0.3, 1.0]
-        assert np.array_equal(res.snapshots[0.0], res.trajectories[:, 0])
-        assert np.array_equal(res.snapshots[0.3], res.trajectories[:, 30])
-        assert np.array_equal(res.snapshots[1.0], res.final_lambda)
+    @pytest.mark.parametrize(
+        "scheme, alpha, probes",
+        [(Scheme.TRUNCATED_EULER, 3.2, (0.0, 0.3, 0.5, 1.0)),
+         (Scheme.C_EPSILON, 0.4, (1.0, 0.2, 0.6)),
+         (Scheme.TRUNCATED_EULER, 3.2, (0.0,))],
+        ids=["truncated_euler", "c_epsilon", "start_only"],
+    )
+    def test_equals_the_gap_of_two_recorded_batches(self, scheme, alpha, probes):
+        # The curve records at the gcd of the probe steps; the reference
+        # records every step.  c_epsilon rows stop at S_eps before the horizon.
+        p = ModelParams(alpha=alpha, beta=1.2 if alpha > 1 else 0.5, gamma=1.0, n=2)
+        cfg = SimConfig(scheme=scheme, dt=1e-2, horizon=1.0, seed=31, epsilon=0.05, paths=20)
+        a, b = [0.2, 1.0], [0.1, 1.3]
+        curve = contraction_curve(p, cfg, a, b, probes)
+        res_a = simulate_batch(p, cfg, initial=a, record=True)
+        res_b = simulate_batch(p, cfg, initial=b, record=True)
+        assert list(curve) == list(probes)
+        for t in probes:
+            row = round(t / cfg.dt)
+            gap = np.abs(res_a.trajectories[:, row] - res_b.trajectories[:, row]).sum(axis=1)
+            assert curve[t] == moment_summary(gap, name=f"mean_l1_gap(t={t:g})")
 
 
 # alpha per (scheme, n); beta = 0.5 and gamma = 0.5 throughout.  c_epsilon
@@ -588,41 +605,37 @@ def _assert_rows_match(part, whole, lo, hi):
     for lev, mon in whole.monitors.items():
         for kind, values in mon.items():
             assert np.array_equal(part.monitors[lev][kind], values[lo:hi], equal_nan=True)
-    assert part.snapshots.keys() == whole.snapshots.keys()
-    for t, values in whole.snapshots.items():
-        assert np.array_equal(part.snapshots[t], values[lo:hi])
 
 
 class TestBatchDecomposition:
     @given(
         key=st.sampled_from(sorted(_GAUSSIAN_ALPHA, key=str)),
-        n_paths=st.integers(1, 16),
+        paths=st.integers(1, 16),
         cuts=st.lists(st.integers(1, 15), max_size=6),
         seed=st.integers(0, 2**31 - 1),
         refine=st.sampled_from([1, 2]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_rows_do_not_depend_on_the_batch_split(self, key, n_paths, cuts, seed, refine):
+    def test_rows_do_not_depend_on_the_batch_split(self, key, paths, cuts, seed, refine):
         # A one-row batch returns once its row stops, so it is the reference
         # for every row of a batch whose other rows run on.
         scheme, n = key
         params = ModelParams(alpha=_GAUSSIAN_ALPHA[key], beta=0.5, gamma=0.5, n=n)
         cfg = SimConfig(scheme=scheme, dt=1e-2, horizon=2.0, seed=seed,
-                        epsilon=0.05, record_stride=3)
+                        epsilon=0.05, record_stride=3, paths=paths)
         initial = np.sort(
-            np.random.default_rng(seed).uniform(0.01, 1.5, (n_paths, n)), axis=1
+            np.random.default_rng(seed).uniform(0.01, 1.5, (paths, n)), axis=1
         )
         kwargs = dict(event_levels=(0.05, 1e-3), stop_on=("gap_any", 0.01),
-                      record=True, noise_refine=refine,
-                      snapshot_times=(0.5, 2.0))
-        whole = simulate_batch(params, cfg, n_paths=n_paths, initial=initial, **kwargs)
-        bounds = sorted({0, n_paths, *(c for c in cuts if c < n_paths)})
+                      record=True, noise_refine=refine)
+        whole = simulate_batch(params, cfg, initial=initial, **kwargs)
+        bounds = sorted({0, paths, *(c for c in cuts if c < paths)})
         for lo, hi in zip(bounds, bounds[1:]):
-            part = simulate_batch(params, cfg, n_paths=hi - lo, path_offset=lo,
-                                  initial=initial[lo:hi], **kwargs)
+            part = simulate_batch(params, dataclasses.replace(cfg, paths=hi - lo),
+                                  path_offset=lo, initial=initial[lo:hi], **kwargs)
             _assert_rows_match(part, whole, lo, hi)
-        for i in range(n_paths):
-            alone = simulate_batch(params, cfg, n_paths=1, path_offset=i,
+        for i in range(paths):
+            alone = simulate_batch(params, dataclasses.replace(cfg, paths=1), path_offset=i,
                                    initial=initial[i:i + 1], **kwargs)
             _assert_rows_match(alone, whole, i, i + 1)
 
@@ -655,10 +668,10 @@ class TestStackedMonitors:
     )
     def test_each_level_equals_a_run_at_that_level_alone(self, scheme, n, alpha, levels):
         params = ModelParams(alpha=alpha, beta=0.5, gamma=0.5, n=n)
-        cfg = SimConfig(scheme=scheme, dt=1e-2, horizon=3.0, seed=9, epsilon=0.01)
+        cfg = SimConfig(scheme=scheme, dt=1e-2, horizon=3.0, seed=9, epsilon=0.01, paths=30)
         initial = np.sort(np.random.default_rng(9).uniform(0.001, 0.5, (30, n)), axis=1)
         stop_on = ("psum", 2, 1e-3)
-        together = simulate_batch(params, cfg, n_paths=30, initial=initial,
+        together = simulate_batch(params, cfg, initial=initial,
                                   event_levels=levels, stop_on=stop_on)
         assert list(together.monitors) == list(dict.fromkeys(levels))
         # Compaction: rows freeze at different steps, so the live set shrinks.
@@ -666,7 +679,7 @@ class TestStackedMonitors:
         for lev in together.monitors:
             mon = together.monitors[lev]
             assert sum(np.isfinite(v).sum() for v in mon.values()) > 0
-            alone = simulate_batch(params, cfg, n_paths=30, initial=initial,
+            alone = simulate_batch(params, cfg, initial=initial,
                                    event_levels=(lev,), stop_on=stop_on)
             assert list(alone.monitors) == list(dict.fromkeys((lev, 1e-3)))
             assert list(alone.monitors[lev]) == list(mon)
@@ -681,11 +694,10 @@ class TestStackedMonitors:
         # Recorded every step, the first time two adjacent gaps are at or
         # below the level is the double monitor's first hit.
         params = ModelParams(alpha=1.0, beta=0.2, gamma=0.5, n=n)
-        cfg = SimConfig(dt=1e-2, horizon=2.0, seed=4)
+        cfg = SimConfig(dt=1e-2, horizon=2.0, seed=4, paths=40)
         initial = np.sort(np.random.default_rng(n).uniform(0.0, 2.0, (40, n)), axis=1)
         levels = (0.005, 0.02)
-        res = simulate_batch(params, cfg, n_paths=40, initial=initial, event_levels=levels,
-                             record=True)
+        res = simulate_batch(params, cfg, initial=initial, event_levels=levels, record=True)
         small = np.diff(res.trajectories, axis=2)[..., None] <= np.array(levels)
         two = np.count_nonzero(small, axis=2) >= 2  # (P, recorded steps, levels)
         for j, lev in enumerate(levels):
@@ -697,8 +709,8 @@ class TestStackedMonitors:
 
     def test_double_never_fires_with_one_gap(self):
         params = ModelParams(alpha=1.0, beta=0.5, gamma=0.5, n=2)
-        cfg = SimConfig(dt=1e-2, horizon=1.0, seed=4)
-        res = simulate_batch(params, cfg, n_paths=4, initial=[0.0, 0.0], event_levels=(0.1,))
+        cfg = SimConfig(dt=1e-2, horizon=1.0, seed=4, paths=4)
+        res = simulate_batch(params, cfg, initial=[0.0, 0.0], event_levels=(0.1,))
         assert np.isfinite(res.monitors[0.1]["gap"]).all()
         assert np.isnan(res.monitors[0.1]["double"]).all()
 
@@ -715,11 +727,10 @@ class TestEveryRowFrozenAtStart:
                                 lambda *args, real=real: drawn.append(args) or real(*args))
         n = 3
         params = ModelParams(alpha=_MONITOR_ALPHA[scheme](n), beta=0.5, gamma=0.5, n=n)
-        cfg = SimConfig(scheme=scheme, dt=1e-2, horizon=0.5, seed=2, epsilon=0.01)
+        cfg = SimConfig(scheme=scheme, dt=1e-2, horizon=0.5, seed=2, epsilon=0.01, paths=2)
         start = np.array([[0.0, 0.0, 0.5], [1e-4, 2e-4, 1.0]])
-        res = simulate_batch(params, cfg, n_paths=2, initial=start, event_levels=(1e-2,),
-                             stop_on=("psum", 1, 1e-3), record=True,
-                             snapshot_times=(0.0, 0.2, 0.5))
+        res = simulate_batch(params, cfg, initial=start, event_levels=(1e-2,),
+                             stop_on=("psum", 1, 1e-3), record=True)
         assert drawn == []
         assert np.array_equal(res.terminated_code, [4, 4])
         assert np.array_equal(res.stop_time, [0.0, 0.0])
@@ -727,8 +738,6 @@ class TestEveryRowFrozenAtStart:
         np.testing.assert_allclose(lam0, start, rtol=1e-15)
         assert np.array_equal(res.trajectories,
                               np.broadcast_to(lam0[:, None], res.trajectories.shape))
-        for t in (0.0, 0.2, 0.5):
-            assert np.array_equal(res.snapshots[t], lam0)
         assert np.array_equal(res.final_lambda, lam0)
         for lev in (1e-2, 1e-3):
             assert np.array_equal(res.monitors[lev]["psum"][:, 0], [0.0, 0.0])

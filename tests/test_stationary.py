@@ -303,11 +303,6 @@ class TestLogNormalizer:
         )
         assert abs(q.estimate - i.estimate) <= 3 * math.hypot(q.stderr, i.stderr)
 
-    def test_offset_shifts_exactly(self):
-        base = estimate_log_normalizer(P2, "quadrature", degree=40)
-        shifted = estimate_log_normalizer(P2, "quadrature", degree=40, log_offset=2.5)
-        assert shifted.estimate - base.estimate == 2.5
-
     def test_quadrature_needs_small_n(self):
         with pytest.raises(NotEvaluable):
             estimate_log_normalizer(
