@@ -73,7 +73,6 @@ from .stats import (
     binomial_summary,
     empirical_laplace,
     finite_diff_gradient,
-    kolmogorov_sf,
     ks_distance,
     ks_distance_two_sample,
     ks_test,

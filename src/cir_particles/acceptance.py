@@ -26,6 +26,7 @@ from .cirprocess import (
 from .integrators import (
     Scheme,
     SimConfig,
+    Terminated,
     contraction_curve,
     simulate_batch,
     simulate_coupled_cir,
@@ -198,7 +199,8 @@ def criterion_4_phase_diagram(registry: _DoubleEventRegistry) -> CriterionResult
     )
     res_c = simulate_batch(params_c, config_c, event_levels=[_DOUBLE_SCAN_LEVEL])
     registry.add("c4c", res_c)
-    frac_c = float((res_c.terminated_code == 1).mean())
+    stopped = [res_c.terminated(i) == Terminated.STOPPED_AT_S_EPS for i in range(res_c.n_paths)]
+    frac_c = float(np.mean(stopped))
     ok_c = frac_c >= 0.99
     details.append(f"(c) kappa=-0.1: stopped_at_S_eps fraction {frac_c:.3f} (need >= 0.99)")
 

@@ -16,8 +16,10 @@ starts the coordinate sum at its sum.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,17 +27,53 @@ from . import __version__
 from .cirprocess import integrated_laplace, integrated_sum_paths
 from .errors import BadK, ConfigError, NotEvaluable, RegimeMismatch, TooFewSamples
 from .events import detect_events, first_passage_partial_sum
-from .integrators import Scheme, SimConfig, Terminated, grid_step, simulate_batch
+from .integrators import MAX_STEPS, Scheme, SimConfig, Terminated, grid_step, simulate_batch
 from .model import ModelParams, classify_regime, multiple_collision_threshold
 from .randomness import rng_streams
 from .stats import empirical_laplace, z_score
 
-_FLOAT_KEYS = {
-    "alpha", "beta", "gamma", "dt", "horizon", "epsilon", "collision_tol",
-    "kick_cap", "mu", "t",
+
+class _Key(NamedTuple):
+    """One input key: how its text reads, its value when unset, and where it goes."""
+
+    kind: type  # float, int or str: reads its flag and its --config line
+    default: object = None  # a tuple makes the flag repeatable and the value a list
+    header: str | None = None  # format spec of a run field's header text
+    help: str | None = None
+    command: str | None = None  # the one command with this flag; None: every command
+    choices: tuple | None = None
+
+
+# Every input key.  Its flag is --key with "-" for "_", its --config line is
+# key=value, and a run field (one with a header spec) fills the ModelParams
+# or SimConfig field of its name.  The run fields are in header order.
+_KEYS = {
+    "out": _Key(str, help="output directory for artifacts"),
+    "alpha": _Key(float, 2.0, "g"),
+    "beta": _Key(float, 0.5, "g"),
+    "gamma": _Key(float, 1.0, "g"),
+    "n": _Key(int, 2, ""),
+    "scheme": _Key(str, Scheme.TRUNCATED_EULER.value, "",
+                   choices=tuple(s.value for s in Scheme)),
+    "dt": _Key(float, 1e-3, "g"),
+    "horizon": _Key(float, 1.0, "g"),
+    # Written whole (0.1234567 stays 0.1234567); unset is "auto", 10*sqrt(dt).
+    "epsilon": _Key(float, None, ""),
+    "collision_tol": _Key(float, 1e-3, "g"),
+    "kick_cap": _Key(float, 1.0, "g"),
+    "seed": _Key(int, 0, ""),
+    "paths": _Key(int, 100, ""),
+    "record_stride": _Key(int, 1, ""),
+    # Written as the start it resolves to, the default 1, 2, ..., n when unset.
+    "x0": _Key(str, None, "", help="comma-separated initial state"),
+    "sweep": _Key(str, help="grid, e.g. 'alpha=0.4,0.7,2.6;beta=0.5;gamma=0'",
+                  command="phase-diagram"),
+    "mu": _Key(float, (0.5, 1.0), help="transform argument (repeatable)",
+               command="laplace-check"),
+    "t": _Key(float, (0.5, 1.0, 2.0), help="time horizon (repeatable)",
+              command="laplace-check"),
+    "k": _Key(int, help="partial-sum order (default: all k)", command="collision-scan"),
 }
-_INT_KEYS = {"n", "seed", "paths", "record_stride", "k"}
-_STR_KEYS = {"scheme", "x0", "out", "sweep"}
 
 
 def _number(kind, field: str, text: str):
@@ -48,8 +86,13 @@ def _number(kind, field: str, text: str):
 
 
 def _parse_config_file(path: str) -> dict:
+    """The keys a key=value config file sets, each read as its ``_KEYS`` entry says."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read the config file: {exc}") from None
     values: dict = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -57,14 +100,13 @@ def _parse_config_file(path: str) -> dict:
             raise ConfigError(f"config line is not key=value: {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key in _FLOAT_KEYS:
-            values[key] = _number(float, key, val)
-        elif key in _INT_KEYS:
-            values[key] = _number(int, key, val)
-        elif key in _STR_KEYS:
-            values[key] = val
-        else:
+        spec = _KEYS.get(key)
+        if spec is None:
             raise ConfigError(f"unknown config field {key!r}")
+        value = val if spec.kind is str else _number(spec.kind, key, val)
+        if spec.choices and value not in spec.choices:
+            raise ConfigError(f"{key} must be one of {', '.join(spec.choices)}, got {val!r}")
+        values[key] = [value] if isinstance(spec.default, tuple) else value
     return values
 
 
@@ -82,94 +124,41 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key=value config file")
-    common.add_argument("--out", help="output directory for artifacts")
-    common.add_argument("--alpha", type=float)
-    common.add_argument("--beta", type=float)
-    common.add_argument("--gamma", type=float)
-    common.add_argument("--n", type=int)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--paths", type=int)
-    common.add_argument("--dt", type=float)
-    common.add_argument("--horizon", type=float)
-    common.add_argument("--epsilon", type=float)
-    common.add_argument("--collision-tol", dest="collision_tol", type=float)
-    common.add_argument("--record-stride", dest="record_stride", type=int)
-    common.add_argument("--kick-cap", dest="kick_cap", type=float)
-    common.add_argument(
-        "--scheme", choices=[s.value for s in Scheme], dest="scheme"
-    )
-    common.add_argument("--x0", help="comma-separated initial state")
-
-    sub.add_parser("simulate", parents=[common], help="sample trajectories")
-    sub.add_parser("regime", parents=[common], help="analytic classification")
-    pd = sub.add_parser("phase-diagram", parents=[common], help="sweep grid")
-    pd.add_argument("--sweep", help="grid, e.g. 'alpha=0.4,0.7,2.6;beta=0.5;gamma=0'")
-    ver = sub.add_parser("verify", parents=[common], help="run acceptance suite")
-    ver.add_argument("--only", help="comma-separated criterion numbers")
-    sub.add_parser("stationary-compare", parents=[common],
-                   help="long-run law vs exact references")
-    lc = sub.add_parser("laplace-check", parents=[common],
-                        help="integrated-CIR Laplace transform vs Monte Carlo")
-    lc.add_argument("--mu", type=float, action="append",
-                    help="transform argument (repeatable)")
-    lc.add_argument("--t", dest="t_probe", type=float, action="append",
-                    help="time horizon (repeatable)")
-    cs = sub.add_parser("collision-scan", parents=[common],
-                        help="partial-sum first-passage ladder")
-    cs.add_argument("--k", type=int, help="partial-sum order (default: all k)")
+    for name, (_, help_text) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("--config", help="flat key=value config file")
+        for key, spec in _KEYS.items():
+            if spec.command in (None, name):
+                command.add_argument(
+                    "--" + key.replace("_", "-"), type=spec.kind, help=spec.help,
+                    choices=spec.choices,
+                    action="append" if isinstance(spec.default, tuple) else "store",
+                )
+    sub.choices["verify"].add_argument("--only", help="comma-separated criterion numbers")
     return parser
 
 
-_DEFAULTS = {
-    "alpha": 2.0, "beta": 0.5, "gamma": 1.0, "n": 2,
-    "seed": 0, "paths": 100, "dt": 1e-3, "horizon": 1.0,
-    "epsilon": None, "collision_tol": 1e-3, "record_stride": 1,
-    "kick_cap": 1.0, "scheme": Scheme.TRUNCATED_EULER.value,
-}
-
-
 def _resolve(args: argparse.Namespace) -> dict:
-    values = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        values.update(_parse_config_file(args.config))
-    for key in values:
-        given = getattr(args, key, None)
-        if given is not None:
-            values[key] = given
-    values["x0"] = getattr(args, "x0", None) or values.get("x0")
+    """Every key's value: its flag if given, else its --config line, else its default."""
+    lines = {} if args.config is None else _parse_config_file(args.config)
+    values = {}
+    for key, spec in _KEYS.items():
+        flag = getattr(args, key, None)  # None too where the command has no such flag
+        values[key] = flag if flag is not None else lines.get(key, spec.default)
     return values
 
 
-def _model(values: dict) -> ModelParams:
-    return ModelParams(
-        alpha=values["alpha"], beta=values["beta"],
-        gamma=values["gamma"], n=values["n"],
-    )
-
-
-def _sim_config(values: dict) -> SimConfig:
-    return SimConfig(
-        scheme=Scheme(values["scheme"]),
-        dt=values["dt"],
-        horizon=values["horizon"],
-        epsilon=values["epsilon"],
-        collision_tol=values["collision_tol"],
-        seed=values["seed"],
-        paths=values["paths"],
-        record_stride=values["record_stride"],
-        kick_cap=values["kick_cap"],
-    )
+def _build(cls, values: dict):
+    """ModelParams or SimConfig, each of its fields the value of the key of its name."""
+    return cls(**{field.name: values[field.name] for field in dataclasses.fields(cls)})
 
 
 def _initial(values: dict, n: int):
     """The --x0 start as an (n,) array, or None for the default start."""
-    if values.get("x0") is None:
+    if values["x0"] is None:
         return None
     try:
-        arr = np.array([float(v) for v in str(values["x0"]).split(",")])
+        arr = np.array([float(v) for v in values["x0"].split(",")])
     except ValueError:
         raise ConfigError(f"x0 is not a list of numbers: {values['x0']!r}") from None
     if arr.size != n:
@@ -198,20 +187,18 @@ _SWEEP_FIELDS = (
 
 def _run_fields(values: dict, keys=None) -> dict:
     """Header fields of a run, all of them or those named in ``keys``."""
-    params = _model(values)
-    fields = {
-        "alpha": f"{values['alpha']:g}", "beta": f"{values['beta']:g}",
-        "gamma": f"{values['gamma']:g}", "n": f"{values['n']}",
-        "kappa": f"{params.kappa:g}", "scheme": f"{values['scheme']}",
-        "dt": f"{values['dt']:g}", "horizon": f"{values['horizon']:g}",
-        "epsilon": f"{values['epsilon'] if values['epsilon'] is not None else 'auto'}",
-        "collision_tol": f"{values['collision_tol']:g}",
-        "kick_cap": f"{values['kick_cap']:g}",
-        "seed": f"{values['seed']}", "paths": f"{values['paths']}",
-        "record_stride": f"{values['record_stride']}",
-        "x0": ",".join(map(repr, _start(values, params.n).tolist())),
-    }
-    return fields if keys is None else {key: fields[key] for key in keys}
+    params = _build(ModelParams, values)
+    text = {}
+    for key, spec in _KEYS.items():
+        if spec.header is None:
+            continue
+        if key == "x0":
+            text[key] = ",".join(map(repr, _start(values, params.n).tolist()))
+        else:
+            text[key] = "auto" if values[key] is None else format(values[key], spec.header)
+        if key == "n":  # the model's kappa follows n
+            text["kappa"] = f"{params.kappa:g}"
+    return text if keys is None else {key: text[key] for key in keys}
 
 
 def _header(command: str, fields: dict) -> str:
@@ -220,23 +207,21 @@ def _header(command: str, fields: dict) -> str:
     return "# cir-particles " + " ".join(f"{k}={v}" for k, v in items.items())
 
 
-def _out_given(values: dict, args) -> str | None:
-    """The output directory from --out or the config file's out=, if either sets one."""
-    return getattr(args, "out", None) or values.get("out")
-
-
-def _out_dir(values: dict, args) -> Path:
-    path = Path(_out_given(values, args) or ".")
+def _out_dir(values: dict) -> Path:
+    path = Path(values["out"] or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def cmd_simulate(args) -> int:
+def _run(args):
+    """A simulating command's values, model, configuration, start and output directory."""
     values = _resolve(args)
-    params = _model(values)
-    config = _sim_config(values)
-    initial = _initial(values, params.n)
-    out = _out_dir(values, args)
+    params = _build(ModelParams, values)
+    return values, params, _build(SimConfig, values), _initial(values, params.n), _out_dir(values)
+
+
+def cmd_simulate(args) -> int:
+    values, params, config, initial, out = _run(args)
 
     res = simulate_batch(
         params, config, initial=initial, record=True,
@@ -265,7 +250,7 @@ def cmd_simulate(args) -> int:
 
 
 def _regime_text(values: dict) -> str:
-    params = _model(values)
+    params = _build(ModelParams, values)
     report = classify_regime(params)
     lines = [
         _header("regime", _run_fields(values, _REGIME_FIELDS)),
@@ -284,8 +269,8 @@ def cmd_regime(args) -> int:
     values = _resolve(args)
     text = _regime_text(values)
     print(text)
-    if _out_given(values, args):
-        out = _out_dir(values, args)
+    if values["out"] is not None:
+        out = _out_dir(values)
         (out / "regime.txt").write_text(text + "\n")
     return 0
 
@@ -314,13 +299,12 @@ def cmd_phase_diagram(args) -> int:
     values = _resolve(args)
     if values["paths"] < 0:
         raise ConfigError(f"paths must be >= 0 (0 skips the simulation), got {values['paths']}")
-    # --sweep replaces a config file's sweep=.
-    spec = getattr(args, "sweep", None) or values.get("sweep")
+    spec = values["sweep"]
     if not spec:
         raise ConfigError("sweep is not set: give --sweep or sweep= in --config")
     grid = _parse_sweep(spec)
     initial = _initial(values, values["n"])
-    out = _out_dir(values, args)
+    out = _out_dir(values)
     lines = [
         _header("phase-diagram", _run_fields(values, _SWEEP_FIELDS)),
         "alpha,beta,gamma,n,kappa,global_solution,pair_collisions,zero_hit_lambda1,"
@@ -330,12 +314,12 @@ def cmd_phase_diagram(args) -> int:
     for point in grid:
         pv = dict(values)
         pv.update(point)
-        params = _model(pv)
+        params = _build(ModelParams, pv)
         report = classify_regime(params)
         if pv["paths"] > 0:
             from .stats import binomial_summary
 
-            config = _sim_config(pv)
+            config = _build(SimConfig, pv)
             res = simulate_batch(
                 params, config, initial=initial, event_levels=[config.collision_tol]
             )
@@ -365,7 +349,7 @@ def cmd_verify(args) -> int:
     from .acceptance import CRITERIA, run_acceptance
 
     only = None
-    if getattr(args, "only", None):
+    if args.only is not None:
         only = [_number(int, "only", v) for v in args.only.split(",")]
         known = sorted(idx for idx, _ in CRITERIA)
         unknown = [idx for idx in only if idx not in known]
@@ -373,8 +357,8 @@ def cmd_verify(args) -> int:
             raise ConfigError(f"only names no criterion {unknown}; the criteria are {known}")
     values = _resolve(args)
     results = run_acceptance(only=only)
-    if _out_given(values, args):
-        out_dir = _out_dir(values, args)
+    if values["out"] is not None:
+        out_dir = _out_dir(values)
         only_text = ",".join(map(str, only)) if only else "all"
         lines = [_header("verify", {"only": only_text}), "criterion,name,passed,details"]
         for r in results:
@@ -387,11 +371,7 @@ def cmd_verify(args) -> int:
 def cmd_stationary_compare(args) -> int:
     from .stationary import compare_long_run
 
-    values = _resolve(args)
-    params = _model(values)
-    config = _sim_config(values)
-    initial = _initial(values, params.n)
-    out = _out_dir(values, args)
+    values, params, config, initial, out = _run(args)
     report = compare_long_run(params, config, initial=initial)
     lines = [
         _header("stationary-compare", _run_fields(values)),
@@ -409,12 +389,9 @@ def cmd_stationary_compare(args) -> int:
 
 def cmd_laplace_check(args) -> int:
     values = _resolve(args)
-    params = _model(values)
-    # --mu / --t replace a config file's mu= / t=, which replace the defaults.
-    mus = getattr(args, "mu", None) or ([values["mu"]] if "mu" in values else [0.5, 1.0])
-    t_probes = sorted(
-        getattr(args, "t_probe", None) or ([values["t"]] if "t" in values else [0.5, 1.0, 2.0])
-    )
+    params = _build(ModelParams, values)
+    mus = values["mu"]
+    t_probes = sorted(values["t"])
     n_paths = values["paths"]
     if n_paths < 2:
         raise ConfigError(f"paths must be >= 2 for a Monte Carlo stderr, got {n_paths}")
@@ -425,12 +402,18 @@ def cmd_laplace_check(args) -> int:
     if not sub_dt > 0.0:
         raise ConfigError(f"dt must be > 0, got {sub_dt}")
     for tp in t_probes:
-        if grid_step(tp, sub_dt, "probe time") < 1:
+        steps = grid_step(tp, sub_dt, "probe time")
+        if steps < 1:
             raise ConfigError(
                 f"probe time t={tp:g} is not a positive multiple of dt={sub_dt:g}"
             )
+        if steps > MAX_STEPS:
+            raise ConfigError(
+                f"probe time t={tp:g} is {steps:.3g} steps of dt={sub_dt:g}, "
+                f"past the bound of {MAX_STEPS:.0e}"
+            )
     sum0 = float(_start(values, params.n).sum())
-    out = _out_dir(values, args)
+    out = _out_dir(values)
     # An exploding sum overflows to inf; that is reported below, not warned about.
     with np.errstate(over="ignore"):
         probes = integrated_sum_paths(
@@ -462,14 +445,9 @@ def cmd_laplace_check(args) -> int:
 
 
 def cmd_collision_scan(args) -> int:
-    values = _resolve(args)
-    params = _model(values)
-    config = _sim_config(values)
-    initial = _initial(values, params.n)
-    out = _out_dir(values, args)
-    # --k replaces a config file's k=; with neither, every k is scanned.
-    k = getattr(args, "k", None) or values.get("k")
-    ks = [k] if k else list(range(1, params.n + 1))
+    values, params, config, initial, out = _run(args)
+    # With no k, every k is scanned.
+    ks = range(1, params.n + 1) if values["k"] is None else [values["k"]]
     lines = [
         _header("collision-scan", _run_fields(values)),
         "k,delta,hit_fraction,ci_low,ci_high,n_paths",
@@ -486,35 +464,35 @@ def cmd_collision_scan(args) -> int:
     return 0
 
 
+# Each command: its function and its help.
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "regime": cmd_regime,
-    "phase-diagram": cmd_phase_diagram,
-    "verify": cmd_verify,
-    "stationary-compare": cmd_stationary_compare,
-    "laplace-check": cmd_laplace_check,
-    "collision-scan": cmd_collision_scan,
+    "simulate": (cmd_simulate, "sample trajectories"),
+    "regime": (cmd_regime, "analytic classification"),
+    "phase-diagram": (cmd_phase_diagram, "sweep grid"),
+    "verify": (cmd_verify, "run acceptance suite"),
+    "stationary-compare": (cmd_stationary_compare, "long-run law vs exact references"),
+    "laplace-check": (cmd_laplace_check, "integrated-CIR Laplace transform vs Monte Carlo"),
+    "collision-scan": (cmd_collision_scan, "partial-sum first-passage ladder"),
+}
+
+# The stderr prefix of each input error; each exits 1.  An error takes the
+# prefix of the first class it is an instance of.
+_EXIT_1 = {
+    ConfigError: "config error",
+    RegimeMismatch: "regime mismatch",
+    NotEvaluable: "not evaluable",
+    BadK: "bad k",
+    TooFewSamples: "too few samples",
 }
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except RegimeMismatch as exc:
-        print(f"regime mismatch: {exc}", file=sys.stderr)
-        return 1
-    except NotEvaluable as exc:
-        print(f"not evaluable: {exc}", file=sys.stderr)
-        return 1
-    except BadK as exc:
-        print(f"bad k: {exc}", file=sys.stderr)
-        return 1
-    except TooFewSamples as exc:
-        print(f"too few samples: {exc}", file=sys.stderr)
+        return _COMMANDS[args.command][0](args)
+    except tuple(_EXIT_1) as exc:
+        prefix = next(text for cls, text in _EXIT_1.items() if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
         print(f"config error: the run does not fit in memory ({exc})", file=sys.stderr)

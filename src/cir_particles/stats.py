@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import kolmogorov
 
 from .errors import TooFewSamples
 
@@ -18,7 +19,6 @@ __all__ = [
     "binomial_summary",
     "empirical_laplace",
     "finite_diff_gradient",
-    "kolmogorov_sf",
     "ks_distance",
     "ks_distance_two_sample",
     "ks_test",
@@ -77,35 +77,6 @@ def binomial_summary(successes: int, trials: int, name: str = "fraction") -> Sta
     return StatSummary(name, p, se, (lo, hi), trials)
 
 
-def kolmogorov_sf(x: float) -> float:
-    """Survival function of the Kolmogorov distribution.
-
-    Uses the alternating series 2*sum (-1)^{k-1} exp(-2 k^2 x^2) for x >= 1
-    and the Jacobi-transformed series for small x, where the alternating form
-    converges slowly.
-    """
-    if x <= 0.0:
-        return 1.0
-    if x < 1.0:
-        # 1 - sqrt(2 pi)/x * sum exp(-(2k-1)^2 pi^2 / (8 x^2))
-        total = 0.0
-        for k in range(1, 40):
-            term = math.exp(-((2 * k - 1) ** 2) * math.pi**2 / (8.0 * x**2))
-            total += term
-            if term < 1e-18 * max(total, 1e-300):
-                break
-        return float(min(max(1.0 - math.sqrt(2.0 * math.pi) / x * total, 0.0), 1.0))
-    total = 0.0
-    sign = 1.0
-    for k in range(1, 200):
-        term = math.exp(-2.0 * k**2 * x**2)
-        total += sign * term
-        if term < 1e-18:
-            break
-        sign = -sign
-    return float(min(max(2.0 * total, 0.0), 1.0))
-
-
 def ks_distance(samples, cdf) -> float:
     """One-sample KS statistic D = sup |F_n - F| against a reference CDF."""
     arr = np.sort(np.asarray(samples, dtype=float))
@@ -122,7 +93,8 @@ def ks_distance(samples, cdf) -> float:
 def ks_test(samples, cdf) -> tuple[float, float]:
     """One-sample KS test: (D, asymptotic p).
 
-    The p-value uses the Kolmogorov series on the finite-n corrected argument
+    The p-value is the Kolmogorov survival function
+    (``scipy.special.kolmogorov``) at the finite-n corrected argument
     (sqrt(n) + 0.12 + 0.11/sqrt(n)) * D; callers should bring at least ~100
     samples for the asymptotics to be trustworthy.
     """
@@ -131,7 +103,7 @@ def ks_test(samples, cdf) -> tuple[float, float]:
         raise TooFewSamples(f"ks_test needs >= {_MIN_KS_SAMPLES} samples")
     d = ks_distance(arr, cdf)
     en = math.sqrt(arr.size)
-    return d, kolmogorov_sf((en + 0.12 + 0.11 / en) * d)
+    return d, float(kolmogorov((en + 0.12 + 0.11 / en) * d))
 
 
 def ks_distance_two_sample(x, y) -> float:
@@ -154,7 +126,7 @@ def ks_test_two_sample(x, y) -> tuple[float, float]:
         raise TooFewSamples(f"ks_test_two_sample needs >= {_MIN_KS_SAMPLES} per side")
     d = ks_distance_two_sample(x, y)
     en = math.sqrt(x.size * y.size / (x.size + y.size))
-    return d, kolmogorov_sf((en + 0.12 + 0.11 / en) * d)
+    return d, float(kolmogorov((en + 0.12 + 0.11 / en) * d))
 
 
 def empirical_laplace(integral_samples, mu: float) -> StatSummary:

@@ -1,5 +1,6 @@
 """CLI harness: commands, artifact schemas, config handling, exit codes."""
 
+import argparse
 import os
 import re
 import resource
@@ -12,7 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cir_particles import ModelParams, Scheme, SimConfig, classify_regime, simulate_path
+from cir_particles import (
+    ConfigError, ModelParams, Scheme, SimConfig, classify_regime, simulate_path,
+)
 from cir_particles.cli import _build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -377,6 +380,19 @@ class TestCollisionScan:
         assert run_cli(argv + ["--k", "3", "--out", str(tmp_path / "flag")]) == 0
         assert ks("flag") == ["3"]
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_k_zero_is_bad_k(self, source, tmp_path, capsys):
+        # k = 0 is a value, not an absent k: it is outside 1..n.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k=0\n")
+        given = ["--k", "0"] if source == "flag" else ["--config", str(cfg)]
+        argv = ["collision-scan", *given, "--n", "3", "--paths", "4", "--dt", "1e-2",
+                "--horizon", "0.1", "--out", str(tmp_path / "out")]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bad k: ") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "first_passage.csv").exists()
+
 
 class TestErrors:
     def test_bad_model_parameter_exit_code(self, capsys):
@@ -421,6 +437,27 @@ class TestErrors:
         assert rc == 1
         assert capsys.readouterr().err.startswith("config error: x0 ")
         assert not (tmp_path / "laplace.csv").exists()
+
+    def test_empty_x0_is_config_error(self, tmp_path, capsys):
+        # An empty --x0 is a given start that is not a list of numbers; it
+        # does not fall back to the default start.
+        rc = run_cli(["simulate", "--x0", "", "--paths", "1", "--dt", "1e-2",
+                      "--horizon", "0.1", "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == "config error: x0 is not a list of numbers: ''\n"
+        assert not (tmp_path / "trajectories.csv").exists()
+
+    @pytest.mark.parametrize("text", [None, "scheme=milstein\n"], ids=["missing", "bad_scheme"])
+    def test_unusable_config_file_is_config_error(self, text, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        rc = run_cli(["simulate", "--config", str(cfg), "--paths", "1", "--dt", "1e-2",
+                      "--horizon", "0.1", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "trajectories.csv").exists()
 
     def test_stationary_compare_not_evaluable_exit_code(self, tmp_path, capsys):
         rc = run_cli(["stationary-compare", "--alpha", "2", "--beta", "0.5",
@@ -551,6 +588,107 @@ class TestRunTooBigForMemory:
         assert run_cli(["simulate", "--paths", "2"]) == 1
         err = capsys.readouterr().err
         assert err == "config error: the run does not fit in memory (Unable to allocate 8 TiB)\n"
+
+
+class TestStepBound:
+    """A step count no run could finish is refused before the first step."""
+
+    @staticmethod
+    def _refuse(*args, **kwargs):
+        raise AssertionError("a step was taken")
+
+    def test_phase_diagram_refuses_before_stepping(self, monkeypatch, tmp_path, capsys):
+        from cir_particles import integrators
+
+        monkeypatch.setattr(integrators, "step_normals", self._refuse)
+        argv = ["phase-diagram", "--sweep", "alpha=2.6", "--dt", "1e-300", "--horizon", "1",
+                "--paths", "1", "--out", str(tmp_path)]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "steps" in err and err.count("\n") == 1
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_laplace_check_refuses_before_the_exact_paths(self, monkeypatch, tmp_path, capsys):
+        from cir_particles import cli
+
+        monkeypatch.setattr(cli, "integrated_sum_paths", self._refuse)
+        argv = ["laplace-check", "--paths", "2", "--dt", "1e-300", "--out", str(tmp_path)]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "steps" in err and err.count("\n") == 1
+        assert not (tmp_path / "laplace.csv").exists()
+
+
+class TestInputTable:
+    """The flags, config keys and header fields the CLI reads, pinned."""
+
+    COMMON_FLAGS = ["--alpha", "--beta", "--collision-tol", "--config", "--dt", "--epsilon",
+                 "--gamma", "--help", "--horizon", "--kick-cap", "--n", "--out", "--paths",
+                 "--record-stride", "--scheme", "--seed", "--x0", "-h"]
+
+    def test_option_strings_of_every_subcommand(self):
+        parser = _build_parser()
+        assert sorted(s for a in parser._actions for s in a.option_strings) == [
+            "--help", "--version", "-h"]
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        extra = {"simulate": [], "regime": [], "phase-diagram": ["--sweep"],
+                 "verify": ["--only"], "stationary-compare": [],
+                 "laplace-check": ["--mu", "--t"], "collision-scan": ["--k"]}
+        assert list(sub.choices) == list(extra)
+        for name, command in sub.choices.items():
+            got = sorted(s for a in command._actions for s in a.option_strings)
+            assert got == sorted(self.COMMON_FLAGS + extra[name]), name
+
+    def test_config_keys(self, tmp_path):
+        from cir_particles.cli import _parse_config_file
+
+        lines = {"alpha": "2.5", "beta": "0.5", "gamma": "1", "n": "3", "seed": "4",
+                 "paths": "5", "dt": "0.01", "horizon": "2", "epsilon": "0.1",
+                 "collision-tol": "0.01", "record_stride": "2", "kick_cap": "2",
+                 "scheme": "root_coordinates", "x0": "1,2,3", "mu": "0.5", "t": "1",
+                 "k": "2", "sweep": "alpha=1", "out": "here"}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key}={value}\n" for key, value in lines.items()))
+        assert sorted(_parse_config_file(str(cfg))) == sorted(
+            key.replace("-", "_") for key in lines)
+        cfg.write_text("only=8\n")
+        with pytest.raises(ConfigError, match="unknown config field 'only'"):
+            _parse_config_file(str(cfg))
+
+    @pytest.mark.parametrize("argv, artifact, fields", [
+        (["simulate", "--paths", "2", "--dt", "1e-2", "--horizon", "0.1"],
+         "trajectories.csv",
+         "command=simulate alpha=2 beta=0.5 gamma=1 n=2 kappa=1.5 scheme=truncated_euler "
+         "dt=0.01 horizon=0.1 epsilon=auto collision_tol=0.001 kick_cap=1 seed=0 paths=2 "
+         "record_stride=1 x0=1.0,2.0"),
+        (["simulate", "--n", "3", "--alpha", "1", "--beta", "0.4", "--gamma", "0.5",
+          "--scheme", "regularized_switching", "--paths", "2", "--dt", "1e-2",
+          "--horizon", "0.1", "--epsilon", "0.1234567", "--collision-tol", "0.0025",
+          "--kick-cap", "2", "--seed", "7", "--record-stride", "3", "--x0", "0.5,1,2"],
+         "trajectories.csv",
+         "command=simulate alpha=1 beta=0.4 gamma=0.5 n=3 kappa=0.2 "
+         "scheme=regularized_switching dt=0.01 horizon=0.1 epsilon=0.1234567 "
+         "collision_tol=0.0025 kick_cap=2 seed=7 paths=2 record_stride=3 x0=0.5,1.0,2.0"),
+        (["stationary-compare", "--alpha", "2", "--beta", "0.5", "--gamma", "1", "--n", "2",
+          "--paths", "40", "--dt", "1e-2", "--horizon", "0.5"],
+         "stationary.csv",
+         "command=stationary-compare alpha=2 beta=0.5 gamma=1 n=2 kappa=1.5 "
+         "scheme=truncated_euler dt=0.01 horizon=0.5 epsilon=auto collision_tol=0.001 "
+         "kick_cap=1 seed=0 paths=40 record_stride=1 x0=1.0,2.0"),
+        (["collision-scan", "--n", "2", "--k", "1", "--paths", "4", "--dt", "1e-2",
+          "--horizon", "0.1"],
+         "first_passage.csv",
+         "command=collision-scan alpha=2 beta=0.5 gamma=1 n=2 kappa=1.5 "
+         "scheme=truncated_euler dt=0.01 horizon=0.1 epsilon=auto collision_tol=0.001 "
+         "kick_cap=1 seed=0 paths=4 record_stride=1 x0=1.0,2.0"),
+    ], ids=["simulate_default_epsilon", "simulate_given_epsilon", "stationary-compare",
+            "collision-scan"])
+    def test_full_header(self, argv, artifact, fields, tmp_path, capsys):
+        from cir_particles import __version__
+
+        assert run_cli(argv + ["--out", str(tmp_path)]) == 0
+        header = (tmp_path / artifact).read_text().splitlines()[0]
+        assert header == f"# cir-particles version={__version__} {fields}"
 
 
 class TestVerifyCommand:

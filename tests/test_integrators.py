@@ -87,6 +87,7 @@ class TestSimConfig:
             dict(dt=0.01, horizon=1.0, collision_tol=0.0),
             dict(dt=0.01, horizon=1.0, paths=0),
             dict(dt=0.01, horizon=1.0, kick_cap=0.0),
+            dict(dt=0.01, horizon=1.0, scheme="milstein"),
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -118,6 +119,20 @@ class TestSimConfig:
     def test_n_steps_counts_the_grid(self):
         assert SimConfig(dt=1e-3, horizon=1.0).n_steps == 1000
         assert SimConfig(dt=0.9, horizon=405.0).n_steps == 450
+
+    @pytest.mark.parametrize("over", [1, 10**291], ids=["one_step_over", "1e291_steps"])
+    def test_run_past_the_step_bound_raises_before_stepping(self, over, monkeypatch):
+        from cir_particles import integrators
+        from cir_particles.integrators import MAX_STEPS
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(integrators, "step_normals", refuse)
+        config = SimConfig(dt=1.0, horizon=float(MAX_STEPS + over))
+        assert config.n_steps > MAX_STEPS
+        with pytest.raises(ConfigError, match="steps"):
+            simulate_batch(ModelParams(2.0, 0.5, 1.0, 2), config)
 
 
 class TestTruncatedEulerStep:

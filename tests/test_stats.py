@@ -13,7 +13,6 @@ from cir_particles import (
     binomial_summary,
     empirical_laplace,
     finite_diff_gradient,
-    kolmogorov_sf,
     ks_distance,
     ks_distance_two_sample,
     ks_test,
@@ -59,20 +58,6 @@ class TestKsTest:
         rng = np.random.default_rng(3)
         _, p = ks_test(rng.random(1000) ** 2, uniform_cdf)
         assert p < 1e-6
-
-
-class TestKolmogorovSf:
-    def test_known_value_at_one(self):
-        # 2 * (e^-2 - e^-8 + e^-18 - ...) = 0.2699996...
-        assert kolmogorov_sf(1.0) == pytest.approx(0.26999967167, rel=1e-8)
-
-    def test_limits(self):
-        assert kolmogorov_sf(1e-12) == 1.0
-        assert kolmogorov_sf(0.2) == pytest.approx(1.0, abs=1e-6)
-        assert kolmogorov_sf(5.0) < 1e-20
-
-    def test_branch_continuity(self):
-        assert kolmogorov_sf(0.999999) == pytest.approx(kolmogorov_sf(1.000001), rel=1e-5)
 
 
 class TestTwoSampleKs:
