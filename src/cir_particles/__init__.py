@@ -11,7 +11,6 @@ from .cirprocess import (
     CirParams,
     LaplaceQuery,
     exact_step,
-    exact_step_decomposed,
     integrated_laplace,
     integrated_sum_paths,
     sum_process,
@@ -54,6 +53,8 @@ from .model import (
     ZeroHitLambda1,
     classify_regime,
     drift_lambda,
+    drift_lambda_batch,
+    drift_root_batch,
     grad_potential,
     interaction_sum,
     multiple_collision_threshold,

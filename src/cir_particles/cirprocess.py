@@ -8,16 +8,14 @@ Monte Carlo.  The zero-hit verdicts live in
 :func:`cir_particles.model.multiple_collision_threshold` and the stationary
 Gamma law of the sum in :func:`cir_particles.stationary.gamma_sum_law`.
 
-The exact transition c * chi'^2_nu(nc) has two samplers.
-:func:`exact_step_decomposed` draws every exact path: the
-``exact_cir_splitting`` scheme and :func:`integrated_sum_paths`.  For
-nu >= 1 it draws c * ((Z + sqrt(nc))^2 + chi^2_{nu-1}), one normal plus at
-most one more normal or Gamma per entry.  :func:`exact_step` draws the law
-as a Poisson mixture of Gammas and is kept as an oracle only: it gives the
-reference sample of acceptance criterion 1, serves the decomposed sampler
-below nu = 1, where the split does not exist, and checks it in the tests.
-Criterion 7 checks the exact-path Monte Carlo against the closed-form
-:func:`integrated_laplace`, not against a second sampler.
+The exact transition c * chi'^2_nu(nc) has one sampler, :func:`exact_step`.
+It draws every exact variate: the ``exact_cir_splitting`` scheme,
+:func:`integrated_sum_paths` and the reference sample of acceptance criterion
+1.  For nu >= 1 it draws c * ((Z + sqrt(nc))^2 + chi^2_{nu-1}), one normal
+plus at most one more normal or Gamma per entry; below nu = 1, where that
+split does not exist, a Poisson mixture of Gammas.  The tests hold it to the
+noncentral chi-square CDF and the closed-form moments, and criterion 7 checks
+the exact-path Monte Carlo against the closed-form :func:`integrated_laplace`.
 """
 
 from __future__ import annotations
@@ -27,13 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .model import ModelParams
 
 __all__ = [
     "CirParams",
     "LaplaceQuery",
     "exact_step",
-    "exact_step_decomposed",
     "integrated_laplace",
     "integrated_sum_paths",
     "sum_process",
@@ -78,64 +76,35 @@ def _transition_constants(cir: CirParams, dt: float) -> tuple[float, float]:
 
 
 def _noncentrality(cir: CirParams, r, dt: float):
+    r = np.asarray(r, dtype=float)
     if cir.b == 0.0:
-        return 4.0 * np.asarray(r, dtype=float) / (cir.sigma**2 * dt)
+        return 4.0 * r / (cir.sigma**2 * dt)
     if cir.b * dt > 700.0:  # e^{b dt} overflows; the transition forgets r
-        return np.zeros_like(np.asarray(r, dtype=float))
-    return 4.0 * cir.b * np.asarray(r, dtype=float) / (
-        cir.sigma**2 * math.expm1(cir.b * dt)
-    )
+        return np.zeros_like(r)
+    return 4.0 * cir.b * r / (cir.sigma**2 * math.expm1(cir.b * dt))
 
 
 def exact_step(cir: CirParams, r, dt: float, rng: np.random.Generator):
-    """Sample r_{t+dt} from the exact CIR transition law.
-
-    Uses the Poisson mixture of Gammas behind the noncentral chi-square: draw
-    N ~ Poisson(nc/2), then r' = c * Gamma(nu/2 + N, scale 2).  Zero shape
-    (a = 0 with N = 0) degenerates to the absorbed state 0.  Accepts scalar
-    or array ``r``; returns matching shape.
-
-    An entry whose Poisson mean numpy rejects (NaN, or above about 9.2e18
-    once a run has exploded) comes back as NaN, which the integrators record
-    as a numerical failure.  numpy checks the means before it draws, so the
-    generator is untouched by the rejected call.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    r_arr = np.asarray(r, dtype=float)
-    c, nu = _transition_constants(cir, dt)
-    nc = _noncentrality(cir, r_arr, dt)
-    exploded = None
-    try:
-        n_mix = rng.poisson(nc / 2.0)
-    except ValueError:
-        exploded = ~(nc / 2.0 <= _POISSON_MEAN_MAX)
-        n_mix = rng.poisson(np.where(exploded, 0.0, nc / 2.0))
-    shape = nu / 2.0 + n_mix
-    out = np.where(shape > 0.0, c * rng.gamma(np.maximum(shape, 1e-300), 2.0), 0.0)
-    if exploded is not None:
-        out = np.where(exploded, np.nan, out)
-    return out if out.ndim else float(out)
-
-
-def exact_step_decomposed(cir: CirParams, r, dt: float, rng: np.random.Generator):
-    """Sample the exact CIR transition as c * ((Z + sqrt(nc))^2 + chi^2_{nu-1}).
+    """Sample r_{t+dt} from the exact CIR transition c * chi'^2_nu(nc).
 
     For nu = 4a/sigma^2 >= 1 the noncentral chi-square splits into a shifted
     squared normal and an independent central chi-square with nu - 1 degrees
-    of freedom (Glasserman, Monte Carlo Methods in Financial Engineering,
-    2003, sec. 3.4).  Z comes from one ``rng.standard_normal`` block.  The
-    chi-square is drawn only when nu > 1: at nu = 2 as the square of a second
-    standard normal block, otherwise from ``rng.gamma((nu - 1)/2, 2)``.  Below
-    nu = 1 the split does not exist and this is :func:`exact_step`.  An
-    infinite noncentrality gives inf and a NaN one NaN.
+    of freedom, c * ((Z + sqrt(nc))^2 + chi^2_{nu-1}) (Glasserman, Monte
+    Carlo Methods in Financial Engineering, 2003, sec. 3.4).  Z comes from
+    one ``rng.standard_normal`` block.  The chi-square is drawn only when
+    nu > 1: at nu = 2 as the square of a second standard normal block,
+    otherwise from ``rng.gamma((nu - 1)/2, 2)``.  An infinite noncentrality
+    gives inf and a NaN one NaN.  Below nu = 1 the split does not exist, and
+    the law is drawn by :func:`_poisson_gamma_step`.  Accepts scalar or
+    array ``r``; returns matching shape.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     c, nu = _transition_constants(cir, dt)
+    nc = _noncentrality(cir, r, dt)
     if nu < 1.0:
-        return exact_step(cir, r, dt, rng)
-    root_nc = np.sqrt(_noncentrality(cir, r, dt))
+        return _poisson_gamma_step(c, nu, nc, rng)
+    root_nc = np.sqrt(nc)
     out = rng.standard_normal(root_nc.shape)
     out += root_nc
     np.square(out, out=out)
@@ -146,6 +115,29 @@ def exact_step_decomposed(cir: CirParams, r, dt: float, rng: np.random.Generator
         else:
             out += rng.gamma((nu - 1.0) / 2.0, 2.0, out.shape)
     out *= c
+    return out if out.ndim else float(out)
+
+
+def _poisson_gamma_step(c: float, nu: float, nc, rng: np.random.Generator):
+    """c * chi'^2_nu(nc) as a Poisson mixture of Gammas, the draw below nu = 1.
+
+    Draws N ~ Poisson(nc/2), then c * Gamma(nu/2 + N, scale 2).  Zero shape
+    (a = 0 with N = 0) degenerates to the absorbed state 0.  An entry whose
+    Poisson mean numpy rejects (NaN, or above about 9.2e18 once a run has
+    exploded) comes back as NaN, which the integrators record as a numerical
+    failure.  numpy checks the means before it draws, so the generator is
+    untouched by the rejected call.
+    """
+    exploded = None
+    try:
+        n_mix = rng.poisson(nc / 2.0)
+    except ValueError:
+        exploded = ~(nc / 2.0 <= _POISSON_MEAN_MAX)
+        n_mix = rng.poisson(np.where(exploded, 0.0, nc / 2.0))
+    shape = nu / 2.0 + n_mix
+    out = np.where(shape > 0.0, c * rng.gamma(np.maximum(shape, 1e-300), 2.0), 0.0)
+    if exploded is not None:
+        out = np.where(exploded, np.nan, out)
     return out if out.ndim else float(out)
 
 
@@ -216,20 +208,34 @@ def integrated_sum_paths(
     """Monte Carlo samples of integral_0^t S_s ds for the coordinate sum S.
 
     Advances ``n_paths`` copies of the sum process from ``sum0`` with exact
-    transitions of step ``dt`` drawn by :func:`exact_step_decomposed`
-    (nu = n*alpha), integrates them by the trapezoid rule, and returns the
-    integrals at each probe time.  Probe times are taken on the grid k*dt at
-    k = round(t/dt); callers check they lie on it.  A run that explodes
-    (gamma < 0 over a long horizon) returns non-finite integrals, which
-    callers must check.
+    transitions of step ``dt`` drawn by :func:`exact_step` (nu = n*alpha),
+    integrates them by the trapezoid rule, and returns the integrals at each
+    probe time.  Before the first step every probe must be a grid time k*dt
+    with 1 <= k <= ``integrators.MAX_STEPS``, and ``dt`` must be > 0; else
+    ConfigError.  A run that explodes (gamma < 0 over a long horizon) returns
+    non-finite integrals, which callers must check.
     """
+    from .integrators import MAX_STEPS, grid_step
+
+    if not dt > 0.0:
+        raise ConfigError(f"dt must be > 0, got {dt}")
+    probe_at = {}
+    for t in probe_times:
+        steps = grid_step(t, dt, "probe time")
+        if steps < 1:
+            raise ConfigError(f"probe time t={t:g} is not a positive multiple of dt={dt:g}")
+        if steps > MAX_STEPS:
+            raise ConfigError(
+                f"probe time t={t:g} is {steps:.3g} steps of dt={dt:g}, "
+                f"past the bound of {MAX_STEPS:.0e}"
+            )
+        probe_at[steps] = t
     cir = sum_process(params)
-    probe_at = {int(round(t / dt)): t for t in probe_times}
     r = np.full(n_paths, sum0)
     integral = np.zeros(n_paths)
     probes: dict[float, np.ndarray] = {}
-    for s in range(1, max(probe_at) + 1):
-        r_new = exact_step_decomposed(cir, r, dt, rng)
+    for s in range(1, max(probe_at, default=0) + 1):
+        r_new = exact_step(cir, r, dt, rng)
         integral += 0.5 * (r + r_new) * dt
         r = r_new
         if s in probe_at:

@@ -42,10 +42,10 @@ chosen once per run:
     local dimension kappa.  At alpha=1, beta=0.4, gamma=0.5, n=3 (kappa=0.2),
     start (1, 2, 3), dt=1e-2, 29.5% of paths end t=1 with lambda_1 exactly 0,
     and the KS test of the coordinate sum against its exact law reads
-    D=0.0180, p=1.1e-11 (40k paths).  For alpha >= 1 the transition is
-    drawn as a shifted squared normal plus a central chi-square
-    (:func:`cir_particles.cirprocess.exact_step_decomposed`), below that as a
-    Poisson mixture of Gammas.  Its variates come from one generator per
+    D=0.0180, p=1.1e-11 (40k paths).  The transition is drawn by
+    :func:`cir_particles.cirprocess.exact_step`: for alpha >= 1 as a shifted
+    squared normal plus a central chi-square, below that as a Poisson
+    mixture of Gammas.  Its variates come from one generator per
     batch rather than from the per-path Brownian increments, so shared-noise
     coupling and noise_refine do not apply to it, and its determinism is per
     batch layout rather than per path.
@@ -94,10 +94,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .cirprocess import CirParams, exact_step_decomposed
+from .cirprocess import CirParams, exact_step
 from .errors import ConfigError
 from .events import event_rows, event_values
-from .model import ModelParams, interaction_sum
+from .model import ModelParams, drift_lambda_batch, drift_root_batch, interaction_sum
 from .randomness import exact_step_stream, step_normals
 
 __all__ = [
@@ -148,6 +148,11 @@ _CODE_TO_TERMINATED = {
 # hours.  The largest program run takes 2e5 steps (criterion 5a and the README
 # collision-scan).
 MAX_STEPS = 10**9
+
+
+def _check_step_bound(n_steps: int) -> None:
+    if n_steps > MAX_STEPS:
+        raise ConfigError(f"a run of {n_steps:.3g} steps is past the bound of {MAX_STEPS:.0e}")
 
 
 @dataclass(frozen=True)
@@ -339,18 +344,6 @@ def _drift_b_batch(params: ModelParams, eps: float, lam: np.ndarray, floor) -> n
     return out
 
 
-def _drift_root_batch(
-    params: ModelParams, x: np.ndarray, x_floor: float, floor
-) -> np.ndarray:
-    """Root-coordinate drift; ``x_floor`` bounds the 1/x term from below."""
-    inv = interaction_sum(x * x, floor, inverse=True)
-    return (
-        (params.kappa - 1.0) / (2.0 * np.maximum(x, x_floor))
-        - params.gamma * x
-        + params.beta * x * inv
-    )
-
-
 # ---------------------------------------------------------------------------
 # Batch simulation
 # ---------------------------------------------------------------------------
@@ -405,11 +398,7 @@ def _make_step(params: ModelParams, config: SimConfig, path_offset: int = 0):
     if scheme == Scheme.TRUNCATED_EULER:
 
         def step(state, dw, mode_is_b):
-            b = (
-                params.alpha
-                - 2.0 * params.gamma * state
-                + params.beta * interaction_sum(state, floor)
-            )
+            b = drift_lambda_batch(params, state, floor)
             return state + b * dt + 2.0 * np.sqrt(state) * dw
 
     elif scheme == Scheme.REGULARIZED_SWITCHING:
@@ -425,7 +414,7 @@ def _make_step(params: ModelParams, config: SimConfig, path_offset: int = 0):
         x_floor = eps if scheme == Scheme.C_EPSILON else math.sqrt(guard.static)
 
         def step(state, dw, mode_is_b):
-            return state + _drift_root_batch(params, state, x_floor, floor) * dt + dw
+            return state + drift_root_batch(params, state, x_floor, floor) * dt + dw
 
     else:  # EXACT_CIR_SPLITTING
         gen = exact_step_stream(config.seed, path_offset)
@@ -435,7 +424,7 @@ def _make_step(params: ModelParams, config: SimConfig, path_offset: int = 0):
         def step(state, dw, mode_is_b):
             mid = state + half * (params.beta * interaction_sum(state, floor))
             mid = _sort_columns(np.maximum(mid, 0.0))
-            moved = _sort_columns(exact_step_decomposed(cir, mid, dt, gen))
+            moved = _sort_columns(exact_step(cir, mid, dt, gen))
             return moved + half * (params.beta * interaction_sum(moved, floor))
 
     return step
@@ -660,8 +649,7 @@ def simulate_batch(
         times = np.minimum(np.arange(n_rec) * stride, n_steps).astype(float) * dt
         traj[:, 0, :] = synced().T
     # After the recording, whose allocation failure names the memory it needs.
-    if n_steps > MAX_STEPS:
-        raise ConfigError(f"a run of {n_steps:.3g} steps is past the bound of {MAX_STEPS:.0e}")
+    _check_step_bound(n_steps)
 
     # Gaussian noise is drawn over the span of paths rows[0] .. rows[-1],
     # whose rows equal those of any other draw covering the same paths, and
@@ -831,11 +819,13 @@ def simulate_coupled_cir(
     Full-truncation Euler for dr = (a - b r) dt + sigma sqrt(r) dW on both
     processes with the identical dW.  Tracks how often the ordering
     r_a >= r_b is violated at any step, for the pathwise-comparison check
-    (larger constant drift should stay on top).
+    (larger constant drift should stay on top).  A run of more than
+    ``MAX_STEPS`` steps is a ConfigError before its first step.
     """
     n_steps = grid_step(horizon, dt, "horizon")
     if n_steps < 1:
         raise ConfigError(f"horizon must be positive, got {horizon}")
+    _check_step_bound(n_steps)
     sqrt_dt = math.sqrt(dt)
     ra = np.full(n_paths, float(r0_a))
     rb = np.full(n_paths, float(r0_b))

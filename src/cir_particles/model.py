@@ -21,7 +21,11 @@ singular (coincident coordinates, zero root coordinate) raise instead of
 returning infinities.  Every drift, here and in the integrators, takes its
 pairwise sums from :func:`interaction_sum`; the denominator floor is an
 argument of that kernel, so the pure drifts divide exactly and the
-regularization policy (the floor) belongs to the integrators.
+regularization policy (the floor) belongs to the integrators.  The lambda
+drift and the root drift each have one definition,
+:func:`drift_lambda_batch` and :func:`drift_root_batch`, on coordinate-major
+(n, P) batches: the integrators' steps call them with their floor, and
+:func:`drift_lambda` and :func:`grad_potential` on one exact column.
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ __all__ = [
     "ZeroHitLambda1",
     "classify_regime",
     "drift_lambda",
+    "drift_lambda_batch",
+    "drift_root_batch",
     "grad_potential",
     "interaction_sum",
     "multiple_collision_threshold",
@@ -172,6 +178,15 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]
     return upper, lower, tuple(zip(upper.tolist(), lower.tolist()))
 
 
+def drift_lambda_batch(params: ModelParams, lam: np.ndarray, floor=None) -> np.ndarray:
+    """Primal drift alpha - 2*gamma*lambda + beta*S of every column of an (n, P) batch.
+
+    S is :func:`interaction_sum` with ``floor``: the integrators pass their
+    denominator floor, and None divides exactly.
+    """
+    return params.alpha - 2.0 * params.gamma * lam + params.beta * interaction_sum(lam, floor)
+
+
 def drift_lambda(params: ModelParams, lam) -> np.ndarray:
     """Primal drift b_i = alpha - 2*gamma*lambda_i + beta*sum (li+lj)/(li-lj).
 
@@ -180,8 +195,22 @@ def drift_lambda(params: ModelParams, lam) -> np.ndarray:
     """
     lam = _as_vector(lam, params.n, "lambda")
     _require_distinct(lam)
-    pair = interaction_sum(lam[:, None])[:, 0]
-    return params.alpha - 2.0 * params.gamma * lam + params.beta * pair
+    return drift_lambda_batch(params, lam[:, None])[:, 0]
+
+
+def drift_root_batch(params: ModelParams, x: np.ndarray, x_floor: float, floor=None) -> np.ndarray:
+    """Root drift (kappa-1)/(2x) - gamma*x + beta*x*I of every column of an (n, P) batch.
+
+    I_i = sum_{j != i} 1/(x_i^2 - x_j^2) is :func:`interaction_sum` of the
+    squares with ``inverse`` and ``floor`` (None divides exactly), and
+    ``x_floor`` bounds x from below in the 1/x term.
+    """
+    inv = interaction_sum(x * x, floor, inverse=True)
+    return (
+        (params.kappa - 1.0) / (2.0 * np.maximum(x, x_floor))
+        - params.gamma * x
+        + params.beta * x * inv
+    )
 
 
 def _require_root_cone(x: np.ndarray) -> None:
@@ -214,12 +243,7 @@ def grad_potential(params: ModelParams, x) -> np.ndarray:
     """
     x = _as_vector(x, params.n, "x")
     _require_root_cone(x)
-    inv = interaction_sum((x**2)[:, None], inverse=True)[:, 0]
-    return -(
-        (params.kappa - 1.0) / (2.0 * x)
-        - params.gamma * x
-        + params.beta * x * inv
-    )
+    return -drift_root_batch(params, x[:, None], 0.0)[:, 0]
 
 
 def multiple_collision_threshold(

@@ -5,6 +5,8 @@ monitors of criteria 1-5); each criterion then gets its own test so failures
 are reported individually.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -50,3 +52,24 @@ def test_laplace_criterion_fails_on_a_zero_stderr(monkeypatch):
     assert not result.passed
     assert any("z is NaN" in line and "stderr is 0" in line for line in result.details)
     assert "worst |z| over (mu,t) grid = nan" in result.details[-2]
+
+
+def test_sum_criterion_details_do_not_read_the_clock(monkeypatch):
+    # Stubbed draws: the endpoint sums are the oracle shifted by 10*dt, so the
+    # KS distance shrinks with dt and only the runtime check depends on the clock.
+    oracle = np.random.default_rng(0).normal(size=2000)
+    monkeypatch.setattr(acceptance, "exact_step", lambda *args: oracle)
+
+    def simulate(params, config, **kwargs):
+        lam = np.zeros((oracle.size, params.n))
+        lam[:, 0] = oracle + 10.0 * config.dt
+        return SimpleNamespace(final_lambda=lam, monitors={})
+
+    monkeypatch.setattr(acceptance, "simulate_batch", simulate)
+    results = {}
+    for took in (3.0, 7.0, 500.0):
+        clock = iter([0.0, took])
+        monkeypatch.setattr(acceptance, "time", SimpleNamespace(time=lambda: next(clock)))
+        results[took] = acceptance.criterion_1_sum_is_cir(acceptance._DoubleEventRegistry())
+    assert results[3.0].passed and results[7.0].passed and not results[500.0].passed
+    assert results[3.0].details == results[7.0].details

@@ -7,6 +7,7 @@ The check reads the source, so a name used only by the tests fails it.
 """
 
 import ast
+import importlib
 import types
 from pathlib import Path
 
@@ -95,3 +96,22 @@ def test_package_reexports_exactly_the_module_exports():
 def test_every_export_is_reached_by_a_program():
     exports = set().union(*map(_public_names, MODULES))
     assert sorted(exports - _reached()) == []
+
+
+def test_every_traced_benchmark_target_resolves():
+    # bench/tracing.py wraps each (module, function) row of TARGETS by name,
+    # so a renamed function would break every traced benchmark pass.
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    (rows,) = [
+        node.value.elts
+        for node in tree.body
+        if isinstance(node, ast.Assign) and _assigned(node) == ["TARGETS"]
+    ]
+    targets = [(row.elts[0].value, row.elts[1].value) for row in rows]
+    assert targets
+    missing = [
+        f"{module}.{func}"
+        for module, func in targets
+        if not callable(getattr(importlib.import_module(f"cir_particles.{module}"), func, None))
+    ]
+    assert missing == []

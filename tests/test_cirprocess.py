@@ -8,9 +8,9 @@ from scipy.special import chndtr, gammainc
 
 from cir_particles import (
     CirParams,
+    ConfigError,
     ModelParams,
     exact_step,
-    exact_step_decomposed,
     gamma_sum_law,
     integrated_laplace,
     integrated_sum_paths,
@@ -88,9 +88,10 @@ class TestExactStep:
         assert p >= 0.01
 
     def test_exploded_entries_are_nan_and_leave_the_generator_alone(self):
-        # b dt = -9: the noncentrality is about 10 r, so r = 1e30 is past
-        # numpy's Poisson limit, and a NaN r has a NaN mean.
-        cir = CirParams(1, -10, 2)
+        # nu = 0.5 draws the Poisson mixture.  b dt = -9: the noncentrality is
+        # about 10 r, so r = 1e30 is past numpy's Poisson limit, and a NaN r
+        # has a NaN mean.
+        cir = CirParams(0.5, -10, 2)
         got = exact_step(cir, np.array([1.0, 1e30, math.nan]), 0.9, rng_streams(18, 0))
         assert np.isnan(got[1:]).all()
         want = exact_step(cir, np.array([1.0]), 0.9, rng_streams(18, 0))
@@ -119,13 +120,13 @@ def transition_cdf(cir: CirParams, r0: float, dt: float):
     return lambda x: chndtr(np.asarray(x) / c, nu, nc)
 
 
-class TestExactStepDecomposed:
+class TestTransitionLaw:
     @pytest.mark.parametrize("r0", [1e-3, 1.0, 50.0])
-    @pytest.mark.parametrize("nu", [1.0, 1.6, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("nu", [0.6, 1.0, 1.6, 2.0, 3.0, 4.0])
     def test_law_is_the_noncentral_chi_square(self, nu, r0):
         cir = CirParams(a=nu, b=1.0, sigma=2.0)  # nu = 4a/sigma^2
         rng = rng_streams(21, int(10 * nu))
-        samples = exact_step_decomposed(cir, np.full(100_000, r0), 0.5, rng)
+        samples = exact_step(cir, np.full(100_000, r0), 0.5, rng)
         d, p = ks_test(samples, transition_cdf(cir, r0, 0.5))
         assert p >= 1e-3, (d, p)
 
@@ -134,7 +135,7 @@ class TestExactStepDecomposed:
         cir = CirParams(a=nu, b=1.0, sigma=2.0)
         rng = rng_streams(22, int(10 * nu))
         dt = math.log(2)
-        samples = exact_step_decomposed(cir, np.full(100_000, 1.0), dt, rng)
+        samples = exact_step(cir, np.full(100_000, 1.0), dt, rng)
         # E[r_dt | r_0] = r_0 e^{-b dt} + (a/b)(1 - e^{-b dt}) = 1/2 + a/2 at dt = ln 2.
         se = samples.std(ddof=1) / math.sqrt(samples.size)
         assert abs(samples.mean() - (0.5 + 0.5 * cir.a)) <= 4 * se
@@ -144,16 +145,18 @@ class TestExactStepDecomposed:
         assert abs(var - transition_variance(cir, 1.0, dt)) <= 5 * se_var
 
     @pytest.mark.parametrize("nu, draws", [
+        (0.6, ["poisson", "gamma"]),
         (1.0, ["standard_normal"]),
         (2.0, ["standard_normal", "standard_normal"]),
         (3.0, ["standard_normal", "gamma"]),
     ])
     def test_generator_calls(self, nu, draws):
-        # At nu = 2 the chi^2_1 part is a squared normal, never numpy's slow Gamma(1/2).
+        # Below nu = 1 the law is a Poisson mixture of Gammas.  At nu = 2 the
+        # chi^2_1 part is a squared normal, never numpy's slow Gamma(1/2).
         cir = CirParams(a=nu, b=1.0, sigma=2.0)
         r = np.array([0.0, 0.3, 2.0, 40.0])
         spy = _SpyGenerator(rng_streams(25, 0))
-        got = exact_step_decomposed(cir, r, 0.1, spy)
+        got = exact_step(cir, r, 0.1, spy)
         assert spy.calls == draws
         if nu == 2.0:
             rng = rng_streams(25, 0)
@@ -163,24 +166,48 @@ class TestExactStepDecomposed:
             want = c * ((z + np.sqrt(r * decay / c)) ** 2 + z2**2)
             np.testing.assert_allclose(got, want, rtol=1e-12)
 
-    def test_below_nu_one_it_is_the_poisson_gamma_sampler(self):
-        cir = CirParams(a=0.6, b=1.0, sigma=2.0)  # nu = 0.6
-        r = np.array([[0.0, 1e-3, 0.5], [1.0, 2.0, 40.0]])
-        got = exact_step_decomposed(cir, r, 0.1, rng_streams(23, 0))
-        want = exact_step(cir, r, 0.1, rng_streams(23, 0))
-        assert np.array_equal(got, want)
-        assert exact_step_decomposed(cir, 0.7, 0.1, rng_streams(23, 1)) == exact_step(
-            cir, 0.7, 0.1, rng_streams(23, 1)
-        )
-
     @pytest.mark.parametrize("nu", [1.0, 2.0])
     def test_infinite_noncentrality_is_not_finite(self, nu):
         cir = CirParams(a=nu, b=1.0, sigma=2.0)
-        got = exact_step_decomposed(cir, np.array([1.0, math.inf, math.nan]), 0.1,
-                                    rng_streams(24, 0))
+        got = exact_step(cir, np.array([1.0, math.inf, math.nan]), 0.1, rng_streams(24, 0))
         assert np.isfinite(got[0]) and got[0] >= 0.0
         assert not np.isfinite(got[1:]).any()
-        assert not math.isfinite(exact_step_decomposed(cir, math.inf, 0.1, rng_streams(24, 0)))
+        assert not math.isfinite(exact_step(cir, math.inf, 0.1, rng_streams(24, 0)))
+
+
+class TestIntegratedSumPathsProbes:
+    """Every probe time is checked before the first step."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_steps(self, monkeypatch):
+        from cir_particles import cirprocess
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(cirprocess, "exact_step", refuse)
+
+    @pytest.mark.parametrize(
+        "dt, probes, message",
+        [
+            (0.1, (0.25, 0.0), "probe time t=0.25 is not a multiple of dt=0.1"),
+            (0.1, (0.5, 0.0), "probe time t=0 is not a positive multiple of dt=0.1"),
+            (0.1, (-0.5,), "probe time t=-0.5 is not a positive multiple of dt=0.1"),
+            (1e-300, (1.0,),
+             "probe time t=1 is 1e+300 steps of dt=1e-300, past the bound of 1e+09"),
+            (0.0, (1.0,), "dt must be > 0, got 0.0"),
+        ],
+        ids=["off_grid", "zero", "negative", "past_step_bound", "zero_dt"],
+    )
+    def test_bad_probe_is_a_config_error(self, dt, probes, message):
+        params = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
+        with pytest.raises(ConfigError) as info:
+            integrated_sum_paths(params, 3.0, 2, dt, probes, rng_streams(0, 0))
+        assert str(info.value) == message
+
+    def test_no_probe_takes_no_step(self):
+        params = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
+        assert integrated_sum_paths(params, 3.0, 2, 0.1, (), rng_streams(0, 0)) == {}
 
 
 class TestInvariantGamma:

@@ -270,17 +270,26 @@ class TestLaplaceCheck:
         assert len(zs) == 6
         assert max(zs) <= 5.0
 
-    def test_draws_no_poisson_gamma_oracle_step(self, tmp_path, monkeypatch, capsys):
-        from cir_particles import cirprocess
+    def test_draws_no_poisson_variates(self, tmp_path, monkeypatch, capsys):
+        # At n*alpha = 4 every exact step is the normal-plus-chi-square draw.
+        from cir_particles import cli
 
-        calls = []
-        real = cirprocess.exact_step
-        monkeypatch.setattr(cirprocess, "exact_step",
-                            lambda *args: calls.append(args) or real(*args))
+        drawn = []
+        real = cli.rng_streams
+
+        class Spy:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def __getattr__(self, name):
+                drawn.append(name)
+                return getattr(self._rng, name)
+
+        monkeypatch.setattr(cli, "rng_streams", lambda *args: Spy(real(*args)))
         argv = ["laplace-check", "--alpha", "2", "--beta", "0.5", "--gamma", "1",
                 "--n", "2", "--paths", "200", "--dt", "5e-3", "--out", str(tmp_path)]
         assert run_cli(argv) == 0
-        assert calls == []
+        assert drawn and "poisson" not in drawn
 
     def test_mu_and_t_from_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -609,14 +618,15 @@ class TestStepBound:
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_laplace_check_refuses_before_the_exact_paths(self, monkeypatch, tmp_path, capsys):
-        from cir_particles import cli
+        from cir_particles import cirprocess
 
-        monkeypatch.setattr(cli, "integrated_sum_paths", self._refuse)
-        argv = ["laplace-check", "--paths", "2", "--dt", "1e-300", "--out", str(tmp_path)]
+        monkeypatch.setattr(cirprocess, "exact_step", self._refuse)
+        argv = ["laplace-check", "--paths", "2", "--dt", "1e-300", "--out", str(tmp_path / "out")]
         assert run_cli(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "steps" in err and err.count("\n") == 1
-        assert not (tmp_path / "laplace.csv").exists()
+        assert err == ("config error: probe time t=0.5 is 5e+299 steps of dt=1e-300, "
+                       "past the bound of 1e+09\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestInputTable:

@@ -380,9 +380,11 @@ class TestSimulatePath:
         assert rec.terminated is Terminated.NUMERICAL_FAILURE
         assert rec.stop_time < 405.0
 
-    def test_exact_splitting_blow_up_is_a_numerical_failure(self):
-        # The exact step's Poisson mean passes numpy's limit as the run explodes.
-        p = ModelParams(alpha=1.0, beta=0.5, gamma=-5.0, n=2)
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_exact_splitting_blow_up_is_a_numerical_failure(self, alpha):
+        # As the run explodes, the exact step overflows to inf at alpha = 1; at
+        # alpha = 0.5 its Poisson mean passes numpy's limit and the draw is NaN.
+        p = ModelParams(alpha=alpha, beta=0.5, gamma=-5.0, n=2)
         cfg = SimConfig(scheme=Scheme.EXACT_CIR_SPLITTING, dt=0.9, horizon=405.0,
                         seed=1, paths=2)
         res = simulate_batch(p, cfg)
@@ -406,13 +408,13 @@ class TestFrozenRowsAreNotStepped:
         cfg = SimConfig(scheme=Scheme.EXACT_CIR_SPLITTING, dt=1e-2, horizon=2.0,
                         seed=8, paths=24)
         stepped = []
-        real = integrators.exact_step_decomposed
+        real = integrators.exact_step
 
         def counting(cir, r, dt, rng):
             stepped.append(r.shape[1])  # the (n, P) state: one column per live row
             return real(cir, r, dt, rng)
 
-        monkeypatch.setattr(integrators, "exact_step_decomposed", counting)
+        monkeypatch.setattr(integrators, "exact_step", counting)
         kwargs = dict(stop_on=("psum", 2, 1e-2), event_levels=(0.1,), record=True)
         res = simulate_batch(p, cfg, **kwargs)
         steps = np.rint(res.stop_time / cfg.dt).astype(int)
@@ -736,7 +738,7 @@ class TestEveryRowFrozenAtStart:
         from cir_particles import integrators
 
         drawn = []
-        for name in ("step_normals", "exact_step_decomposed"):
+        for name in ("step_normals", "exact_step"):
             real = getattr(integrators, name)
             monkeypatch.setattr(integrators, name,
                                 lambda *args, real=real: drawn.append(args) or real(*args))
@@ -816,6 +818,19 @@ class TestCoupling:
         )
         assert out["ordering_violations"] == 0
         assert out["min_margin"] >= 0.0
+
+    def test_coupled_cir_past_the_step_bound_raises_before_stepping(self, monkeypatch):
+        from cir_particles import integrators
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(integrators, "step_normals", refuse)
+        with pytest.raises(ConfigError, match="1e\\+300 steps is past the bound of 1e\\+09"):
+            simulate_coupled_cir(
+                CirParams(1.0, 1.0, 1.0), CirParams(0.5, 1.0, 1.0),
+                1.0, 1.0, 1e-300, 1.0, 0, 1,
+            )
 
     @pytest.mark.parametrize("horizon", [0.0015, 1.0004, 0.0])
     def test_coupled_cir_horizon_off_the_dt_grid_is_config_error(self, horizon):
