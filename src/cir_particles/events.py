@@ -10,9 +10,11 @@ bias.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -51,18 +53,19 @@ class Event:
     level: float
 
 
-def event_rows(n: int) -> dict:
+@functools.lru_cache(maxsize=None)
+def event_rows(n: int) -> MappingProxyType:
     """Rows of :func:`event_values` per event kind at n coordinates.
 
     ``gap`` and ``psum`` are slices, ``zeta`` and ``double`` row indices;
-    there are K = 2n + 1 rows.
+    there are K = 2n + 1 rows.  The mapping is cached and read-only.
     """
-    return {
+    return MappingProxyType({
         "gap": slice(0, n - 1),
         "psum": slice(n - 1, 2 * n - 1),
         "zeta": 2 * n - 1,
         "double": 2 * n,
-    }
+    })
 
 
 def event_values(lam: np.ndarray) -> np.ndarray:

@@ -350,28 +350,33 @@ def _drift_b_batch(params: ModelParams, eps: float, lam: np.ndarray, floor) -> n
 
 
 # Compare-exchange networks (Knuth, TAOCP vol. 3, sec. 5.3.4), minimal for
-# n <= 4.  An exchange costs three whole-row passes plus call overhead, so a
-# network beats np.sort only above a row count that grows with n: measured on
-# a 2-core Xeon (numpy 2.4), about 20 rows at n = 2, 200 at n = 3, 250 at
-# n = 4, 350 at n = 5 and 1000 at n = 6.  At 5000 rows it is 6-30x faster for
-# n <= 4.  Beyond n = 4 _sort_columns calls np.sort.
+# n <= 4, each with the row count from which it runs.  An exchange costs three
+# whole-row passes plus call overhead, so a network beats np.sort only above a
+# row count that grows with n: measured on a 2-core Xeon (numpy 2.4) on nearly
+# sorted columns, as the kernel's are, about 50 rows at n = 2, 120 at n = 3
+# and 250 at n = 4 (earlier, 350 at n = 5 and 1000 at n = 6).  At 5000 rows
+# it is 6-30x faster for n <= 4.  Below its row count, and beyond n = 4,
+# _sort_columns calls np.sort, which takes about 0.8 us at 10 rows against
+# 2.5, 5.6 and 9.4 us for the networks at n = 2, 3 and 4.
 _NETWORKS = {
-    2: ((0, 1),),
-    3: ((0, 2), (0, 1), (1, 2)),
-    4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)),
+    2: (50, ((0, 1),)),
+    3: (120, ((0, 2), (0, 1), (1, 2))),
+    4: (250, ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))),
 }
 
 
 def _sort_columns(x: np.ndarray) -> np.ndarray:
     """Sort every column of the (n, P) block ``x`` in place and return it.
 
-    For n <= 4 a fixed compare-exchange network of np.minimum/np.maximum on
-    whole coordinate rows, otherwise np.sort along the coordinate axis; the
-    values equal np.sort's bit for bit.  A NaN turns both sides of every
-    exchange it meets into NaN, so its column stays non-finite.
+    For n <= 4 and enough columns a fixed compare-exchange network of
+    np.minimum/np.maximum on whole coordinate rows, otherwise np.sort along
+    the coordinate axis; the values equal np.sort's bit for bit, up to the
+    sign of a zero tied with another zero (the kernel sorts clamped states,
+    which hold no -0.0).  A NaN turns both sides of every exchange it meets
+    into NaN, and np.sort keeps it, so its column stays non-finite.
     """
-    network = _NETWORKS.get(x.shape[0])
-    if network is None:
+    min_rows, network = _NETWORKS.get(x.shape[0], (math.inf, ()))
+    if x.shape[1] < min_rows:
         x.sort(axis=0)
         return x
     low = np.empty_like(x[0])
@@ -574,9 +579,10 @@ def simulate_batch(
         pending threshold was crossed (then no row meets its stop rule).
         """
         values = event_values(lam)
-        crossed = np.flatnonzero(values <= pending)
-        if not crossed.size:
+        below = values <= pending
+        if not below.any():
             return None
+        crossed = np.flatnonzero(below)
         value = values.take(crossed)
         level_col = ascending[:, None]
         fresh_level, fresh = np.nonzero(
@@ -655,74 +661,76 @@ def simulate_batch(
     # whose rows equal those of any other draw covering the same paths, and
     # ``span_pick`` picks the live rows out of it.
     span_pick = _span_pick(rows)
-    for step in range(n_steps):
-        if rows.size == 0:
-            if record:
-                traj[:, step // stride + 1:, :] = synced().T[:, None, :]
-            break
-        dw = None
-        if scheme != Scheme.EXACT_CIR_SPLITTING:
-            first_path = path_offset + int(rows[0])
-            span = int(rows[-1] - rows[0]) + 1
-            z = step_normals(config.seed, step * noise_refine, first_path, span, n)
-            for u in range(1, noise_refine):
-                z += step_normals(config.seed, step * noise_refine + u, first_path, span, n)
-            if noise_refine > 1:
-                z /= math.sqrt(noise_refine)
-            z = z.T if span_pick is None else z[span_pick].T
-            dw = np.multiply(sqrt_dt, z, order="C")
-        t_next = (step + 1) * dt
+    # Non-finite states are tolerated inside the loop and recorded as
+    # failures; the caller's error state comes back however the loop ends.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(n_steps):
+            if rows.size == 0:
+                if record:
+                    traj[:, step // stride + 1:, :] = synced().T[:, None, :]
+                break
+            dw = None
+            if scheme != Scheme.EXACT_CIR_SPLITTING:
+                first_path = path_offset + int(rows[0])
+                span = int(rows[-1] - rows[0]) + 1
+                z = step_normals(config.seed, step * noise_refine, first_path, span, n)
+                for u in range(1, noise_refine):
+                    z += step_normals(config.seed, step * noise_refine + u, first_path, span, n)
+                if noise_refine > 1:
+                    z /= math.sqrt(noise_refine)
+                z = z.T if span_pick is None else z[span_pick].T
+                dw = np.multiply(sqrt_dt, z, order="C")
+            t_next = (step + 1) * dt
 
-        # ``cur`` keeps the pre-step state alive through the next step's noise
-        # draw, so that the next step's temporaries reuse its memory.  Freed
-        # any earlier, at 5000 rows the glibc heap shrinks and regrows on
-        # every step (about 90 page faults per step, measured with getrusage).
-        cur = state
-        # Non-finite states are tolerated here and recorded as failures below.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # ``cur`` keeps the pre-step state alive through the next step's
+            # noise draw, so that the next step's temporaries reuse its
+            # memory.  Freed any earlier, at 5000 rows the glibc heap shrinks
+            # and regrows on every step (about 90 page faults per step,
+            # measured with getrusage).
+            cur = state
             new = _sort_columns(np.maximum(step_fn(cur, dw, mode), 0.0))
 
-        # A failed row keeps its last finite state and sees no monitor.
-        ok = np.isfinite(new).all(axis=0)
-        if not ok.all():
-            freeze(~ok, _T_FAIL, t_next, lam_of(cur))
-            rows, new, mode, pending = pack(ok, rows, new, mode, pending)
-            span_pick = _span_pick(rows)
-        state = new
-        lam = lam_of(new)
-        hit = monitor(lam, t_next) if levels else None
+            # A failed row keeps its last finite state and sees no monitor.
+            if not np.isfinite(new).all():
+                ok = np.isfinite(new).all(axis=0)
+                freeze(~ok, _T_FAIL, t_next, lam_of(cur))
+                rows, new, mode, pending = pack(ok, rows, new, mode, pending)
+                span_pick = _span_pick(rows)
+            state = new
+            lam = lam_of(new)
+            hit = monitor(lam, t_next) if levels else None
 
-        done = None
-        if scheme == Scheme.REGULARIZED_SWITCHING:
-            lam1 = new[0]
-            halt = (lam1 <= eps) & (new[1] - lam1 <= eps)
-            if halt.any():
-                freeze(halt, _T_ZETA, t_next, lam)
-                done = halt
-            moving = ~halt
-            to_b = moving & ~mode & (lam1 <= eps / 2.0)
-            to_a = moving & mode & (lam1 >= eps)
-            mode[to_b] = True
-            mode[to_a] = False
-        elif scheme == Scheme.C_EPSILON:
-            s_eps = new[0] <= math.sqrt(eps)
-            if s_eps.any():
-                freeze(s_eps, _T_S_EPS, t_next, lam)
-                done = s_eps
+            done = None
+            if scheme == Scheme.REGULARIZED_SWITCHING:
+                lam1 = new[0]
+                halt = (lam1 <= eps) & (new[1] - lam1 <= eps)
+                if halt.any():
+                    freeze(halt, _T_ZETA, t_next, lam)
+                    done = halt
+                moving = ~halt
+                to_b = moving & ~mode & (lam1 <= eps / 2.0)
+                to_a = moving & mode & (lam1 >= eps)
+                mode[to_b] = True
+                mode[to_a] = False
+            elif scheme == Scheme.C_EPSILON:
+                s_eps = new[0] <= math.sqrt(eps)
+                if s_eps.any():
+                    freeze(s_eps, _T_S_EPS, t_next, lam)
+                    done = s_eps
 
-        if hit is not None:
+            if hit is not None:
+                if done is not None:
+                    hit &= ~done
+                if hit.any():
+                    freeze(hit, _T_EVENT, t_next, lam)
+                    done = hit if done is None else done | hit
             if done is not None:
-                hit &= ~done
-            if hit.any():
-                freeze(hit, _T_EVENT, t_next, lam)
-                done = hit if done is None else done | hit
-        if done is not None:
-            rows, state, mode, pending = pack(~done, rows, state, mode, pending)
-            span_pick = _span_pick(rows)
+                rows, state, mode, pending = pack(~done, rows, state, mode, pending)
+                span_pick = _span_pick(rows)
 
-        s = step + 1
-        if record and (s % stride == 0 or s == n_steps):
-            traj[:, -(-s // stride), :] = synced().T
+            s = step + 1
+            if record and (s % stride == 0 or s == n_steps):
+                traj[:, -(-s // stride), :] = synced().T
 
     monitors = {}
     for lev in levels:

@@ -161,12 +161,20 @@ def interaction_sum(
     upper, lower, pairs = _pairs(lam.shape[0])
     li, lj = lam[upper], lam[lower]
     s = li + lj
-    den = li - lj if floor is None else -np.maximum(lj - li, floor(s))
-    t = (1.0 if inverse else s) / den
+    to_i, to_j = np.add, np.subtract
+    if floor is None:
+        t = np.divide(1.0 if inverse else s, li - lj)
+    else:
+        # x / -m is -(x / m) and a + -b is a - b, bit for bit, so dividing by
+        # m = max(l_j - l_i, floor) and swapping the signs adds the same terms.
+        m = np.maximum(np.subtract(lj, li, out=lj), floor(s), out=lj)
+        t = np.divide(1.0 if inverse else s, m, out=s)
+        to_i, to_j = np.subtract, np.add
+    # np.zeros would hand back fresh pages that fault on every call.
     out = np.zeros_like(lam)
     for k, (i, j) in enumerate(pairs):
-        out[i] += t[k]
-        out[j] -= t[k]
+        to_i(out[i], t[k], out=out[i])
+        to_j(out[j], t[k], out=out[j])
     return out
 
 

@@ -130,6 +130,21 @@ class TestTransitionLaw:
         d, p = ks_test(samples, transition_cdf(cir, r0, 0.5))
         assert p >= 1e-3, (d, p)
 
+    @pytest.mark.parametrize(
+        "a, r0, dt, seed",
+        [(4.0, 3.0, 2.5e-3, 777), (6.0, 6.0, 1.0, 2024)],
+        ids=["nu4_laplace_check_c7", "nu6_c1_reference"],
+    )
+    def test_law_in_the_oracle_regimes(self, a, r0, dt, seed):
+        # The sum process (b = 2 gamma = 2, sigma = 2) at the first step of
+        # criterion 7 and laplace-check (n alpha = 4, sum 3, dt 2.5e-3) and
+        # at criterion 1's reference sample (n alpha = 6, sum 6, t = 1),
+        # drawn from the same rng_streams stream as the criterion.
+        cir = CirParams(a=a, b=2.0, sigma=2.0)
+        samples = exact_step(cir, np.full(50_000, r0), dt, rng_streams(seed, 0))
+        d, p = ks_test(samples, transition_cdf(cir, r0, dt))
+        assert p >= 1e-3, (d, p)
+
     @pytest.mark.parametrize("nu", [1.0, 1.6, 2.0, 3.0, 4.0])
     def test_mean_and_variance_match_closed_forms(self, nu):
         cir = CirParams(a=nu, b=1.0, sigma=2.0)

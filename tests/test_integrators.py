@@ -471,6 +471,54 @@ class TestSortColumns:
         assert np.array_equal(np.isfinite(got).all(axis=0), np.isfinite(block).all(axis=0))
 
 
+# Widths on both sides of the row counts (50, 120 and 250 at n = 2, 3, 4)
+# from which _sort_columns runs a compare-exchange network.
+_SORT_WIDTHS = [1, 2, 49, 50, 51, 119, 120, 121, 249, 250, 251, 600]
+
+
+def _sort_block(n, width, seed):
+    """An (n, width) block of ties, +-inf, +0.0 and spread-out finite values."""
+    rng = np.random.default_rng(seed)
+    pool = np.array([0.0, 1.0, 1.0, 2.5, math.inf, -math.inf, 1e-300])
+    block = rng.choice(pool, size=(n, width))
+    spread = rng.random((n, width)) < 0.5
+    block[spread] = rng.normal(0.0, 1e3, spread.sum())
+    return block
+
+
+class TestSortColumnsAcrossWidths:
+    @pytest.mark.parametrize("width", _SORT_WIDTHS)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_equals_np_sort_bit_for_bit(self, n, width):
+        block = _sort_block(n, width, 100 * n + width)
+        assert _sort_columns(block.copy()).tobytes() == np.sort(block, axis=0).tobytes()
+
+    @pytest.mark.parametrize("width", _SORT_WIDTHS)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_signed_zeros_after_the_kernel_clamp(self, n, width):
+        # The kernel sorts np.maximum(proposal, 0.0), which maps -0.0 to +0.0,
+        # so its sort never sees a negative zero; the sorted values then
+        # match np.sort bit for bit.  On a raw block with -0.0 the values
+        # still equal np.sort's, -0.0 == 0.0.
+        rng = np.random.default_rng(n * width)
+        block = rng.choice(np.array([-0.0, 0.0, 1.0, -1.0, math.inf]), size=(n, width))
+        clamped = np.maximum(block, 0.0)
+        assert not np.signbit(clamped).any()
+        want = np.sort(clamped, axis=0)
+        assert _sort_columns(clamped.copy()).tobytes() == want.tobytes()
+        assert np.array_equal(_sort_columns(block.copy()), np.sort(block, axis=0))
+
+    @pytest.mark.parametrize("width", _SORT_WIDTHS)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_nan_columns_stay_non_finite(self, n, width):
+        block = _sort_block(n, width, 7 * n + width)
+        nan_at = np.random.default_rng(width).random((n, width)) < 0.1
+        block[nan_at] = math.nan
+        got = _sort_columns(block.copy())
+        assert np.array_equal(np.isnan(got).any(axis=0), nan_at.any(axis=0))
+        assert np.array_equal(np.isfinite(got).all(axis=0), np.isfinite(block).all(axis=0))
+
+
 class TestStopOnStatus:
     def test_event_stop_reports_stopped_at_event(self):
         p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
@@ -730,6 +778,48 @@ class TestStackedMonitors:
         res = simulate_batch(params, cfg, initial=[0.0, 0.0], event_levels=(0.1,))
         assert np.isfinite(res.monitors[0.1]["gap"]).all()
         assert np.isnan(res.monitors[0.1]["double"]).all()
+
+
+class TestErrorState:
+    """The kernel ignores float errors while it steps and restores the caller's state."""
+
+    def _run(self, scheme=Scheme.TRUNCATED_EULER):
+        alpha = 0.5 if scheme == Scheme.C_EPSILON else 2.0  # c_epsilon needs kappa < 0
+        params = ModelParams(alpha=alpha, beta=0.5, gamma=1.0, n=3)
+        cfg = SimConfig(scheme=scheme, dt=1e-2, horizon=0.2, seed=3, paths=5)
+        return simulate_batch(params, cfg, event_levels=(0.1,))
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_restored_on_return(self, scheme):
+        with np.errstate(all="raise"):
+            self._run(scheme)
+            assert np.geterr() == dict.fromkeys(("divide", "over", "under", "invalid"), "raise")
+
+    def test_restored_when_a_step_raises(self, monkeypatch):
+        from cir_particles import integrators
+
+        real = integrators._make_step
+        inside = []
+
+        def failing(*args, **kwargs):
+            step = real(*args, **kwargs)
+
+            def fail_on_fourth(state, dw, mode_is_b):
+                inside.append(np.geterr())
+                if len(inside) == 4:
+                    raise RuntimeError("step failed")
+                return step(state, dw, mode_is_b)
+
+            return fail_on_fourth
+
+        monkeypatch.setattr(integrators, "_make_step", failing)
+        with np.errstate(all="raise"):
+            with pytest.raises(RuntimeError, match="step failed"):
+                self._run()
+            assert np.geterr() == dict.fromkeys(("divide", "over", "under", "invalid"), "raise")
+        assert len(inside) == 4
+        for state in inside:
+            assert (state["over"], state["invalid"], state["divide"]) == ("ignore",) * 3
 
 
 class TestEveryRowFrozenAtStart:

@@ -137,6 +137,46 @@ class TestInteractionSum:
         assert np.array_equal(got.T, want, equal_nan=True)
 
 
+def pair_by_pair_interaction_sum(lam, floor=None, *, inverse=False):
+    """The documented formula on an (n, P) batch, one pair at a time.
+
+    den_ij = l_i - l_j, or -max(l_j - l_i, floor(l_i + l_j)) with a floor;
+    the term is added to row i and subtracted from row j, pairs in the
+    order (1, 2), (1, 3), ..., (n-1, n).
+    """
+    out = np.zeros_like(lam)
+    n = lam.shape[0]
+    for i in range(n):
+        for j in range(i + 1, n):
+            s = lam[i] + lam[j]
+            den = lam[i] - lam[j] if floor is None else -np.maximum(lam[j] - lam[i], floor(s))
+            t = (1.0 if inverse else s) / den
+            out[i] = out[i] + t
+            out[j] = out[j] - t
+    return out
+
+
+class TestInteractionSumBits:
+    @pytest.mark.parametrize("zeros", [0, 2, 3])
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("floored", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_equals_the_pair_by_pair_reference_bit_for_bit(self, n, floored, inverse, zeros):
+        # Columns with two or three exact zeros give 0/den terms, whose sign
+        # of zero the accumulation must keep.
+        rng = np.random.default_rng(1000 * n + 10 * zeros + 2 * floored + inverse)
+        lam = np.sort(rng.choice([0.0, 1e-4, 0.5, 1.0, 7.0], size=(n, 64)), axis=0)
+        lam[:, :32] = np.sort(rng.exponential(2.0, (n, 32)), axis=0)
+        lam[: min(zeros, n), 40:] = 0.0
+        floor = None
+        if floored:
+            floor = _Guard(0.5, SimConfig(dt=1e-3, horizon=1.0, collision_tol=1e-3)).floor
+        with np.errstate(all="ignore"):
+            want = pair_by_pair_interaction_sum(lam, floor, inverse=inverse)
+            got = interaction_sum(lam.copy(), floor, inverse=inverse)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestDriftLambda:
     def test_hand_example_gamma_zero(self):
         p = ModelParams(alpha=2.0, beta=0.5, gamma=0.0, n=2)
