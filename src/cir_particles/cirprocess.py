@@ -211,14 +211,17 @@ def integrated_sum_paths(
     transitions of step ``dt`` drawn by :func:`exact_step` (nu = n*alpha),
     integrates them by the trapezoid rule, and returns the integrals at each
     probe time.  Before the first step every probe must be a grid time k*dt
-    with 1 <= k <= ``integrators.MAX_STEPS``, and ``dt`` must be > 0; else
-    ConfigError.  A run that explodes (gamma < 0 over a long horizon) returns
-    non-finite integrals, which callers must check.
+    with 1 <= k <= ``integrators.MAX_STEPS``, ``dt`` must be > 0 and
+    ``sum0`` finite and >= 0; else ConfigError.  A run that explodes
+    (gamma < 0 over a long horizon) returns non-finite integrals, which
+    callers must check.
     """
     from .integrators import MAX_STEPS, grid_step
 
     if not dt > 0.0:
         raise ConfigError(f"dt must be > 0, got {dt}")
+    if not (math.isfinite(sum0) and sum0 >= 0.0):
+        raise ConfigError(f"sum0 must be finite and >= 0, got {sum0}")
     probe_at = {}
     for t in probe_times:
         steps = grid_step(t, dt, "probe time")

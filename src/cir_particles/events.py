@@ -149,12 +149,15 @@ def first_passage_partial_sum(
     Runs the configured scheme over ``config.paths`` trajectories from ``initial``
     (the default start when None), monitoring the partial sum online at every
     level of the delta ladder, and returns the hit fraction by the horizon
-    with a binomial 95% interval per level.
+    with a binomial 95% interval per level.  ConfigError when ``levels`` is
+    empty.
     """
     from .integrators import simulate_batch
 
     if not 1 <= k <= params.n:
         raise BadK(f"k must be in 1..{params.n}, got {k}")
+    if not levels:
+        raise ConfigError("levels must hold at least one detection level, got none")
     res = simulate_batch(
         params,
         config,

@@ -16,8 +16,8 @@ chosen once per run:
     eps/2 (where it coincides with the plain drift), system B removes the
     first-gap singularity and coincides with the plain drift on
     {lambda_1 <= eps, lambda_2 - lambda_1 >= eps}.  The mode switches
-    A -> B when lambda_1 <= eps/2 and B -> A when lambda_1 >= eps, and the
-    simulation stops at the joint event lambda_1 <= eps and
+    A -> B when lambda_1 <= eps/2 and B -> A when lambda_1 >= eps, and a
+    path stops at zeta_eps, the joint event lambda_1 <= eps and
     lambda_2 - lambda_1 <= eps.
 
 ``root_coordinates``
@@ -25,8 +25,7 @@ chosen once per run:
 
 ``c_epsilon``
     The kappa < 0 scheme in root coordinates, with the Lipschitz floor
-    1/(x v eps) on the inward drift; stops when x_1 <= sqrt(eps)
-    (i.e. lambda_1 <= eps).
+    1/(x v eps) on the inward drift; a path stops at S_eps, lambda_1 <= eps.
 
 ``exact_cir_splitting``
     Strang splitting: half a step of the guarded interaction drift, one
@@ -59,29 +58,31 @@ systems run with the same seed are driven by the same Brownian increments
 
 Inside :func:`simulate_batch` the state is coordinate-major: an (n, P) array
 with one contiguous row per coordinate, so the step maps, the pairwise sums
-of :func:`cir_particles.model.interaction_sum`, the event values, the
-non-finite check and the stopping rules all read whole rows.  Every array of
-the :class:`BatchResult` is path-major, (P, ...).  A batch runs
-``config.paths`` paths from ``path_offset``, and its states between the start
-and the end are read from its recorded rows, every ``record_stride`` steps.
-Each step re-sorts the columns once with :func:`_sort_columns` (the splitting
-step three times).
-The exact CIR factor is drawn on the coordinate-major state, coordinate row
-by coordinate row.  The online event monitors read
-:func:`cir_particles.events.event_values`, one row per event, and keep one
-pending threshold per (event, path): the largest detection level that has
-not fired yet.  A step compares the values with the thresholds once, and
-only the entries that crossed are stamped.  They are the one event detector,
-read by :func:`cir_particles.events.detect_events`, whatever the record stride.
+of :func:`cir_particles.model.interaction_sum`, the event values and the
+non-finite check all read whole rows.  Every array of the
+:class:`BatchResult` is path-major, (P, ...).  A batch runs ``config.paths``
+paths from ``path_offset``, and its states between the start and the end are
+read from its recorded rows, every ``record_stride`` steps.  Each step
+re-sorts the columns once with :func:`_sort_columns` (the splitting step
+three times).  The exact CIR factor is drawn on the coordinate-major state,
+coordinate row by coordinate row.
+
+Each step computes :func:`cir_particles.events.event_values` once, one row
+per event.  The online event monitors keep one pending threshold per (event,
+path), the largest detection level not yet fired, and stamp only the entries
+that crossed it.  They are the one event detector, read by
+:func:`cir_particles.events.detect_events`, whatever the record stride.  A
+stopping rule is a row of the same block with a level and a stop code, the
+scheme's own first, then ``stop_on``; one loop freezes the rows they stop.
 
 :func:`simulate_batch` steps only the live rows.  Their state, B-mode and
 pending thresholds are held packed, in ascending path order, and compacted
-on the steps where a row freezes.  A row frozen by a stopping rule, by
-``stop_on`` or by a non-finite step keeps its state and draws no further
-noise.  For the Gaussian schemes every number is the same as if all rows
-were stepped to the end.  Under ``exact_cir_splitting`` the batch stream
-feeds only the live rows, in path order, so its draws depend on when rows
-freeze; a rerun of the same inputs still reproduces them bit for bit.
+on the steps where a row freezes.  A row frozen by a stopping rule or by a
+non-finite step keeps its state and draws no further noise.  For the
+Gaussian schemes every number is the same as if all rows were stepped to the
+end.  Under ``exact_cir_splitting`` the batch stream feeds only the live
+rows, in path order, so its draws depend on when rows freeze; a rerun of the
+same inputs still reproduces them bit for bit.
 """
 
 from __future__ import annotations
@@ -178,8 +179,6 @@ class SimConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
-        if self.dt <= 0:
-            raise ConfigError(f"dt must be > 0, got {self.dt}")
         if self.horizon <= self.dt:
             raise ConfigError(f"horizon must exceed dt, got {self.horizon}")
         grid_step(self.horizon, self.dt, "horizon")
@@ -213,6 +212,8 @@ class SimConfig:
 
 def grid_step(t: float, dt: float, what: str) -> int:
     """Index k of the grid time k*dt equal to t; ConfigError when t is off the grid."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ConfigError(f"dt must be finite and > 0, got {dt}")
     steps = t / dt
     if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
         raise ConfigError(f"{what} t={t:g} is not a multiple of dt={dt:g}")
@@ -457,20 +458,30 @@ def _level(value, what: str) -> float:
     return level
 
 
-def _stop_rule(stop_on, n: int) -> tuple[float, slice]:
-    """(level, rows of :func:`event_values`) whose first hit freezes a path under stop_on.
+def _stop_rules(stop_on, n: int, scheme: Scheme, eps: float) -> list[tuple[slice, float, int]]:
+    """(rows of :func:`event_values`, level, stop code) of each rule that freezes a path.
 
-    The rules are ``("gap_any", level)`` and ``("psum", k, level)`` with an
-    integer 1 <= k <= n; anything else is a ConfigError.
+    The scheme's own rule comes first, so it wins a tie: S_eps (lambda_1 <=
+    eps) under c_epsilon, zeta_eps under regularized_switching.  ``stop_on``
+    is ``("gap_any", level)`` or ``("psum", k, level)`` with an integer
+    1 <= k <= n; anything else is a ConfigError.
     """
+    rows = event_rows(n)
+    psum1, zeta = rows["psum"].start, rows["zeta"]
+    rules = {
+        Scheme.C_EPSILON: [(slice(psum1, psum1 + 1), eps, _T_S_EPS)],
+        Scheme.REGULARIZED_SWITCHING: [(slice(zeta, zeta + 1), eps, _T_ZETA)],
+    }.get(scheme, [])
+    if stop_on is None:
+        return rules
     rule = tuple(stop_on) if isinstance(stop_on, (tuple, list)) else ()
     if len(rule) == 2 and rule[0] == "gap_any":
-        return _level(rule[1], "stop_on level"), event_rows(n)["gap"]
+        return rules + [(rows["gap"], _level(rule[1], "stop_on level"), _T_EVENT)]
     if len(rule) == 3 and rule[0] == "psum":
         k = rule[1]
         if isinstance(k, (int, np.integer)) and not isinstance(k, bool) and 1 <= k <= n:
-            row = event_rows(n)["psum"].start + k - 1
-            return _level(rule[2], "stop_on level"), slice(row, row + 1)
+            row = slice(psum1 + k - 1, psum1 + k)
+            return rules + [(row, _level(rule[2], "stop_on level"), _T_EVENT)]
     raise ConfigError(f"invalid stop_on rule {stop_on!r}")
 
 
@@ -494,19 +505,22 @@ def simulate_batch(
     first-hit monitoring at each detection level, finite and > 0 (every
     step, independent of ``record_stride``); ``stop_on``,
     ``("gap_any", level)`` or ``("psum", k, level)``, optionally freezes a
-    path at its first monitored event.  ``record`` keeps steps 0, stride,
-    2*stride, ... and the last, step s in row ceil(s / stride).  A batch or
-    a recording numpy cannot allocate is a ConfigError, and so is a run of
-    more than ``MAX_STEPS`` steps.
+    path at its first monitored event, t = 0 included.  The scheme's own
+    stop, S_eps or zeta_eps, applies from the first step on and wins a tie
+    with ``stop_on``.  ``record`` keeps steps 0, stride, 2*stride, ... and
+    the last, step s in row ceil(s / stride).  A batch or a recording numpy
+    cannot allocate is a ConfigError, and so is a run of more than
+    ``MAX_STEPS`` steps.
 
     Each step advances only the rows still live, held packed in path order;
     a frozen row keeps its state, and the recording stays full-size.  The
     loop ends once every row is frozen.  Gaussian noise is drawn by path
     index, so the rows do not depend on which others are live;
     ``exact_cir_splitting`` draws its exact CIR variates for the live rows
-    only.  Inside the loop the state is coordinate-major, (n, P);
-    every array of the result is path-major, (P, ...).  With no
-    ``event_levels`` and no ``stop_on`` no event value is computed.
+    only.  Inside the loop the state is coordinate-major, (n, P); every
+    array of the result is path-major, (P, ...).  The event values are
+    computed once per step, and not at all with no ``event_levels``, no
+    ``stop_on`` and no scheme stop.
 
     ``noise_refine = m`` makes each increment the normalized sum of m
     fine-grid increments, so a run at step size m*dt_fine shares a noise tree
@@ -560,42 +574,16 @@ def simulate_batch(
     term = np.full(p, _T_HORIZON, dtype=np.int8)
 
     levels = list(dict.fromkeys(_level(lev, "event_levels") for lev in event_levels))
-    if stop_on is not None:
-        stop_level, stop_rows = _stop_rule(stop_on, n)
-        if stop_level not in levels:
-            levels.append(stop_level)
+    rules = _stop_rules(stop_on, n, scheme, eps)
+    # Only the stop_on rule, the last, applies at the start; its level is monitored.
+    start_rules = rules[-1:] if stop_on is not None else []
+    levels += [level for _, level, _ in start_rules if level not in levels]
     # Pending-threshold monitors.  A hit at one level is a hit at every larger
     # level, so the levels of an (event, row) pair fire largest first, and
     # its pending threshold is the largest level not yet fired (-inf once all
     # have).  ``first`` holds the first-hit times, levels in ascending order.
     ascending = np.array(sorted(levels))
     first = np.full((len(levels), 2 * n + 1, p), np.nan)
-
-    def monitor(lam: np.ndarray, t: float):
-        """Stamp t on the pending levels the live rows reached; their stop_on hits.
-
-        ``lam`` holds the live rows, and their thresholds in ``pending`` are
-        lowered in place.  Returns the (R,) stop_on mask, or None when no
-        pending threshold was crossed (then no row meets its stop rule).
-        """
-        values = event_values(lam)
-        below = values <= pending
-        if not below.any():
-            return None
-        crossed = np.flatnonzero(below)
-        value = values.take(crossed)
-        level_col = ascending[:, None]
-        fresh_level, fresh = np.nonzero(
-            (value <= level_col) & (level_col <= pending.take(crossed))
-        )
-        kinds, cols = np.divmod(crossed[fresh], values.shape[1])
-        first[fresh_level, kinds, rows[cols]] = t
-        # The levels >= value have fired; the largest one below it is pending.
-        below = np.searchsorted(ascending, value)
-        np.put(pending, crossed, np.where(below > 0, ascending[below - 1], -math.inf))
-        if stop_on is None:
-            return None
-        return (values[stop_rows] <= stop_level).any(axis=0)
 
     # The full-size lambda state, allocated at the first write-back, so a
     # run that freezes no row and records nothing holds no copy while it
@@ -621,6 +609,36 @@ def simulate_batch(
         stop_time[which] = t
         write_back(which, lam[:, mask])
 
+    def observe(lam: np.ndarray, rules, t: float) -> np.ndarray | None:
+        """Stamp hits at t, then freeze the rows a rule stops; their mask, or None."""
+        values = event_values(lam)
+        below = values <= pending
+        crossed_any = below.any()
+        if crossed_any:
+            crossed = np.flatnonzero(below)
+            value = values.take(crossed)
+            level_col = ascending[:, None]
+            fresh_level, fresh = np.nonzero(
+                (value <= level_col) & (level_col <= pending.take(crossed))
+            )
+            kinds, cols = np.divmod(crossed[fresh], values.shape[1])
+            first[fresh_level, kinds, rows[cols]] = t
+            # The levels >= value have fired; the largest one below it is pending.
+            below = np.searchsorted(ascending, value)
+            np.put(pending, crossed, np.where(below > 0, ascending[below - 1], -math.inf))
+        done = None
+        for which, level, code in rules:
+            # stop_on's level is monitored, so a row it stops crossed a threshold.
+            if code == _T_EVENT and not crossed_any:
+                continue
+            hit = (values[which] <= level).any(axis=0)
+            if done is not None:
+                hit &= ~done
+            if hit.any():
+                freeze(hit, code, t, lam)
+                done = hit if done is None else done | hit
+        return done
+
     def pack(keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
         """The columns ``keep`` of each array, C-contiguous so that rows stay contiguous."""
         return [x.compress(keep, axis=-1) for x in arrays]
@@ -628,18 +646,13 @@ def simulate_batch(
     # The live rows, ascending, and their packed state, B-mode and pending
     # thresholds.  They are compacted only on a step where a row freezes.
     rows = np.arange(p)
-    if scheme == Scheme.REGULARIZED_SWITCHING:
-        mode = state[0] < eps
-    else:
-        mode = np.zeros(p, dtype=bool)
-    pending = np.empty((0, p))
+    mode = state[0] < eps  # read by regularized_switching only
+    # With no levels every threshold is -inf, so nothing is stamped.
+    pending = np.full((2 * n + 1, p), ascending[-1] if levels else -math.inf)
     if levels:
-        pending = np.full((2 * n + 1, p), ascending[-1])
-        lam = lam_of(state)
-        hit = monitor(lam, 0.0)
-        if hit is not None and hit.any():
-            freeze(hit, _T_EVENT, 0.0, lam)
-            rows, state, mode, pending = pack(~hit, rows, state, mode, pending)
+        done = observe(lam_of(state), start_rules, 0.0)
+        if done is not None:
+            rows, state, mode, pending = pack(~done, rows, state, mode, pending)
 
     # Step s is recorded when the stride divides it or s = n_steps, in row
     # ceil(s / stride), so the rows after step s start at s // stride + 1.
@@ -697,33 +710,10 @@ def simulate_batch(
                 rows, new, mode, pending = pack(ok, rows, new, mode, pending)
                 span_pick = _span_pick(rows)
             state = new
-            lam = lam_of(new)
-            hit = monitor(lam, t_next) if levels else None
-
-            done = None
+            done = observe(lam_of(new), rules, t_next) if rules or levels else None
             if scheme == Scheme.REGULARIZED_SWITCHING:
-                lam1 = new[0]
-                halt = (lam1 <= eps) & (new[1] - lam1 <= eps)
-                if halt.any():
-                    freeze(halt, _T_ZETA, t_next, lam)
-                    done = halt
-                moving = ~halt
-                to_b = moving & ~mode & (lam1 <= eps / 2.0)
-                to_a = moving & mode & (lam1 >= eps)
-                mode[to_b] = True
-                mode[to_a] = False
-            elif scheme == Scheme.C_EPSILON:
-                s_eps = new[0] <= math.sqrt(eps)
-                if s_eps.any():
-                    freeze(s_eps, _T_S_EPS, t_next, lam)
-                    done = s_eps
-
-            if hit is not None:
-                if done is not None:
-                    hit &= ~done
-                if hit.any():
-                    freeze(hit, _T_EVENT, t_next, lam)
-                    done = hit if done is None else done | hit
+                # A -> B at lambda_1 <= eps/2, B -> A at lambda_1 >= eps.
+                mode = np.where(mode, new[0] < eps, new[0] <= eps / 2.0)
             if done is not None:
                 rows, state, mode, pending = pack(~done, rows, state, mode, pending)
                 span_pick = _span_pick(rows)
@@ -828,12 +818,18 @@ def simulate_coupled_cir(
     processes with the identical dW.  Tracks how often the ordering
     r_a >= r_b is violated at any step, for the pathwise-comparison check
     (larger constant drift should stay on top).  A run of more than
-    ``MAX_STEPS`` steps is a ConfigError before its first step.
+    ``MAX_STEPS`` steps, no path or a start that is not finite and >= 0 is
+    a ConfigError before the first step.
     """
     n_steps = grid_step(horizon, dt, "horizon")
     if n_steps < 1:
         raise ConfigError(f"horizon must be positive, got {horizon}")
     _check_step_bound(n_steps)
+    if n_paths < 1:
+        raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
+    for name, r0 in (("r0_a", r0_a), ("r0_b", r0_b)):
+        if not (math.isfinite(r0) and r0 >= 0.0):
+            raise ConfigError(f"{name} must be finite and >= 0, got {r0}")
     sqrt_dt = math.sqrt(dt)
     ra = np.full(n_paths, float(r0_a))
     rb = np.full(n_paths, float(r0_b))

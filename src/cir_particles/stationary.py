@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, gammaln, roots_genlaguerre
 
-from .errors import NotEvaluable, RegimeMismatch
+from .errors import ConfigError, NotEvaluable, RegimeMismatch
 from .model import GlobalSolution, ModelParams, classify_regime
 from .stats import StatSummary, ks_test, ks_test_two_sample, moment_summary
 
@@ -144,7 +144,8 @@ def mh_sampler(
     proposal scale starts at 0.5/gamma, adapts toward an acceptance rate of
     0.3 during burn-in and is frozen afterward, keeping the retained chain
     Markov.  Returns ``steps`` retained samples taken every ``thin``
-    iterations after ``burn_in``.
+    iterations after ``burn_in``; ConfigError unless ``steps`` >= 1,
+    ``thin`` >= 1 and ``burn_in`` >= 0.
 
     The chain state is a list of Python floats, so an iteration costs a few
     microseconds of scalar arithmetic.  Each iteration draws exactly one
@@ -155,6 +156,9 @@ def mh_sampler(
     n = params.n
     if burn_in is None:
         burn_in = max(1000, steps // 5)
+    for name, value, least in (("steps", steps, 1), ("thin", thin, 1), ("burn_in", burn_in, 0)):
+        if value < least:
+            raise ConfigError(f"{name} must be >= {least}, got {value}")
     if initial is None:
         x = (np.arange(1.0, n + 1.0) / params.gamma).tolist()
     else:

@@ -220,6 +220,12 @@ class TestIntegratedSumPathsProbes:
             integrated_sum_paths(params, 3.0, 2, dt, probes, rng_streams(0, 0))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("sum0", [-0.5, math.nan, math.inf])
+    def test_bad_start_is_a_config_error(self, sum0):
+        params = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
+        with pytest.raises(ConfigError, match="sum0 must be finite and >= 0"):
+            integrated_sum_paths(params, sum0, 2, 0.1, (1.0,), rng_streams(0, 0))
+
     def test_no_probe_takes_no_step(self):
         params = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
         assert integrated_sum_paths(params, 3.0, 2, 0.1, (), rng_streams(0, 0)) == {}

@@ -192,6 +192,12 @@ class TestFirstPassage:
         fractions = hits.mean(axis=0)
         assert fractions[0] >= fractions[1] >= fractions[2]
 
+    def test_empty_levels_is_config_error(self):
+        p = ModelParams(alpha=1.0, beta=0.4, gamma=0.5, n=3)
+        cfg = SimConfig(dt=1e-3, horizon=1.0)
+        with pytest.raises(ConfigError, match="levels"):
+            first_passage_partial_sum(p, cfg, 2, levels=())
+
     def test_bad_k(self):
         p = ModelParams(alpha=1.0, beta=0.4, gamma=0.5, n=3)
         cfg = SimConfig(dt=1e-3, horizon=1.0)

@@ -116,6 +116,13 @@ class TestSimConfig:
         with pytest.raises(ConfigError, match="horizon"):
             SimConfig(dt=1e-3, horizon=horizon)
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+    def test_grid_step_needs_a_finite_positive_dt(self, dt):
+        from cir_particles.integrators import grid_step
+
+        with pytest.raises(ConfigError, match="dt must be finite and > 0"):
+            grid_step(1.0, dt, "horizon")
+
     def test_n_steps_counts_the_grid(self):
         assert SimConfig(dt=1e-3, horizon=1.0).n_steps == 1000
         assert SimConfig(dt=0.9, horizon=405.0).n_steps == 450
@@ -608,6 +615,58 @@ class TestStopPrecedence:
         assert np.array_equal(hit[own], res.stop_time[own])
 
 
+class TestSchemeStopIsItsEventRow:
+    @pytest.mark.parametrize(
+        "scheme, kind, code, spread",
+        [(Scheme.C_EPSILON, "psum", 1, 3.0), (Scheme.REGULARIZED_SWITCHING, "zeta", 2, 1.2)],
+        ids=["c_epsilon", "regularized_switching"],
+    )
+    def test_stop_is_the_first_step_where_the_row_is_at_most_eps(
+        self, scheme, kind, code, spread
+    ):
+        # c_epsilon stops at S_eps, the first partial sum lambda_1 <= eps, and
+        # regularized_switching at zeta_eps; the start itself is not checked.
+        from cir_particles.events import event_rows, event_values
+
+        n = 3
+        params = ModelParams(alpha=_MONITOR_ALPHA[scheme](n), beta=0.5, gamma=0.5, n=n)
+        cfg = SimConfig(scheme=scheme, dt=1e-2, horizon=0.5, seed=4, epsilon=0.05, paths=60)
+        start = np.sort(np.random.default_rng(4).uniform(0.0, spread, (60, n)) ** 2, axis=1)
+        start[0] = [0.0, 0.01, 1.0]
+        res = simulate_batch(params, cfg, initial=start, record=True)
+        row = event_rows(n)[kind]
+        row = row.start if isinstance(row, slice) else row
+        stopped = 0
+        for i in range(cfg.paths):
+            values = event_values(res.trajectories[i].T)[row]
+            at_eps = np.flatnonzero(values[1:] <= cfg.epsilon)
+            if at_eps.size:
+                stopped += 1
+                assert res.terminated_code[i] == code
+                assert res.stop_time[i] == res.times[at_eps[0] + 1]
+            else:
+                assert res.terminated_code[i] == 0
+                assert res.stop_time[i] == res.times[-1]
+        assert 10 <= stopped <= cfg.paths - 10
+        assert (event_values(start.T)[row] <= cfg.epsilon).any()
+
+
+class TestNoMonitorFastPath:
+    def test_truncated_euler_without_monitors_computes_no_event_value(self, monkeypatch):
+        from cir_particles import integrators
+
+        calls = []
+        real = integrators.event_values
+        monkeypatch.setattr(integrators, "event_values",
+                            lambda lam: calls.append(lam.shape) or real(lam))
+        params = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=3)
+        cfg = SimConfig(dt=1e-2, horizon=0.5, seed=6, paths=20)
+        simulate_batch(params, cfg, record=True)
+        assert calls == []
+        simulate_batch(params, cfg, event_levels=(1e-2,))
+        assert len(calls) == cfg.n_steps + 1
+
+
 class TestContractionProbes:
     @pytest.mark.parametrize(
         "times",
@@ -928,6 +987,24 @@ class TestCoupling:
             simulate_coupled_cir(
                 CirParams(3.0, 1.0, 1.0), CirParams(2.5, 1.0, 1.0),
                 1.0, 1.0, 1e-3, horizon, 99, 4,
+            )
+
+    @pytest.mark.parametrize(
+        "dt, n_paths, r0, match",
+        [
+            (0.0, 4, 1.0, "dt must be finite and > 0"),
+            (-1e-3, 4, 1.0, "dt must be finite and > 0"),
+            (1e-3, 0, 1.0, "n_paths must be >= 1"),
+            (1e-3, 4, -0.5, "r0_b must be finite and >= 0"),
+            (1e-3, 4, math.nan, "r0_b must be finite and >= 0"),
+        ],
+        ids=["zero_dt", "negative_dt", "no_paths", "negative_r0", "nan_r0"],
+    )
+    def test_coupled_cir_bad_input_is_config_error(self, dt, n_paths, r0, match):
+        with pytest.raises(ConfigError, match=match):
+            simulate_coupled_cir(
+                CirParams(3.0, 1.0, 1.0), CirParams(2.5, 1.0, 1.0),
+                1.0, r0, dt, 1.0, 99, n_paths,
             )
 
     def test_contraction_small_scale(self):

@@ -8,6 +8,7 @@ from scipy.special import betaln, gammainc, gammaln
 from scipy.stats import chi2
 
 from cir_particles import (
+    ConfigError,
     ModelParams,
     NotEvaluable,
     RegimeMismatch,
@@ -170,6 +171,21 @@ class TestMhSampler:
     def test_not_evaluable(self):
         with pytest.raises(NotEvaluable):
             mh_sampler(ModelParams(2.0, 0.5, 0.0, 2), 100, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "steps, kwargs, match",
+        [
+            (0, {}, "steps must be >= 1"),
+            (-1, {}, "steps must be >= 1"),
+            (3, {"burn_in": -5}, "burn_in must be >= 0"),
+            (10, {"thin": 0}, "thin must be >= 1"),
+            (10, {"thin": -2}, "thin must be >= 1"),
+        ],
+        ids=["zero_steps", "negative_steps", "negative_burn_in", "zero_thin", "negative_thin"],
+    )
+    def test_bad_run_length_is_config_error(self, steps, kwargs, match):
+        with pytest.raises(ConfigError, match=match):
+            mh_sampler(P2, steps, np.random.default_rng(0), **kwargs)
 
     @pytest.mark.parametrize("initial", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]])
     def test_initial_shape_checked(self, initial):
