@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_int
 from .model import ModelParams
 
 __all__ = [
@@ -210,8 +210,9 @@ def integrated_sum_paths(
     Advances ``n_paths`` copies of the sum process from ``sum0`` with exact
     transitions of step ``dt`` drawn by :func:`exact_step` (nu = n*alpha),
     integrates them by the trapezoid rule, and returns the integrals at each
-    probe time.  Before the first step every probe must be a grid time k*dt
-    with 1 <= k <= ``integrators.MAX_STEPS``, ``dt`` must be > 0 and
+    probe time.  Before the first step there must be at least one probe,
+    every probe must be a grid time k*dt with 1 <= k <=
+    ``integrators.MAX_STEPS``, ``n_paths`` an integer >= 1, ``dt`` > 0 and
     ``sum0`` finite and >= 0; else ConfigError.  A run that explodes
     (gamma < 0 over a long horizon) returns non-finite integrals, which
     callers must check.
@@ -222,6 +223,9 @@ def integrated_sum_paths(
         raise ConfigError(f"dt must be > 0, got {dt}")
     if not (math.isfinite(sum0) and sum0 >= 0.0):
         raise ConfigError(f"sum0 must be finite and >= 0, got {sum0}")
+    n_paths = require_int("n_paths", n_paths, 1)
+    if len(probe_times) == 0:
+        raise ConfigError("probe_times must hold at least one probe, got none")
     probe_at = {}
     for t in probe_times:
         steps = grid_step(t, dt, "probe time")
@@ -237,7 +241,7 @@ def integrated_sum_paths(
     r = np.full(n_paths, sum0)
     integral = np.zeros(n_paths)
     probes: dict[float, np.ndarray] = {}
-    for s in range(1, max(probe_at, default=0) + 1):
+    for s in range(1, max(probe_at) + 1):
         r_new = exact_step(cir, r, dt, rng)
         integral += 0.5 * (r + r_new) * dt
         r = r_new

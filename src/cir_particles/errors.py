@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-argument check."""
+
+import numpy as np
 
 __all__ = [
     "BadK",
@@ -37,3 +39,13 @@ class TooFewSamples(ValueError):
 
 class ConfigError(ValueError):
     """Invalid simulation or experiment configuration; message names the field."""
+
+
+def require_int(name: str, value, least: int | None = None) -> int:
+    """``value`` as an int; ConfigError unless it is an int or numpy integer
+    (a bool is not) and, when ``least`` is given, at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
+    return int(value)

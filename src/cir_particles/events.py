@@ -53,6 +53,17 @@ class Event:
     level: float
 
 
+def detection_level(value, what: str) -> float:
+    """``value`` as a detection level; ConfigError unless it is finite and > 0."""
+    try:
+        level = float(value)
+    except (TypeError, ValueError):
+        level = math.nan
+    if not (math.isfinite(level) and level > 0.0):
+        raise ConfigError(f"{what} must be finite and > 0, got {value!r}")
+    return level
+
+
 @functools.lru_cache(maxsize=None)
 def event_rows(n: int) -> MappingProxyType:
     """Rows of :func:`event_values` per event kind at n coordinates.
@@ -150,7 +161,7 @@ def first_passage_partial_sum(
     (the default start when None), monitoring the partial sum online at every
     level of the delta ladder, and returns the hit fraction by the horizon
     with a binomial 95% interval per level.  ConfigError when ``levels`` is
-    empty.
+    empty or holds a level that is not finite and > 0.
     """
     from .integrators import simulate_batch
 
@@ -158,6 +169,7 @@ def first_passage_partial_sum(
         raise BadK(f"k must be in 1..{params.n}, got {k}")
     if not levels:
         raise ConfigError("levels must hold at least one detection level, got none")
+    levels = [detection_level(lev, "levels") for lev in levels]
     res = simulate_batch(
         params,
         config,
@@ -167,8 +179,8 @@ def first_passage_partial_sum(
     )
     out = {}
     for lev in levels:
-        hits = int(np.count_nonzero(~np.isnan(res.monitors[float(lev)]["psum"][:, k - 1])))
-        out[float(lev)] = binomial_summary(
+        hits = int(np.count_nonzero(~np.isnan(res.monitors[lev]["psum"][:, k - 1])))
+        out[lev] = binomial_summary(
             hits, res.n_paths, name=f"psum{k}_hit(delta={lev:g})"
         )
     return out

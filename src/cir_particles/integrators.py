@@ -73,16 +73,19 @@ path), the largest detection level not yet fired, and stamp only the entries
 that crossed it.  They are the one event detector, read by
 :func:`cir_particles.events.detect_events`, whatever the record stride.  A
 stopping rule is a row of the same block with a level and a stop code, the
-scheme's own first, then ``stop_on``; one loop freezes the rows they stop.
+scheme's own first, then ``stop_on``; one loop marks the rows they stop.
 
 :func:`simulate_batch` steps only the live rows.  Their state, B-mode and
-pending thresholds are held packed, in ascending path order, and compacted
-on the steps where a row freezes.  A row frozen by a stopping rule or by a
-non-finite step keeps its state and draws no further noise.  For the
-Gaussian schemes every number is the same as if all rows were stepped to the
-end.  Under ``exact_cir_splitting`` the batch stream feeds only the live
-rows, in path order, so its draws depend on when rows freeze; a rerun of the
-same inputs still reproduces them bit for bit.
+pending thresholds are held packed, in ascending path order.  A non-finite
+step, a scheme stop and a ``stop_on`` hit (t = 0 included) mark their rows
+in one mask, and the top of the step loop retires them, before the noise
+draw: it writes their stop time and final state and packs the rest.  A
+frozen row keeps its state and draws no further noise; a row that fails
+keeps its last finite state.  For the Gaussian schemes every number is the
+same as if all rows were stepped to the end.  Under ``exact_cir_splitting``
+the batch stream feeds only the live rows, in path order, so its draws
+depend on when rows freeze; a rerun of the same inputs still reproduces them
+bit for bit.
 """
 
 from __future__ import annotations
@@ -96,8 +99,8 @@ from typing import Sequence
 import numpy as np
 
 from .cirprocess import CirParams, exact_step
-from .errors import ConfigError
-from .events import event_rows, event_values
+from .errors import ConfigError, require_int
+from .events import detection_level, event_rows, event_values
 from .model import ModelParams, drift_lambda_batch, drift_root_batch, interaction_sum
 from .randomness import exact_step_stream, step_normals
 
@@ -188,10 +191,8 @@ class SimConfig:
             raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
         if self.collision_tol <= 0:
             raise ConfigError(f"collision_tol must be > 0, got {self.collision_tol}")
-        if self.paths < 1:
-            raise ConfigError(f"paths must be >= 1, got {self.paths}")
-        if self.record_stride < 1:
-            raise ConfigError(f"record_stride must be >= 1, got {self.record_stride}")
+        for name, least in (("seed", None), ("paths", 1), ("record_stride", 1)):
+            object.__setattr__(self, name, require_int(name, getattr(self, name), least))
         if self.kick_cap <= 0:
             raise ConfigError(f"kick_cap must be > 0, got {self.kick_cap}")
         if not isinstance(self.scheme, Scheme):
@@ -440,24 +441,6 @@ def _default_initial(params: ModelParams) -> np.ndarray:
     return np.arange(1.0, params.n + 1.0)
 
 
-def _span_pick(rows: np.ndarray) -> np.ndarray | None:
-    """Positions of the sorted ``rows`` in the span rows[0] .. rows[-1], None if it has no gaps."""
-    if rows.size == 0 or rows[-1] - rows[0] + 1 == rows.size:
-        return None
-    return rows - rows[0]
-
-
-def _level(value, what: str) -> float:
-    """``value`` as a detection level; ConfigError unless it is finite and > 0."""
-    try:
-        level = float(value)
-    except (TypeError, ValueError):
-        level = math.nan
-    if not (math.isfinite(level) and level > 0.0):
-        raise ConfigError(f"{what} must be finite and > 0, got {value!r}")
-    return level
-
-
 def _stop_rules(stop_on, n: int, scheme: Scheme, eps: float) -> list[tuple[slice, float, int]]:
     """(rows of :func:`event_values`, level, stop code) of each rule that freezes a path.
 
@@ -476,12 +459,12 @@ def _stop_rules(stop_on, n: int, scheme: Scheme, eps: float) -> list[tuple[slice
         return rules
     rule = tuple(stop_on) if isinstance(stop_on, (tuple, list)) else ()
     if len(rule) == 2 and rule[0] == "gap_any":
-        return rules + [(rows["gap"], _level(rule[1], "stop_on level"), _T_EVENT)]
+        return rules + [(rows["gap"], detection_level(rule[1], "stop_on level"), _T_EVENT)]
     if len(rule) == 3 and rule[0] == "psum":
         k = rule[1]
         if isinstance(k, (int, np.integer)) and not isinstance(k, bool) and 1 <= k <= n:
             row = slice(psum1 + k - 1, psum1 + k)
-            return rules + [(row, _level(rule[2], "stop_on level"), _T_EVENT)]
+            return rules + [(row, detection_level(rule[2], "stop_on level"), _T_EVENT)]
     raise ConfigError(f"invalid stop_on rule {stop_on!r}")
 
 
@@ -513,8 +496,11 @@ def simulate_batch(
     ``MAX_STEPS`` steps.
 
     Each step advances only the rows still live, held packed in path order;
-    a frozen row keeps its state, and the recording stays full-size.  The
-    loop ends once every row is frozen.  Gaussian noise is drawn by path
+    a frozen row keeps its state, and the recording stays full-size.  A
+    row whose step is not finite fails at that step with its last finite
+    state, unstamped and stopped by no rule; it and the rows a rule stops
+    leave the live set together, at the top of the next step.  The loop
+    ends once every row is frozen.  Gaussian noise is drawn by path
     index, so the rows do not depend on which others are live;
     ``exact_cir_splitting`` draws its exact CIR variates for the live rows
     only.  Inside the loop the state is coordinate-major, (n, P); every
@@ -532,8 +518,7 @@ def simulate_batch(
     scheme = config.scheme
     if scheme == Scheme.C_EPSILON and params.kappa >= 0.0:
         raise ConfigError("c_epsilon scheme requires kappa < 0")
-    if not isinstance(noise_refine, (int, np.integer)) or noise_refine < 1:
-        raise ConfigError(f"noise_refine must be an int >= 1, got {noise_refine!r}")
+    require_int("noise_refine", noise_refine, 1)
     if scheme == Scheme.EXACT_CIR_SPLITTING and noise_refine > 1:
         raise ConfigError(
             "noise_refine > 1 does not apply to exact_cir_splitting, "
@@ -572,8 +557,11 @@ def simulate_batch(
 
     stop_time = np.full(p, n_steps * dt)
     term = np.full(p, _T_HORIZON, dtype=np.int8)
+    # The full-size lambda state: a frozen row is written once, when it
+    # retires, and the live rows on recorded steps and at the end.
+    lam_full = np.empty((n, p))
 
-    levels = list(dict.fromkeys(_level(lev, "event_levels") for lev in event_levels))
+    levels = list(dict.fromkeys(detection_level(lev, "event_levels") for lev in event_levels))
     rules = _stop_rules(stop_on, n, scheme, eps)
     # Only the stop_on rule, the last, applies at the start; its level is monitored.
     start_rules = rules[-1:] if stop_on is not None else []
@@ -585,32 +573,8 @@ def simulate_batch(
     ascending = np.array(sorted(levels))
     first = np.full((len(levels), 2 * n + 1, p), np.nan)
 
-    # The full-size lambda state, allocated at the first write-back, so a
-    # run that freezes no row and records nothing holds no copy while it
-    # steps.  A frozen row is written once, when it freezes; the live rows
-    # on recorded steps and at the end.
-    lam_full = None
-
-    def write_back(which: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        nonlocal lam_full
-        if lam_full is None:
-            lam_full = np.empty((n, p))
-        lam_full[:, which] = lam
-        return lam_full
-
-    def synced() -> np.ndarray:
-        """The full-size lambda state, with the live rows written in."""
-        return write_back(rows, lam_of(state))
-
-    def freeze(mask: np.ndarray, code: int, t: float, lam: np.ndarray) -> None:
-        """Freeze the live ``rows[mask]`` at t with lambda state ``lam[:, mask]``."""
-        which = rows[mask]
-        term[which] = code
-        stop_time[which] = t
-        write_back(which, lam[:, mask])
-
-    def observe(lam: np.ndarray, rules, t: float) -> np.ndarray | None:
-        """Stamp hits at t, then freeze the rows a rule stops; their mask, or None."""
+    def observe(lam: np.ndarray, rules, t: float, done: np.ndarray | None) -> np.ndarray | None:
+        """Stamp hits at t, then add the rows a rule stops to ``done``; the mask, or None."""
         values = event_values(lam)
         below = values <= pending
         crossed_any = below.any()
@@ -626,7 +590,6 @@ def simulate_batch(
             # The levels >= value have fired; the largest one below it is pending.
             below = np.searchsorted(ascending, value)
             np.put(pending, crossed, np.where(below > 0, ascending[below - 1], -math.inf))
-        done = None
         for which, level, code in rules:
             # stop_on's level is monitored, so a row it stops crossed a threshold.
             if code == _T_EVENT and not crossed_any:
@@ -635,24 +598,18 @@ def simulate_batch(
             if done is not None:
                 hit &= ~done
             if hit.any():
-                freeze(hit, code, t, lam)
+                term[rows[hit]] = code
                 done = hit if done is None else done | hit
         return done
 
-    def pack(keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
-        """The columns ``keep`` of each array, C-contiguous so that rows stay contiguous."""
-        return [x.compress(keep, axis=-1) for x in arrays]
-
     # The live rows, ascending, and their packed state, B-mode and pending
-    # thresholds.  They are compacted only on a step where a row freezes.
+    # thresholds.  ``done`` marks the live rows frozen at the last step (or
+    # at the start), and the top of the step loop retires them.
     rows = np.arange(p)
     mode = state[0] < eps  # read by regularized_switching only
     # With no levels every threshold is -inf, so nothing is stamped.
     pending = np.full((2 * n + 1, p), ascending[-1] if levels else -math.inf)
-    if levels:
-        done = observe(lam_of(state), start_rules, 0.0)
-        if done is not None:
-            rows, state, mode, pending = pack(~done, rows, state, mode, pending)
+    done = observe(lam_of(state), start_rules, 0.0, None) if levels else None
 
     # Step s is recorded when the stride divides it or s = n_steps, in row
     # ceil(s / stride), so the rows after step s start at s // stride + 1.
@@ -666,21 +623,33 @@ def simulate_batch(
         except ValueError:
             raise ConfigError(f"a recording of {n_rec:.3g} steps does not fit in memory") from None
         times = np.minimum(np.arange(n_rec) * stride, n_steps).astype(float) * dt
-        traj[:, 0, :] = synced().T
     # After the recording, whose allocation failure names the memory it needs.
     _check_step_bound(n_steps)
 
-    # Gaussian noise is drawn over the span of paths rows[0] .. rows[-1],
-    # whose rows equal those of any other draw covering the same paths, and
-    # ``span_pick`` picks the live rows out of it.
-    span_pick = _span_pick(rows)
+    span_pick = None
     # Non-finite states are tolerated inside the loop and recorded as
     # failures; the caller's error state comes back however the loop ends.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for step in range(n_steps):
-            if rows.size == 0:
-                if record:
-                    traj[:, step // stride + 1:, :] = synced().T[:, None, :]
+        for step in range(n_steps + 1):
+            if done is not None:
+                # The one retire point: the rows in ``done`` froze at t = step*dt.
+                which = rows[done]
+                stop_time[which] = step * dt
+                lam_full[:, which] = lam_of(state[:, done])
+                keep = ~done
+                rows, state, mode, pending = (
+                    x.compress(keep, axis=-1) for x in (rows, state, mode, pending)
+                )
+                done = None
+                # Gaussian noise is drawn over the span of paths rows[0] ..
+                # rows[-1], whose rows equal those of any other draw covering
+                # the same paths; ``span_pick`` picks the live rows out of it.
+                gappy = rows.size and rows[-1] - rows[0] >= rows.size
+                span_pick = rows - rows[0] if gappy else None
+            if record and step % stride == 0:
+                lam_full[:, rows] = lam_of(state)
+                traj[:, step // stride, :] = lam_full.T
+            if step == n_steps or rows.size == 0:
                 break
             dw = None
             if scheme != Scheme.EXACT_CIR_SPLITTING:
@@ -693,7 +662,6 @@ def simulate_batch(
                     z /= math.sqrt(noise_refine)
                 z = z.T if span_pick is None else z[span_pick].T
                 dw = np.multiply(sqrt_dt, z, order="C")
-            t_next = (step + 1) * dt
 
             # ``cur`` keeps the pre-step state alive through the next step's
             # noise draw, so that the next step's temporaries reuse its
@@ -701,26 +669,23 @@ def simulate_batch(
             # and regrows on every step (about 90 page faults per step,
             # measured with getrusage).
             cur = state
-            new = _sort_columns(np.maximum(step_fn(cur, dw, mode), 0.0))
-
-            # A failed row keeps its last finite state and sees no monitor.
-            if not np.isfinite(new).all():
-                ok = np.isfinite(new).all(axis=0)
-                freeze(~ok, _T_FAIL, t_next, lam_of(cur))
-                rows, new, mode, pending = pack(ok, rows, new, mode, pending)
-                span_pick = _span_pick(rows)
-            state = new
-            done = observe(lam_of(new), rules, t_next) if rules or levels else None
+            state = _sort_columns(np.maximum(step_fn(cur, dw, mode), 0.0))
+            if not np.isfinite(state).all():
+                # A failed row keeps its last finite state.  Its event values
+                # are then those it was last observed at, which cross no
+                # pending threshold, and the rules skip the rows in ``done``.
+                done = ~np.isfinite(state).all(axis=0)
+                state[:, done] = cur[:, done]
+                term[rows[done]] = _T_FAIL
+            if rules or levels:
+                done = observe(lam_of(state), rules, (step + 1) * dt, done)
             if scheme == Scheme.REGULARIZED_SWITCHING:
                 # A -> B at lambda_1 <= eps/2, B -> A at lambda_1 >= eps.
-                mode = np.where(mode, new[0] < eps, new[0] <= eps / 2.0)
-            if done is not None:
-                rows, state, mode, pending = pack(~done, rows, state, mode, pending)
-                span_pick = _span_pick(rows)
+                mode = np.where(mode, state[0] < eps, state[0] <= eps / 2.0)
 
-            s = step + 1
-            if record and (s % stride == 0 or s == n_steps):
-                traj[:, -(-s // stride), :] = synced().T
+    lam_full[:, rows] = lam_of(state)
+    if record:
+        traj[:, step // stride + 1:, :] = lam_full.T[:, None, :]
 
     monitors = {}
     for lev in levels:
@@ -731,7 +696,7 @@ def simulate_batch(
         config=config,
         path_offset=path_offset,
         n_paths=p,
-        final_lambda=synced().T.copy(),
+        final_lambda=lam_full.T.copy(),
         stop_time=stop_time,
         terminated_code=term,
         monitors=monitors,
@@ -777,13 +742,15 @@ def contraction_curve(
     """Mean L1 gap E sum_i |lambda_i - lambda~_i| at probe times, with stderr.
 
     Both systems use the same parameters and shared noise; only the starting
-    points differ.  A probe must be a grid time k*dt of the run, 0 <= k <=
-    n_steps, else ConfigError.  Both batches are recorded at the gcd of the
+    points differ.  ``probe_times`` must not be empty, and a probe must be a
+    grid time k*dt of the run, 0 <= k <= n_steps, else ConfigError.  Both batches are recorded at the gcd of the
     probe steps, so every probe is a recorded row.  Returns
     {probe_time: StatSummary}.
     """
     from .stats import moment_summary
 
+    if len(probe_times) == 0:
+        raise ConfigError("probe_times must hold at least one probe, got none")
     steps = {}
     for t in probe_times:
         s = grid_step(t, config.dt, "probe time")
@@ -818,15 +785,16 @@ def simulate_coupled_cir(
     processes with the identical dW.  Tracks how often the ordering
     r_a >= r_b is violated at any step, for the pathwise-comparison check
     (larger constant drift should stay on top).  A run of more than
-    ``MAX_STEPS`` steps, no path or a start that is not finite and >= 0 is
-    a ConfigError before the first step.
+    ``MAX_STEPS`` steps, an ``n_paths`` or ``seed`` that is not an integer,
+    no path or a start that is not finite and >= 0 is a ConfigError before
+    the first step.
     """
     n_steps = grid_step(horizon, dt, "horizon")
     if n_steps < 1:
         raise ConfigError(f"horizon must be positive, got {horizon}")
     _check_step_bound(n_steps)
-    if n_paths < 1:
-        raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
+    n_paths = require_int("n_paths", n_paths, 1)
+    require_int("seed", seed)
     for name, r0 in (("r0_a", r0_a), ("r0_b", r0_b)):
         if not (math.isfinite(r0) and r0 >= 0.0):
             raise ConfigError(f"{name} must be finite and >= 0, got {r0}")

@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BadK, CoincidentCoordinates, ConfigError, DomainError
+from .errors import BadK, CoincidentCoordinates, ConfigError, DomainError, require_int
 
 __all__ = [
     "CollisionVerdict",
@@ -75,8 +75,7 @@ class ModelParams:
         for name in ("alpha", "beta", "gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.n < 2:
-            raise ConfigError(f"n must be >= 2, got {self.n}")
+        object.__setattr__(self, "n", require_int("n", self.n, 2))
         if self.beta <= 0:
             raise ConfigError(f"beta must be > 0, got {self.beta}")
         if self.alpha < 0:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, gammaln, roots_genlaguerre
 
-from .errors import ConfigError, NotEvaluable, RegimeMismatch
+from .errors import ConfigError, NotEvaluable, RegimeMismatch, require_int
 from .model import GlobalSolution, ModelParams, classify_regime
 from .stats import StatSummary, ks_test, ks_test_two_sample, moment_summary
 
@@ -145,7 +145,8 @@ def mh_sampler(
     0.3 during burn-in and is frozen afterward, keeping the retained chain
     Markov.  Returns ``steps`` retained samples taken every ``thin``
     iterations after ``burn_in``; ConfigError unless ``steps`` >= 1,
-    ``thin`` >= 1 and ``burn_in`` >= 0.
+    ``thin`` >= 1 and ``burn_in`` >= 0 are integers and ``initial``, when
+    given, is one point of shape (n,) with positive density.
 
     The chain state is a list of Python floats, so an iteration costs a few
     microseconds of scalar arithmetic.  Each iteration draws exactly one
@@ -154,23 +155,21 @@ def mh_sampler(
     """
     _require_evaluable(params)
     n = params.n
-    if burn_in is None:
-        burn_in = max(1000, steps // 5)
-    for name, value, least in (("steps", steps, 1), ("thin", thin, 1), ("burn_in", burn_in, 0)):
-        if value < least:
-            raise ConfigError(f"{name} must be >= {least}, got {value}")
+    steps = require_int("steps", steps, 1)
+    thin = require_int("thin", thin, 1)
+    burn_in = require_int("burn_in", max(1000, steps // 5) if burn_in is None else burn_in, 0)
     if initial is None:
         x = (np.arange(1.0, n + 1.0) / params.gamma).tolist()
     else:
         x = np.asarray(initial, dtype=float)
         if x.shape != (n,):
-            raise ValueError(f"initial state must have shape ({n},)")
+            raise ConfigError(f"initial state must have shape ({n},), got {x.shape}")
         x = x.tolist()
     scale = 0.5 / params.gamma
     log_density = _log_density_point(params)
     logp = log_density(x)
     if not math.isfinite(logp):
-        raise ValueError("initial state has zero density")
+        raise ConfigError(f"initial state has zero density: {x}")
 
     points = np.empty((steps, n))
     normal = rng.standard_normal

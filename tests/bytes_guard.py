@@ -5,15 +5,19 @@ digests: equal digests mean every batch of the grid came out bit for bit the
 same.  The grid covers every scheme; n = 2, 3, 5; 1, 37 and 300 paths; two
 parameter points per scheme; epsilon at its default or 0.05; no monitors or
 monitors at (1e-2, 1e-3); ``stop_on`` none, ``("psum", 1, 1e-2)`` or
-``("gap_any", 5e-2)``; recording off, at stride 1 or at stride 3; and one
-exploding run per scheme whose rows all end in ``numerical_failure``.  The
-digest covers every ``BatchResult`` array: final state, stop times, stop
-codes, each monitor at each level and the recording with its times.
+``("gap_any", 5e-2)``; recording off, at stride 1 or at stride 3; one
+exploding run per scheme whose rows all end in ``numerical_failure``; and
+mixed runs, three per scheme, in which some rows fail numerically while
+others stop by a rule, some of them on the same step.  The digest covers
+every ``BatchResult`` array: final state, stop times, stop codes, each
+monitor at each level and the recording with its times.
 
 The file is named so that pytest does not collect it; it takes about ten
 seconds on one core of a 2-core Xeon.  ``--verbose`` prints one digest per
 batch, to find the first that differs.  The line before the digest counts
-the paths by stop status, so a grid that stops exercising a rule shows.
+the paths by stop status, and the steps on which a batch retired both a
+failed row and a row stopped by a rule, so a grid that stops exercising a
+rule or a mixed retire step shows.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ KAPPAS = {scheme: (-0.3, 0.3) for scheme in Scheme}
 KAPPAS[Scheme.C_EPSILON] = (-0.3, -0.1)
 STOP_RULES = (None, ("psum", 1, 1e-2), ("gap_any", 5e-2))
 RECORDINGS = (None, 1, 3)
+# Stop codes of BatchResult.terminated_code.
+HORIZON, FAIL = 0, 3
 
 
 def _arrays(res):
@@ -87,6 +93,28 @@ def _grid():
         cfg = SimConfig(scheme=scheme, dt=0.1, horizon=20.0, epsilon=0.05, seed=5, paths=37)
         yield (f"{scheme.value} exploding",
                dict(params=params, config=cfg, event_levels=(1e-2,), record=True))
+    # Half the rows start near overflow and fail at spread-out steps as
+    # gamma < 0 drives them up; the others start at O(1) and stop by a rule.
+    for i, (scheme, stop_on) in enumerate(itertools.product(Scheme, STOP_RULES)):
+        alpha = 0.5 if scheme == Scheme.C_EPSILON else 1.5
+        params = ModelParams(alpha=alpha, beta=BETA, gamma=-2.0, n=3)
+        stride = RECORDINGS[i % 3]
+        cfg = SimConfig(scheme=scheme, dt=0.1, horizon=20.0, epsilon=0.05, seed=6, paths=300,
+                        record_stride=stride or 1)
+        rng = np.random.default_rng(6)
+        scale = np.where(rng.random((300, 1)) < 0.5,
+                         10.0 ** rng.uniform(285.0, 308.0, (300, 1)), 1.5)
+        initial = scale * np.sort(rng.uniform(0.0, 1.0, (300, 3)) ** 2, axis=1)
+        yield (f"{scheme.value} mixed stop_on={stop_on} stride={stride}",
+               dict(params=params, config=cfg, initial=initial, event_levels=(1e-2, 1e-3),
+                    stop_on=stop_on, record=stride is not None))
+
+
+def _mixed_steps(res) -> int:
+    """Steps on which the batch retired both a failed row and a rule-stopped row."""
+    code = res.terminated_code
+    failed = set(res.stop_time[code == FAIL])
+    return len(failed.intersection(res.stop_time[(code != HORIZON) & (code != FAIL)]))
 
 
 def main(argv: list[str]) -> int:
@@ -94,6 +122,7 @@ def main(argv: list[str]) -> int:
     total = hashlib.sha256()
     codes: Counter = Counter()
     batches = 0
+    mixed = 0
     for name, kwargs in _grid():
         params = kwargs.pop("params")
         config = kwargs.pop("config")
@@ -101,10 +130,12 @@ def main(argv: list[str]) -> int:
         digest = _digest(res)
         total.update(digest.encode())
         codes.update(res.terminated(i).value for i in range(res.n_paths))
+        mixed += _mixed_steps(res)
         batches += 1
         if verbose:
             print(digest[:16], name)
-    print(f"{batches} batches, stops: " + ", ".join(f"{k}={v}" for k, v in sorted(codes.items())))
+    print(f"{batches} batches, stops: " + ", ".join(f"{k}={v}" for k, v in sorted(codes.items()))
+          + f", mixed retire steps: {mixed}")
     print(f"sha256 {total.hexdigest()}")
     return 0
 

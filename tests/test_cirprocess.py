@@ -228,7 +228,25 @@ class TestIntegratedSumPathsProbes:
 
     def test_no_probe_takes_no_step(self):
         params = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
-        assert integrated_sum_paths(params, 3.0, 2, 0.1, (), rng_streams(0, 0)) == {}
+        with pytest.raises(ConfigError, match="probe_times must hold at least one probe"):
+            integrated_sum_paths(params, 3.0, 2, 0.1, (), rng_streams(0, 0))
+
+    @pytest.mark.parametrize(
+        "n_paths, message",
+        [
+            (0, "n_paths must be >= 1, got 0"),
+            (-1, "n_paths must be >= 1, got -1"),
+            (2.5, "n_paths must be an integer, got 2.5"),
+            (2.0, "n_paths must be an integer, got 2.0"),
+            (True, "n_paths must be an integer, got True"),
+        ],
+        ids=["zero", "negative", "fraction", "integral_float", "bool"],
+    )
+    def test_bad_path_count_is_a_config_error(self, n_paths, message):
+        params = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
+        with pytest.raises(ConfigError) as info:
+            integrated_sum_paths(params, 3.0, n_paths, 0.1, (1.0,), rng_streams(0, 0))
+        assert str(info.value) == message
 
 
 class TestInvariantGamma:

@@ -198,6 +198,16 @@ class TestFirstPassage:
         with pytest.raises(ConfigError, match="levels"):
             first_passage_partial_sum(p, cfg, 2, levels=())
 
+    @pytest.mark.parametrize(
+        "levels", [(0.0,), (-1e-3,), (math.nan,), (1e-2, math.inf)],
+        ids=["zero", "negative", "nan", "inf_after_good"],
+    )
+    def test_bad_level_is_named_levels(self, levels):
+        p = ModelParams(alpha=1.0, beta=0.4, gamma=0.5, n=3)
+        cfg = SimConfig(dt=1e-3, horizon=1.0)
+        with pytest.raises(ConfigError, match=r"^levels must be finite and > 0, got "):
+            first_passage_partial_sum(p, cfg, 1, levels=levels)
+
     def test_bad_k(self):
         p = ModelParams(alpha=1.0, beta=0.4, gamma=0.5, n=3)
         cfg = SimConfig(dt=1e-3, horizon=1.0)

@@ -111,6 +111,25 @@ class TestSimConfig:
         with pytest.raises(ConfigError):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 1.5), ("seed", 1.0), ("seed", True), ("paths", 2.5), ("paths", 2.0),
+         ("paths", True), ("record_stride", 1.5), ("record_stride", np.float64(2.0)),
+         ("record_stride", "2")],
+    )
+    def test_integer_field_rejects_a_non_integer(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, got "):
+            SimConfig(dt=1e-2, horizon=0.1, **{field: value})
+
+    def test_numpy_integer_fields_run_as_ints(self):
+        p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
+        want = simulate_batch(p, SimConfig(dt=1e-2, horizon=0.1, seed=7, paths=3,
+                                           record_stride=2), record=True)
+        got = simulate_batch(p, SimConfig(dt=1e-2, horizon=0.1, seed=np.int64(7),
+                                          paths=np.int32(3), record_stride=np.uint8(2)),
+                             record=True)
+        assert np.array_equal(got.trajectories, want.trajectories)
+
     @pytest.mark.parametrize("horizon", [0.0015, 0.0025, 1.0004])
     def test_horizon_off_the_dt_grid_is_config_error(self, horizon):
         with pytest.raises(ConfigError, match="horizon"):
@@ -679,6 +698,18 @@ class TestContractionProbes:
         with pytest.raises(ConfigError, match="probe time"):
             contraction_curve(p, cfg, [1.0, 2.0], [0.5, 2.5], times)
 
+    def test_no_probe_is_config_error_before_any_batch(self, monkeypatch):
+        from cir_particles import integrators
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a batch was run")
+
+        monkeypatch.setattr(integrators, "simulate_batch", refuse)
+        p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
+        cfg = SimConfig(dt=1e-3, horizon=1.0, paths=2)
+        with pytest.raises(ConfigError, match="probe_times must hold at least one probe"):
+            contraction_curve(p, cfg, [1.0, 2.0], [0.5, 2.5], ())
+
     def test_contraction_curve_probes_on_one_step(self):
         p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
         cfg = SimConfig(dt=1e-3, horizon=1.0, paths=4)
@@ -909,6 +940,110 @@ class TestEveryRowFrozenAtStart:
             assert np.array_equal(res.monitors[lev]["psum"][:, 0], [0.0, 0.0])
 
 
+def _break_step(monkeypatch, k, breaker):
+    """Make ``breaker`` edit the proposal of the k-th step map call in place.
+
+    Returns the list of the calls' column counts, one per call.
+    """
+    from cir_particles import integrators
+
+    real = integrators._make_step
+    calls = []
+
+    def make(*args, **kwargs):
+        step = real(*args, **kwargs)
+
+        def broken(state, dw, mode_is_b):
+            out = step(state, dw, mode_is_b)
+            calls.append(out.shape[1])
+            if len(calls) == k:
+                breaker(out)
+            return out
+
+        return broken
+
+    monkeypatch.setattr(integrators, "_make_step", make)
+    return calls
+
+
+class TestRetireRule:
+    """A failed step, a scheme stop and a stop_on hit all freeze a row, by one rule."""
+
+    @pytest.mark.parametrize("stop_on", [None, ("psum", 1, 1e-2)], ids=["scheme_stop", "stop_on"])
+    @pytest.mark.parametrize("k, lam1", [(5, None), (1, 0.02)], ids=["step_5", "step_1_below_eps"])
+    def test_failed_row_keeps_its_last_state_and_meets_no_rule(self, k, lam1, stop_on,
+                                                               monkeypatch):
+        # Step k sends row j's top coordinate to inf and its lambda_1 to 0,
+        # below every monitored level and below eps: the row fails at k*dt
+        # with its step k-1 state, and no monitor or stopping rule sees it.
+        # A start lambda_1 of 0.02 is at most eps but stops no row at t = 0,
+        # where S_eps does not apply and 0.02 is above every level.
+        j = 3
+        params = ModelParams(alpha=_MONITOR_ALPHA[Scheme.C_EPSILON](3), beta=0.5, gamma=0.5, n=3)
+        cfg = SimConfig(scheme=Scheme.C_EPSILON, dt=1e-2, horizon=0.3, seed=9, epsilon=0.05,
+                        paths=8)
+        initial = np.tile([1.0, 2.0, 3.0], (cfg.paths, 1))
+        if lam1 is not None:
+            initial[j, 0] = lam1
+        kwargs = dict(initial=initial, event_levels=(1e-2, 1e-3), stop_on=stop_on, record=True)
+        base = simulate_batch(params, cfg, **kwargs)
+        # No row leaves before step k, so row j is column j of the step map.
+        assert (base.stop_time >= base.times[k]).all()
+
+        def breaker(x):  # root coordinates: x = sqrt(lambda)
+            x[0, j] = 0.0
+            x[-1, j] = math.inf
+
+        _break_step(monkeypatch, k, breaker)
+        res = simulate_batch(params, cfg, **kwargs)
+        assert res.terminated(j) is Terminated.NUMERICAL_FAILURE
+        assert res.stop_time[j] == base.times[k]
+        last = base.trajectories[j, k - 1]
+        assert np.array_equal(res.final_lambda[j], last)
+        assert np.array_equal(res.trajectories[j, :k], base.trajectories[j, :k])
+        assert np.array_equal(res.trajectories[j, k:],
+                              np.broadcast_to(last, res.trajectories[j, k:].shape))
+        for lev, monitors in res.monitors.items():
+            for kind, hits in monitors.items():
+                before = base.monitors[lev][kind][j]
+                want = np.where(before < base.times[k], before, np.nan)
+                assert np.array_equal(hits[j], want, equal_nan=True)
+                assert np.array_equal(np.delete(hits, j, axis=0),
+                                      np.delete(base.monitors[lev][kind], j, axis=0),
+                                      equal_nan=True)
+        for name in ("final_lambda", "stop_time", "terminated_code", "trajectories"):
+            assert np.array_equal(np.delete(getattr(res, name), j, axis=0),
+                                  np.delete(getattr(base, name), j, axis=0))
+
+    @pytest.mark.parametrize("how", ["fail", "rule", "mixed"])
+    def test_rows_frozen_between_recorded_steps_fill_the_tail(self, how, monkeypatch):
+        # Every row freezes at step 4, between the recorded steps 3 and 6:
+        # by a failed step, by the stop_on rule, or half by each.
+        k = 4
+        params = ModelParams(alpha=3.0, beta=0.5, gamma=0.5, n=3)
+        cfg = SimConfig(dt=1e-2, horizon=0.3, seed=12, paths=6, record_stride=3)
+        kwargs = dict(stop_on=("psum", 1, 1e-6), record=True)
+        base = simulate_batch(params, cfg, **kwargs)
+        assert (base.terminated_code == 0).all()
+        failed = np.zeros(cfg.paths, dtype=bool)
+        failed[{"fail": slice(None), "rule": slice(0, 0), "mixed": slice(0, None, 2)}[how]] = True
+
+        def breaker(x):
+            x[0] = 0.0  # lambda_1 = 0: a stop_on hit
+            x[-1, failed] = math.inf
+
+        calls = _break_step(monkeypatch, k, breaker)
+        res = simulate_batch(params, cfg, **kwargs)
+        assert calls == [cfg.paths] * k
+        assert np.array_equal(res.terminated_code, np.where(failed, 3, 4))
+        assert (res.stop_time == k * cfg.dt).all()
+        assert np.array_equal(res.trajectories[:, :2], base.trajectories[:, :2])
+        assert np.array_equal(res.final_lambda[failed], base.trajectories[failed, 1])
+        assert (res.final_lambda[~failed, 0] == 0.0).all()
+        tail = res.trajectories[:, 2:]
+        assert np.array_equal(tail, np.broadcast_to(res.final_lambda[:, None], tail.shape))
+
+
 class TestNoiseTree:
     def test_coarse_increment_is_sum_of_fine(self):
         # One macro step with noise_refine=m must see the same Brownian mass
@@ -995,10 +1130,12 @@ class TestCoupling:
             (0.0, 4, 1.0, "dt must be finite and > 0"),
             (-1e-3, 4, 1.0, "dt must be finite and > 0"),
             (1e-3, 0, 1.0, "n_paths must be >= 1"),
+            (1e-3, 2.5, 1.0, "n_paths must be an integer, got 2.5"),
             (1e-3, 4, -0.5, "r0_b must be finite and >= 0"),
             (1e-3, 4, math.nan, "r0_b must be finite and >= 0"),
         ],
-        ids=["zero_dt", "negative_dt", "no_paths", "negative_r0", "nan_r0"],
+        ids=["zero_dt", "negative_dt", "no_paths", "fractional_paths", "negative_r0",
+             "nan_r0"],
     )
     def test_coupled_cir_bad_input_is_config_error(self, dt, n_paths, r0, match):
         with pytest.raises(ConfigError, match=match):

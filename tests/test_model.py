@@ -49,6 +49,15 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(**kwargs)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, np.float64(3.0), True, "3"],
+                             ids=["fraction", "integral_float", "numpy_float", "bool", "str"])
+    def test_non_integer_n_is_config_error(self, n):
+        with pytest.raises(ConfigError, match="n must be an integer, got "):
+            ModelParams(alpha=1.0, beta=0.5, gamma=0.0, n=n)
+
+    def test_numpy_integer_n_is_accepted(self):
+        assert ModelParams(alpha=1.0, beta=0.5, gamma=0.0, n=np.int64(3)).kappa == 0.0
+
     @pytest.mark.parametrize("name", ["alpha", "beta", "gamma"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_params_are_config_errors(self, name, value):

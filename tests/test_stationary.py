@@ -180,8 +180,13 @@ class TestMhSampler:
             (3, {"burn_in": -5}, "burn_in must be >= 0"),
             (10, {"thin": 0}, "thin must be >= 1"),
             (10, {"thin": -2}, "thin must be >= 1"),
+            (2.5, {}, "steps must be an integer, got 2.5"),
+            (10, {"thin": 1.5}, "thin must be an integer, got 1.5"),
+            (10, {"burn_in": 20.0}, "burn_in must be an integer, got 20.0"),
+            (True, {}, "steps must be an integer, got True"),
         ],
-        ids=["zero_steps", "negative_steps", "negative_burn_in", "zero_thin", "negative_thin"],
+        ids=["zero_steps", "negative_steps", "negative_burn_in", "zero_thin", "negative_thin",
+             "fractional_steps", "fractional_thin", "float_burn_in", "bool_steps"],
     )
     def test_bad_run_length_is_config_error(self, steps, kwargs, match):
         with pytest.raises(ConfigError, match=match):
@@ -189,7 +194,15 @@ class TestMhSampler:
 
     @pytest.mark.parametrize("initial", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]])
     def test_initial_shape_checked(self, initial):
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(ConfigError, match="shape"):
+            mh_sampler(P2, 10, np.random.default_rng(0), initial=initial)
+
+    @pytest.mark.parametrize(
+        "initial", [[2.0, 1.0], [-1.0, 1.0], [1.0, 1.0], [math.nan, 1.0]],
+        ids=["unsorted", "negative", "coincident", "nan"],
+    )
+    def test_start_off_the_cone_is_config_error(self, initial):
+        with pytest.raises(ConfigError, match="initial state has zero density"):
             mh_sampler(P2, 10, np.random.default_rng(0), initial=initial)
 
 
