@@ -20,6 +20,7 @@ the exact-path Monte Carlo against the closed-form :func:`integrated_laplace`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,10 +51,13 @@ class CirParams:
     sigma: float
 
     def __post_init__(self) -> None:
+        for name in ("a", "b", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.a < 0:
-            raise ValueError(f"a must be >= 0, got {self.a}")
+            raise ConfigError(f"a must be >= 0, got {self.a}")
         if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+            raise ConfigError(f"sigma must be > 0, got {self.sigma}")
 
 
 def sum_process(params: ModelParams) -> CirParams:
@@ -61,27 +65,25 @@ def sum_process(params: ModelParams) -> CirParams:
     return CirParams(a=params.n * params.alpha, b=2.0 * params.gamma, sigma=2.0)
 
 
-def _transition_constants(cir: CirParams, dt: float) -> tuple[float, float]:
-    """(c, nu): scale and degrees of freedom of the exact transition.
+@functools.lru_cache(maxsize=64)
+def _transition(cir: CirParams, dt: float) -> tuple[float, float, float, float]:
+    """(c, nu, k, d): scale, degrees of freedom and noncentrality factors of one step.
 
-    r' = c * chi'^2_nu(nc) with nc = r * e^{-b dt} / c; the noncentrality is
-    returned by :func:`_noncentrality` to stay stable for b of either sign.
+    r' = c * chi'^2_nu(nc) with nc = (k * r) / d, which stays stable for b of
+    either sign; k = 0 marks b*dt > 700, where e^{b dt} overflows and the
+    transition forgets r (nc = 0).  Cached per (cir, dt), so a step pays
+    neither for these constants nor for the check of dt: not finite or
+    <= 0 is a ConfigError.
     """
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ConfigError(f"dt must be finite and > 0, got {dt}")
+    s2 = cir.sigma**2
     if cir.b == 0.0:
-        c = cir.sigma**2 * dt / 4.0
+        c, k, d = s2 * dt / 4.0, 4.0, s2 * dt
     else:
-        c = cir.sigma**2 * (-math.expm1(-cir.b * dt)) / (4.0 * cir.b)
-    nu = 4.0 * cir.a / cir.sigma**2
-    return c, nu
-
-
-def _noncentrality(cir: CirParams, r, dt: float):
-    r = np.asarray(r, dtype=float)
-    if cir.b == 0.0:
-        return 4.0 * r / (cir.sigma**2 * dt)
-    if cir.b * dt > 700.0:  # e^{b dt} overflows; the transition forgets r
-        return np.zeros_like(r)
-    return 4.0 * cir.b * r / (cir.sigma**2 * math.expm1(cir.b * dt))
+        c = s2 * (-math.expm1(-cir.b * dt)) / (4.0 * cir.b)
+        k, d = (0.0, 1.0) if cir.b * dt > 700.0 else (4.0 * cir.b, s2 * math.expm1(cir.b * dt))
+    return c, 4.0 * cir.a / s2, k, d
 
 
 def exact_step(cir: CirParams, r, dt: float, rng: np.random.Generator):
@@ -98,10 +100,9 @@ def exact_step(cir: CirParams, r, dt: float, rng: np.random.Generator):
     the law is drawn by :func:`_poisson_gamma_step`.  Accepts scalar or
     array ``r``; returns matching shape.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    c, nu = _transition_constants(cir, dt)
-    nc = _noncentrality(cir, r, dt)
+    c, nu, k, d = _transition(cir, dt)
+    r = np.asarray(r, dtype=float)
+    nc = k * r / d if k else np.zeros_like(r)
     if nu < 1.0:
         return _poisson_gamma_step(c, nu, nc, rng)
     root_nc = np.sqrt(nc)
@@ -172,14 +173,17 @@ def integrated_laplace(
 
     evaluated in this exponent-free form so large delta*t cannot overflow;
     psi(t) tends to mu/(delta + gamma) as t grows.  t may be +inf, where the
-    transform is 0.
+    transform is 0.  A NaN or negative mu, a t that is not > 0 and a sum0
+    that is not >= 0 are ConfigErrors.  Past gamma^2 + 2 mu ~ 1.8e308 (mu
+    = inf included) delta overflows and the fields are NaN, which callers
+    must check.
     """
-    if mu < 0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
-    if t <= 0:
-        raise ValueError(f"t must be > 0, got {t}")
-    if sum0 < 0:
-        raise ValueError(f"sum0 must be >= 0, got {sum0}")
+    if not mu >= 0:
+        raise ConfigError(f"mu must be >= 0, got {mu}")
+    if not t > 0:
+        raise ConfigError(f"t must be > 0, got {t}")
+    if not sum0 >= 0:
+        raise ConfigError(f"sum0 must be >= 0, got {sum0}")
     if mu == 0.0:
         return LaplaceQuery(mu=0.0, t=t, phi=0.0, psi=0.0, value=1.0, log_value=0.0)
     gamma = params.gamma

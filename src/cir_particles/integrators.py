@@ -147,10 +147,11 @@ _CODE_TO_TERMINATED = {
 
 
 # The most steps one run may take.  A step is one pass of a Python loop: about
-# 11 us for the exact sum paths of laplace-check and 50 us for simulate_batch
-# at one path (one core of a 2-core Xeon), so 10**9 steps run for 3 to 14
-# hours.  The largest program run takes 2e5 steps (criterion 5a and the README
-# collision-scan).
+# 10 us for the exact sum paths of laplace-check and 25 to 45 us for
+# simulate_batch at one path (n = 2, truncated_euler or exact_cir_splitting,
+# with or without a monitor; one core of a 2-core Xeon), so 10**9 steps run
+# for 3 to 12 hours.  The largest program run takes 2e5 steps (criterion 5a
+# and the README collision-scan).
 MAX_STEPS = 10**9
 
 
@@ -360,11 +361,21 @@ def _drift_b_batch(params: ModelParams, eps: float, lam: np.ndarray, floor) -> n
 # it is 6-30x faster for n <= 4.  Below its row count, and beyond n = 4,
 # _sort_columns calls np.sort, which takes about 0.8 us at 10 rows against
 # 2.5, 5.6 and 9.4 us for the networks at n = 2, 3 and 4.
+#
+# From _CHECK_FROM columns on, n - 1 row compares find the columns out of
+# order first; most steps have none, and the rest have a few, so only those
+# are sorted, by the method of the full width (a NaN column then meets the
+# same exchanges, which matters to the Poisson-Gamma draw's use of the
+# generator).  At n = 3 and 230 columns the sort takes 2.9 us in order
+# against 6.2 us for the network, and 12.4 us with 3 columns out of order;
+# in exact_first_passage 23% of the sorts from 40 columns on find one, and
+# truncated_euler at 5000 rows finds about 50 per step.
 _NETWORKS = {
     2: (50, ((0, 1),)),
     3: (120, ((0, 2), (0, 1), (1, 2))),
     4: (250, ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))),
 }
+_CHECK_FROM = 40
 
 
 def _sort_columns(x: np.ndarray) -> np.ndarray:
@@ -375,17 +386,31 @@ def _sort_columns(x: np.ndarray) -> np.ndarray:
     the coordinate axis; the values equal np.sort's bit for bit, up to the
     sign of a zero tied with another zero (the kernel sorts clamped states,
     which hold no -0.0).  A NaN turns both sides of every exchange it meets
-    into NaN, and np.sort keeps it, so its column stays non-finite.
+    into NaN, and np.sort keeps it, so its column stays non-finite.  From
+    ``_CHECK_FROM`` columns on, only the columns out of order (a NaN column
+    among them) are sorted, by the method the full width picks.
     """
-    min_rows, network = _NETWORKS.get(x.shape[0], (math.inf, ()))
-    if x.shape[1] < min_rows:
+    n, width = x.shape
+    if n < 2 or width < _CHECK_FROM:
         x.sort(axis=0)
         return x
-    low = np.empty_like(x[0])
-    for i, j in network:
-        np.minimum(x[i], x[j], out=low)
-        np.maximum(x[i], x[j], out=x[j])
-        x[i] = low
+    in_order = x[0] <= x[1]
+    for i in range(1, n - 1):
+        in_order &= x[i] <= x[i + 1]
+    if in_order.all():
+        return x
+    cols = np.logical_not(in_order, out=in_order).nonzero()[0]
+    sub = x.take(cols, axis=1)
+    min_rows, network = _NETWORKS.get(n, (math.inf, ()))
+    if width < min_rows:
+        sub.sort(axis=0)
+    else:
+        low = np.empty_like(sub[0])
+        for i, j in network:
+            np.minimum(sub[i], sub[j], out=low)
+            np.maximum(sub[i], sub[j], out=sub[j])
+            sub[i] = low
+    x[:, cols] = sub
     return x
 
 
@@ -428,11 +453,18 @@ def _make_step(params: ModelParams, config: SimConfig, path_offset: int = 0):
         cir = CirParams(a=params.alpha, b=2.0 * params.gamma, sigma=2.0)
         half = 0.5 * dt
 
+        def half_step(x):
+            # x + half * (beta * S), on the fresh array S.
+            out = interaction_sum(x, floor)
+            out *= params.beta
+            out *= half
+            out += x
+            return out
+
         def step(state, dw, mode_is_b):
-            mid = state + half * (params.beta * interaction_sum(state, floor))
-            mid = _sort_columns(np.maximum(mid, 0.0))
-            moved = _sort_columns(exact_step(cir, mid, dt, gen))
-            return moved + half * (params.beta * interaction_sum(moved, floor))
+            mid = half_step(state)
+            mid = _sort_columns(np.maximum(mid, 0.0, out=mid))
+            return half_step(_sort_columns(exact_step(cir, mid, dt, gen)))
 
     return step
 
@@ -655,13 +687,16 @@ def simulate_batch(
             if scheme != Scheme.EXACT_CIR_SPLITTING:
                 first_path = path_offset + int(rows[0])
                 span = int(rows[-1] - rows[0]) + 1
-                z = step_normals(config.seed, step * noise_refine, first_path, span, n)
+                # Coordinate-major from the draw on: (n, span).
+                fine = step * noise_refine
+                dw = step_normals(config.seed, fine, first_path, span, n, out=np.empty((n, span)))
                 for u in range(1, noise_refine):
-                    z += step_normals(config.seed, step * noise_refine + u, first_path, span, n)
+                    dw += step_normals(config.seed, fine + u, first_path, span, n).T
                 if noise_refine > 1:
-                    z /= math.sqrt(noise_refine)
-                z = z.T if span_pick is None else z[span_pick].T
-                dw = np.multiply(sqrt_dt, z, order="C")
+                    dw /= math.sqrt(noise_refine)
+                if span_pick is not None:
+                    dw = dw.take(span_pick, axis=1)
+                dw *= sqrt_dt
 
             # ``cur`` keeps the pre-step state alive through the next step's
             # noise draw, so that the next step's temporaries reuse its
@@ -669,7 +704,8 @@ def simulate_batch(
             # and regrows on every step (about 90 page faults per step,
             # measured with getrusage).
             cur = state
-            state = _sort_columns(np.maximum(step_fn(cur, dw, mode), 0.0))
+            state = step_fn(cur, dw, mode)
+            state = _sort_columns(np.maximum(state, 0.0, out=state))
             if not np.isfinite(state).all():
                 # A failed row keeps its last finite state.  Its event values
                 # are then those it was last observed at, which cross no

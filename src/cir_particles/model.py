@@ -153,36 +153,60 @@ def interaction_sum(
     exactly l_i - l_j, in any order.  A floor maps the pair sums l_i + l_j to
     a magnitude floor, and then every column must be ascending
     (l_1 <= ... <= l_n, as the integrators keep their states):
-    den_ij = -max(l_j - l_i, floor) for i < j, ties included.  Each term is
-    added to row i and subtracted from row j, pair by pair in the order
-    (1, 2), (1, 3), ..., (n-1, n), so the sums stay exactly antisymmetric.
+    den_ij = -max(l_j - l_i, floor) for i < j, ties included.  Row i starts
+    at 0.0 and adds its n - 1 terms in the order j = 1, ..., n, j != i, the
+    term of the pair (i, j) with sign +1 and that of (j, i) with sign -1, so
+    the sums stay exactly antisymmetric.
     """
-    upper, lower, pairs = _pairs(lam.shape[0])
-    li, lj = lam[upper], lam[lower]
+    n = lam.shape[0]
+    if n < 2:
+        return np.zeros_like(lam)
+    upper, lower, layers, signs = _pairs(n)
+    li, lj = lam.take(upper, axis=0), lam.take(lower, axis=0)
     s = li + lj
-    to_i, to_j = np.add, np.subtract
     if floor is None:
         t = np.divide(1.0 if inverse else s, li - lj)
     else:
-        # x / -m is -(x / m) and a + -b is a - b, bit for bit, so dividing by
-        # m = max(l_j - l_i, floor) and swapping the signs adds the same terms.
+        # x / -m is -(x / m), so dividing by m = max(l_j - l_i, floor) and
+        # swapping the signs gives the same terms, bit for bit.
         m = np.maximum(np.subtract(lj, li, out=lj), floor(s), out=lj)
         t = np.divide(1.0 if inverse else s, m, out=s)
-        to_i, to_j = np.subtract, np.add
-    # np.zeros would hand back fresh pages that fault on every call.
-    out = np.zeros_like(lam)
-    for k, (i, j) in enumerate(pairs):
-        to_i(out[i], t[k], out=out[i])
-        to_j(out[j], t[k], out=out[j])
+        signs = -signs
+    # Layer l holds the l-th term of every row.  x - y is x + (-1 * y), bit
+    # for bit, signed zeros included, and 0.0 + x is the row's 0.0 start.
+    # One (n, P) layer at a time: a block of all n - 1 layers is large
+    # enough at 5000 rows to make glibc trim and regrow the heap every step.
+    out = None
+    for pair, sign in zip(layers, signs):
+        term = t.take(pair, axis=0)
+        term *= sign
+        if out is None:
+            out = np.add(term, 0.0, out=term)
+        else:
+            out += term
     return out
 
 
 @functools.lru_cache(maxsize=None)
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
-    """Read-only index arrays of the pairs i < j in row-major order, and the pairs."""
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables of the pairs i < j, in row-major order, and of the layers.
+
+    ``upper`` and ``lower`` give each pair's i and j.  Entry (l, i) of
+    ``layers`` is the pair of row i's l-th term, whose other member is
+    j = l for l < i and j = l + 1 otherwise (0-based), and ``signs``
+    (n - 1, n, 1) is -1 where row i is the pair's j, else +1.
+    """
     upper, lower = np.triu_indices(n, k=1)
-    upper.flags.writeable = lower.flags.writeable = False
-    return upper, lower, tuple(zip(upper.tolist(), lower.tolist()))
+    pair_of = {}
+    for k, (i, j) in enumerate(zip(upper.tolist(), lower.tolist())):
+        pair_of[i, j] = pair_of[j, i] = k
+    layers = np.array([[pair_of[i, l if l < i else l + 1] for i in range(n)]
+                       for l in range(n - 1)])
+    signs = np.array([[-1.0 if l < i else 1.0 for i in range(n)]
+                      for l in range(n - 1)])[:, :, None]
+    for table in (upper, lower, layers, signs):
+        table.flags.writeable = False
+    return upper, lower, layers, signs
 
 
 def drift_lambda_batch(params: ModelParams, lam: np.ndarray, floor=None) -> np.ndarray:

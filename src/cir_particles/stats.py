@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import kolmogorov
 
-from .errors import TooFewSamples
+from .errors import ConfigError, TooFewSamples
 
 __all__ = [
     "StatSummary",
@@ -130,9 +130,10 @@ def ks_test_two_sample(x, y) -> tuple[float, float]:
 
 
 def empirical_laplace(integral_samples, mu: float) -> StatSummary:
-    """Mean and stderr of exp(-mu * sample) over nonnegative samples."""
-    if mu < 0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
+    """Mean and stderr of exp(-mu * sample) over nonnegative samples; ConfigError
+    unless mu >= 0."""
+    if not mu >= 0:
+        raise ConfigError(f"mu must be >= 0, got {mu}")
     arr = np.asarray(integral_samples, dtype=float)
     vals = np.exp(-mu * arr)
     est = float(vals.mean())

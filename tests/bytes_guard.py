@@ -12,6 +12,14 @@ others stop by a rule, some of them on the same step.  The digest covers
 every ``BatchResult`` array: final state, stop times, stop codes, each
 monitor at each level and the recording with its times.
 
+A second grid, printed with its own digest, runs every scheme at n = 2, 3
+and 4 with 51, 121 and 251 paths under ``stop_on``, so that the live width
+falls through the row counts at which the per-step sort changes method (40
+for every n; 50, 120 and 250 for n = 2, 3, 4) as rows freeze.  Every other
+batch also starts a fifth of its rows near overflow, so that NaN columns
+meet the sort on both sides of those widths.  Its count line says how many
+batches the live width took through the network's row count and through 40.
+
 The file is named so that pytest does not collect it; it takes about ten
 seconds on one core of a 2-core Xeon.  ``--verbose`` prints one digest per
 batch, to find the first that differs.  The line before the digest counts
@@ -110,6 +118,38 @@ def _grid():
                     stop_on=stop_on, record=stride is not None))
 
 
+# Live widths at which the per-step sort changes method: the order check from
+# 40 columns on, and the compare-exchange network from a row count per n.
+CHECK_FROM = 40
+NETWORK_FROM = {2: 50, 3: 120, 4: 250}
+
+
+def _cutoff_grid():
+    cases = itertools.product(Scheme, (2, 3, 4), (51, 121, 251))
+    for i, (scheme, n, paths) in enumerate(cases):
+        kappa = KAPPAS[scheme][i % 2]
+        params = ModelParams(alpha=kappa + (n - 1) * BETA, beta=BETA,
+                             gamma=-2.0 if i % 2 else GAMMA, n=n)
+        cfg = SimConfig(scheme=scheme, dt=1e-2, horizon=3.0, epsilon=0.05, seed=100 + i,
+                        paths=paths, record_stride=RECORDINGS[i % 3] or 1)
+        rng = np.random.default_rng(100 + i)
+        # No row starts below the stop level, so the whole width is live at first.
+        initial = np.sort(rng.uniform(0.2, 1.5, (paths, n)) ** 2, axis=1)
+        if i % 2:
+            huge = rng.random(paths) < 0.2
+            initial[huge] *= 10.0 ** rng.uniform(285.0, 307.0, (huge.sum(), 1))
+        yield (f"{scheme.value} n={n} paths={paths} cutoff",
+               dict(params=params, config=cfg, initial=initial, event_levels=(1e-2,),
+                    stop_on=("psum", 1, 2e-2), record=RECORDINGS[i % 3] is not None))
+
+
+def _crossed(res, width: int) -> bool:
+    """Whether the batch's live width fell from at least ``width`` to below it."""
+    stop_step = np.rint(res.stop_time / res.config.dt).astype(int)
+    live = np.count_nonzero(stop_step[:, None] > np.arange(res.config.n_steps), axis=0)
+    return bool(live[0] >= width > live[-1])
+
+
 def _mixed_steps(res) -> int:
     """Steps on which the batch retired both a failed row and a rule-stopped row."""
     code = res.terminated_code
@@ -117,26 +157,37 @@ def _mixed_steps(res) -> int:
     return len(failed.intersection(res.stop_time[(code != HORIZON) & (code != FAIL)]))
 
 
-def main(argv: list[str]) -> int:
-    verbose = "--verbose" in argv
+def _run(grid, verbose: bool):
+    """(digest over the batches, batch count, stop status counts, results)."""
     total = hashlib.sha256()
     codes: Counter = Counter()
-    batches = 0
-    mixed = 0
-    for name, kwargs in _grid():
+    results = []
+    for name, kwargs in grid:
         params = kwargs.pop("params")
         config = kwargs.pop("config")
         res = simulate_batch(params, config, **kwargs)
         digest = _digest(res)
         total.update(digest.encode())
         codes.update(res.terminated(i).value for i in range(res.n_paths))
-        mixed += _mixed_steps(res)
-        batches += 1
+        results.append(res)
         if verbose:
             print(digest[:16], name)
-    print(f"{batches} batches, stops: " + ", ".join(f"{k}={v}" for k, v in sorted(codes.items()))
-          + f", mixed retire steps: {mixed}")
-    print(f"sha256 {total.hexdigest()}")
+    stops = ", ".join(f"{k}={v}" for k, v in sorted(codes.items()))
+    return total.hexdigest(), len(results), stops, results
+
+
+def main(argv: list[str]) -> int:
+    verbose = "--verbose" in argv
+    digest, batches, stops, results = _run(_grid(), verbose)
+    mixed = sum(_mixed_steps(res) for res in results)
+    print(f"{batches} batches, stops: {stops}, mixed retire steps: {mixed}")
+    print(f"sha256 {digest}")
+    digest, batches, stops, results = _run(_cutoff_grid(), verbose)
+    network = sum(_crossed(res, NETWORK_FROM[res.params.n]) for res in results)
+    check = sum(_crossed(res, CHECK_FROM) for res in results)
+    print(f"{batches} cutoff batches, stops: {stops}, crossing the network's row count: "
+          f"{network}, crossing {CHECK_FROM}: {check}")
+    print(f"sha256 {digest}")
     return 0
 
 

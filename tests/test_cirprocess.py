@@ -328,3 +328,33 @@ class TestIntegratedLaplace:
         assert abs(vals.mean() - q.value) <= 4 * se
         two_alpha_variant = math.exp(-2.0 * p.alpha * q.phi - 2.0 * q.psi)
         assert abs(vals.mean() - two_alpha_variant) > 10 * se
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize(
+        "a, b, sigma, name",
+        [(math.nan, 1.0, 2.0, "a"), (1.0, math.nan, 2.0, "b"), (-1.0, 1.0, 2.0, "a"),
+         (math.inf, 1.0, 2.0, "a"), (1.0, math.inf, 2.0, "b"), (1.0, 1.0, 0.0, "sigma"),
+         (1.0, 1.0, math.nan, "sigma"), (1.0, 1.0, math.inf, "sigma")],
+    )
+    def test_bad_cir_params_are_config_errors(self, a, b, sigma, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be"):
+            CirParams(a, b, sigma)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -0.5])
+    def test_bad_step_is_a_config_error(self, dt):
+        cir = CirParams(2.0, 1.0, 2.0)
+        with pytest.raises(ConfigError, match="dt must be finite and > 0"):
+            exact_step(cir, np.ones(3), dt, rng_streams(1, 0))
+
+    @pytest.mark.parametrize("mu", [math.nan, -1.0])
+    def test_bad_laplace_argument_is_a_config_error(self, mu):
+        p = ModelParams(alpha=1.0, beta=0.5, gamma=1.0, n=2)
+        with pytest.raises(ConfigError, match="mu must be"):
+            integrated_laplace(p, 1.0, mu, 1.0)
+
+    @pytest.mark.parametrize("sum0, t, name", [(math.nan, 1.0, "sum0"), (1.0, math.nan, "t")])
+    def test_nan_start_or_horizon_is_a_config_error(self, sum0, t, name):
+        p = ModelParams(alpha=1.0, beta=0.5, gamma=1.0, n=2)
+        with pytest.raises(ConfigError, match=f"^{name} must be"):
+            integrated_laplace(p, sum0, 0.5, t)

@@ -323,6 +323,17 @@ class TestLaplaceCheck:
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
         assert not (tmp_path / "laplace.csv").exists()
 
+    @pytest.mark.parametrize("mu", ["inf", "1e308"])
+    def test_closed_form_not_finite_is_a_numerical_failure(self, mu, tmp_path, capsys):
+        # gamma^2 + 2 mu overflows, so the closed form is NaN and no z-score exists.
+        argv = ["laplace-check", "--paths", "20", "--dt", "0.05", "--t", "0.5",
+                "--mu", "0.5", "--mu", mu, "--out", str(tmp_path)]
+        assert run_cli(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert f"mu={float(mu):g}" in err
+        assert not (tmp_path / "laplace.csv").exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -545,6 +545,91 @@ class TestSortColumnsAcrossWidths:
         assert np.array_equal(np.isfinite(got).all(axis=0), np.isfinite(block).all(axis=0))
 
 
+# The row count from which _sort_columns runs its network, per n.
+_NETWORK_FROM = {2: 50, 3: 120, 4: 250}
+
+
+def _mostly_sorted_block(n, width, seed, nan_columns):
+    """Sorted columns, about one in eight inverted, and ``nan_columns`` NaN columns."""
+    rng = np.random.default_rng(seed)
+    block = np.sort(rng.exponential(1.0, (n, width)), axis=0)
+    flip = np.flatnonzero(rng.random(width) < 0.125)
+    block[:, flip] = block[::-1, flip]
+    for col in rng.choice(width, nan_columns, replace=False):
+        block[rng.integers(n), col] = math.nan
+    return block
+
+
+class TestSortColumnsMostlySorted:
+    """The kernel's blocks are nearly sorted; a few columns are out of order or NaN."""
+
+    @pytest.mark.parametrize("width", [39, 40, 41, 49, 50, 51, 119, 120, 121, 249, 250, 251])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("nan_columns", [0, 3])
+    def test_matches_the_rule_of_its_width(self, n, width, nan_columns):
+        # Below the network's row count every column equals np.sort's; from
+        # it on a NaN spreads through its whole column.
+        block = _mostly_sorted_block(n, width, 1000 * n + width + nan_columns, nan_columns)
+        got = _sort_columns(block.copy())
+        want = np.sort(block, axis=0)
+        nan_col = np.isnan(block).any(axis=0)
+        if width >= _NETWORK_FROM[n]:
+            want[:, nan_col] = math.nan
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("width", [40, 50, 121, 251, 600])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_sorted_block_is_returned_as_is(self, n, width):
+        block = np.sort(np.random.default_rng(width).exponential(1.0, (n, width)), axis=0)
+        block[:, ::3] = block[:, :1]  # ties across columns
+        got = _sort_columns(block.copy())
+        assert got.tobytes() == block.tobytes()
+
+
+class TestNoiseIsCoordinateMajor:
+    @pytest.mark.parametrize("refine", [1, 2, 4])
+    @pytest.mark.parametrize("scheme", [Scheme.TRUNCATED_EULER, Scheme.ROOT_COORDINATES])
+    def test_increments_are_the_transposed_draws(self, scheme, refine, monkeypatch):
+        # Each step map gets sqrt(dt) times the normalized sum of the fine
+        # draws over the live rows' span, transposed to (n, P), bit for bit.
+        from cir_particles import integrators
+        from cir_particles.randomness import step_normals
+
+        seen = []
+        real = integrators._make_step
+
+        def make(*args, **kwargs):
+            step = real(*args, **kwargs)
+
+            def spy(state, dw, mode_is_b):
+                seen.append(dw.copy())
+                return step(state, dw, mode_is_b)
+
+            return spy
+
+        monkeypatch.setattr(integrators, "_make_step", make)
+        n, p, offset = 3, 40, 17
+        params = ModelParams(alpha=1.0, beta=0.4, gamma=0.5, n=n)
+        cfg = SimConfig(scheme=scheme, dt=1e-2, horizon=0.6, seed=9, paths=p)
+        initial = np.sort(np.random.default_rng(4).uniform(0.0, 1.2, (p, n)) ** 2, axis=1)
+        res = simulate_batch(params, cfg, path_offset=offset, initial=initial,
+                             stop_on=("psum", 1, 2e-2), noise_refine=refine)
+        stop_step = np.rint(res.stop_time / cfg.dt).astype(int)
+        gappy = 0
+        for step, dw in enumerate(seen):
+            rows = np.flatnonzero(stop_step > step)
+            first, span = offset + int(rows[0]), int(rows[-1] - rows[0]) + 1
+            z = step_normals(cfg.seed, step * refine, first, span, n)
+            for u in range(1, refine):
+                z += step_normals(cfg.seed, step * refine + u, first, span, n)
+            if refine > 1:
+                z /= math.sqrt(refine)
+            want = np.ascontiguousarray((math.sqrt(cfg.dt) * z[rows - rows[0]]).T)
+            assert dw.tobytes() == want.tobytes(), step
+            gappy += span > rows.size
+        assert len(seen) == stop_step.max() and gappy > 0
+
+
 class TestStopOnStatus:
     def test_event_stop_reports_stopped_at_event(self):
         p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)

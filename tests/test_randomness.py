@@ -3,9 +3,10 @@
 import math
 
 import numpy as np
+import pytest
 from scipy.special import gammainc, ndtr, ndtri
 
-from cir_particles import ks_test, rng_streams
+from cir_particles import ConfigError, ks_test, rng_streams
 from cir_particles.randomness import step_normals, step_uniforms
 
 
@@ -81,3 +82,39 @@ class TestUniformFloor:
         monkeypatch.setattr(randomness, "step_uniforms", lambda *args: np.zeros((1, 2)))
         z = randomness.step_normals(0, 0, 0, 1, 2)
         assert np.isfinite(z).all() and (z < -8.0).all()
+
+
+class TestStepNormalsArguments:
+    @pytest.mark.parametrize(
+        "first_path, n_paths", [(0, -1), (0, 2.5), (-1, 3), (1.0, 3), (0, True)],
+        ids=["negative_count", "fractional_count", "negative_first", "float_first", "bool"],
+    )
+    def test_bad_span_is_a_config_error(self, first_path, n_paths):
+        name = "n_paths" if first_path == 0 else "first_path"
+        with pytest.raises(ConfigError, match=name):
+            step_normals(1, 0, first_path, n_paths, 3)
+
+    def test_empty_span_is_empty(self):
+        assert step_normals(1, 0, 0, 0, 3).shape == (0, 3)
+        assert step_normals(1, 0, np.int64(4), np.int64(2), 3).shape == (2, 3)
+
+
+class TestCoordinateMajorNormals:
+    @pytest.mark.parametrize("n_coords", [1, 2, 3, 4, 5, 9])
+    def test_out_holds_the_transpose_bit_for_bit(self, n_coords):
+        want = step_normals(3, 11, 5, 37, n_coords).T
+        out = np.empty((n_coords, 37))
+        got = step_normals(3, 11, 5, 37, n_coords, out=out)
+        assert got is out
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_threads_draw_the_same_streams(self):
+        # Each thread keeps its own generator, so interleaved draws stay keyed.
+        from concurrent.futures import ThreadPoolExecutor
+
+        args = [(seed, step, first, 1 + first % 7, 3)
+                for seed in range(4) for step in range(20) for first in (0, 3, 100)]
+        want = [step_normals(*a) for a in args]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(lambda a: step_normals(*a), args))
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))

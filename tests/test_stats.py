@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from cir_particles import (
+    ConfigError,
     TooFewSamples,
     binomial_summary,
     empirical_laplace,
@@ -87,6 +88,11 @@ class TestEmpiricalLaplace:
         rng = np.random.default_rng(5)
         s = empirical_laplace(rng.gamma(2.0, 1.0, 500), 0.7)
         assert 0.0 < s.estimate <= 1.0
+
+    @pytest.mark.parametrize("mu", [math.nan, -1.0])
+    def test_bad_mu_is_a_config_error(self, mu):
+        with pytest.raises(ConfigError, match="mu must be"):
+            empirical_laplace([0.3, 1.2, 5.0], mu)
 
 
 class TestZScore:
