@@ -40,6 +40,7 @@ from .integrators import (
     Terminated,
     contraction_curve,
     grid_step,
+    probe_steps,
     simulate_batch,
     simulate_coupled_cir,
     simulate_path,

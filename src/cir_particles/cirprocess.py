@@ -214,41 +214,30 @@ def integrated_sum_paths(
     Advances ``n_paths`` copies of the sum process from ``sum0`` with exact
     transitions of step ``dt`` drawn by :func:`exact_step` (nu = n*alpha),
     integrates them by the trapezoid rule, and returns the integrals at each
-    probe time.  Before the first step there must be at least one probe,
-    every probe must be a grid time k*dt with 1 <= k <=
-    ``integrators.MAX_STEPS``, ``n_paths`` an integer >= 1, ``dt`` > 0 and
-    ``sum0`` finite and >= 0; else ConfigError.  A run that explodes
+    probe time.  Before the first step :func:`integrators.probe_steps` checks
+    the probes (at least one, each a grid time k*dt with 1 <= k <=
+    ``integrators.MAX_STEPS``); ``n_paths`` must be an integer >= 1, ``dt``
+    > 0 and ``sum0`` finite and >= 0; else ConfigError.  A run that explodes
     (gamma < 0 over a long horizon) returns non-finite integrals, which
     callers must check.
     """
-    from .integrators import MAX_STEPS, grid_step
+    from .integrators import MAX_STEPS, probe_steps
 
     if not dt > 0.0:
         raise ConfigError(f"dt must be > 0, got {dt}")
     if not (math.isfinite(sum0) and sum0 >= 0.0):
         raise ConfigError(f"sum0 must be finite and >= 0, got {sum0}")
     n_paths = require_int("n_paths", n_paths, 1)
-    if len(probe_times) == 0:
-        raise ConfigError("probe_times must hold at least one probe, got none")
-    probe_at = {}
-    for t in probe_times:
-        steps = grid_step(t, dt, "probe time")
-        if steps < 1:
-            raise ConfigError(f"probe time t={t:g} is not a positive multiple of dt={dt:g}")
-        if steps > MAX_STEPS:
-            raise ConfigError(
-                f"probe time t={t:g} is {steps:.3g} steps of dt={dt:g}, "
-                f"past the bound of {MAX_STEPS:.0e}"
-            )
-        probe_at[steps] = t
+    steps = probe_steps(probe_times, dt, 1, MAX_STEPS)
     cir = sum_process(params)
     r = np.full(n_paths, sum0)
     integral = np.zeros(n_paths)
-    probes: dict[float, np.ndarray] = {}
-    for s in range(1, max(probe_at) + 1):
+    wanted = set(steps.values())
+    at: dict[int, np.ndarray] = {}
+    for s in range(1, max(wanted) + 1):
         r_new = exact_step(cir, r, dt, rng)
         integral += 0.5 * (r + r_new) * dt
         r = r_new
-        if s in probe_at:
-            probes[probe_at[s]] = integral.copy()
-    return probes
+        if s in wanted:
+            at[s] = integral.copy()
+    return {t: at[s] for t, s in steps.items()}

@@ -26,12 +26,12 @@ import numpy as np
 
 from . import __version__
 from .cirprocess import integrated_laplace, integrated_sum_paths
-from .errors import BadK, ConfigError, NotEvaluable, RegimeMismatch, TooFewSamples
+from .errors import BadK, ConfigError, NotEvaluable, RegimeMismatch, TooFewSamples, require_int
 from .events import detect_events, first_passage_partial_sum
 from .integrators import Scheme, SimConfig, Terminated, simulate_batch
 from .model import ModelParams, classify_regime, multiple_collision_threshold
 from .randomness import rng_streams
-from .stats import empirical_laplace, z_score
+from .stats import binomial_summary, empirical_laplace, z_score
 
 
 class _Key(NamedTuple):
@@ -151,13 +151,16 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 def _build(cls, values: dict):
     """ModelParams or SimConfig, each of its fields the value of the key of its name."""
-    return cls(**{field.name: values[field.name] for field in dataclasses.fields(cls)})
+    built = cls(**{field.name: values[field.name] for field in dataclasses.fields(cls)})
+    if cls is SimConfig:  # the stride simulate records at is checked with every run
+        require_int("record_stride", values["record_stride"], 1)
+    return built
 
 
-def _initial(values: dict, n: int):
-    """The --x0 start as an (n,) array, or None for the default start."""
+def _initial(values: dict, n: int) -> np.ndarray:
+    """The resolved start as an (n,) array: --x0, or the default 1, 2, ..., n."""
     if values["x0"] is None:
-        return None
+        return np.arange(1.0, n + 1.0)
     try:
         arr = np.array([float(v) for v in values["x0"].split(",")])
     except ValueError:
@@ -167,12 +170,6 @@ def _initial(values: dict, n: int):
     if not (np.isfinite(arr).all() and (arr >= 0).all() and (np.diff(arr) >= 0).all()):
         raise ConfigError(f"x0 must be finite, nonnegative and sorted: {values['x0']!r}")
     return arr
-
-
-def _start(values: dict, n: int) -> np.ndarray:
-    """The resolved start: --x0, or the default 1, 2, ..., n."""
-    x0 = _initial(values, n)
-    return np.arange(1.0, n + 1.0) if x0 is None else x0
 
 
 # The run fields laplace-check reads; it has no scheme and no horizon.
@@ -194,7 +191,7 @@ def _run_fields(values: dict, keys=None) -> dict:
         if spec.header is None:
             continue
         if key == "x0":
-            text[key] = ",".join(map(repr, _start(values, params.n).tolist()))
+            text[key] = ",".join(map(repr, _initial(values, params.n).tolist()))
         else:
             text[key] = "auto" if values[key] is None else format(values[key], spec.header)
         if key == "n":  # the model's kappa follows n
@@ -223,9 +220,16 @@ def _run(args):
 
 def cmd_simulate(args) -> int:
     values, params, config, initial, out = _run(args)
-
+    # Steps 0, stride, 2*stride, ... and the last; numpy refuses too many at once.
+    n_steps, stride = config.n_steps, values["record_stride"]
+    try:
+        steps = np.arange(0, n_steps + stride, stride)
+    except ValueError:
+        n_rec = -(-n_steps // stride) + 1
+        raise ConfigError(f"a recording of {n_rec:.3g} steps does not fit in memory") from None
+    steps[-1] = n_steps
     res = simulate_batch(
-        params, config, initial=initial, record=True,
+        params, config, initial=initial, record_steps=steps,
         event_levels=[config.collision_tol],
     )
     events = detect_events(res, config.collision_tol)
@@ -318,8 +322,6 @@ def cmd_phase_diagram(args) -> int:
         params = _build(ModelParams, pv)
         report = classify_regime(params)
         if pv["paths"] > 0:
-            from .stats import binomial_summary
-
             config = _build(SimConfig, pv)
             res = simulate_batch(
                 params, config, initial=initial, event_levels=[config.collision_tol]
@@ -399,7 +401,7 @@ def cmd_laplace_check(args) -> int:
     for mu in mus:
         if not mu >= 0.0:
             raise ConfigError(f"mu must be >= 0, got {mu:g}")
-    sum0 = float(_start(values, params.n).sum())
+    sum0 = float(_initial(values, params.n).sum())
     # An exploding sum overflows to inf; that is reported below, not warned about.
     with np.errstate(over="ignore"):
         probes = integrated_sum_paths(

@@ -3,7 +3,7 @@
 Event times are grid times: an event is reported at the first step of the
 run where its defining inequality holds at level delta, as the batch kernel's
 online monitors stamp it from :func:`event_values` at every step, whatever
-the recording stride.  "Simultaneous" means same step, the only decidable
+steps the batch records.  "Simultaneous" means same step, the only decidable
 notion on a grid; the delta-ladder and dt-refinement quantify the induced
 bias.
 """

@@ -62,7 +62,7 @@ of :func:`cir_particles.model.interaction_sum`, the event values and the
 non-finite check all read whole rows.  Every array of the
 :class:`BatchResult` is path-major, (P, ...).  A batch runs ``config.paths``
 paths from ``path_offset``, and its states between the start and the end are
-read from its recorded rows, every ``record_stride`` steps.  Each step
+read from the rows of the grid steps it records, ``record_steps``.  Each step
 re-sorts the columns once with :func:`_sort_columns` (the splitting step
 three times).  The exact CIR factor is drawn on the coordinate-major state,
 coordinate row by coordinate row.
@@ -71,7 +71,7 @@ Each step computes :func:`cir_particles.events.event_values` once, one row
 per event.  The online event monitors keep one pending threshold per (event,
 path), the largest detection level not yet fired, and stamp only the entries
 that crossed it.  They are the one event detector, read by
-:func:`cir_particles.events.detect_events`, whatever the record stride.  A
+:func:`cir_particles.events.detect_events`, whatever steps are recorded.  A
 stopping rule is a row of the same block with a level and a stop code, the
 scheme's own first, then ``stop_on``; one loop marks the rows they stop.
 
@@ -112,6 +112,7 @@ __all__ = [
     "Terminated",
     "contraction_curve",
     "grid_step",
+    "probe_steps",
     "simulate_batch",
     "simulate_coupled_cir",
     "simulate_path",
@@ -175,7 +176,6 @@ class SimConfig:
     collision_tol: float = 1e-3
     seed: int = 0
     paths: int = 1
-    record_stride: int = 1
     kick_cap: float = 1.0
 
     def __post_init__(self) -> None:
@@ -192,7 +192,7 @@ class SimConfig:
             raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
         if self.collision_tol <= 0:
             raise ConfigError(f"collision_tol must be > 0, got {self.collision_tol}")
-        for name, least in (("seed", None), ("paths", 1), ("record_stride", 1)):
+        for name, least in (("seed", None), ("paths", 1)):
             object.__setattr__(self, name, require_int(name, getattr(self, name), least))
         if self.kick_cap <= 0:
             raise ConfigError(f"kick_cap must be > 0, got {self.kick_cap}")
@@ -220,6 +220,21 @@ def grid_step(t: float, dt: float, what: str) -> int:
     if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
         raise ConfigError(f"{what} t={t:g} is not a multiple of dt={dt:g}")
     return int(round(steps))
+
+
+def probe_steps(probe_times: Sequence[float], dt: float, least: int, most: int) -> dict:
+    """{t: k} of the probe times t = k*dt; ConfigError for none, one off the grid or k
+    outside least..most."""
+    if len(probe_times) == 0:
+        raise ConfigError("probe_times must hold at least one probe, got none")
+    steps = {}
+    for t in probe_times:
+        steps[t] = grid_step(t, dt, "probe time")
+        if not least <= steps[t] <= most:
+            raise ConfigError(
+                f"probe time t={t:g} is step {steps[t]:g} of dt={dt:g}, outside {least}..{most:g}"
+            )
+    return steps
 
 
 @dataclass
@@ -259,7 +274,7 @@ class BatchResult:
     def path_record(self, i: int) -> PathRecord:
         """Row ``i`` of a recorded batch, its trajectory cut at its stop time."""
         if self.trajectories is None:
-            raise ConfigError("path_record needs a batch run with record=True")
+            raise ConfigError("path_record needs a batch run with record_steps")
         stop_t = float(self.stop_time[i])
         keep = self.times <= stop_t + 0.5 * self.config.dt
         return PathRecord(
@@ -469,10 +484,6 @@ def _make_step(params: ModelParams, config: SimConfig, path_offset: int = 0):
     return step
 
 
-def _default_initial(params: ModelParams) -> np.ndarray:
-    return np.arange(1.0, params.n + 1.0)
-
-
 def _stop_rules(stop_on, n: int, scheme: Scheme, eps: float) -> list[tuple[slice, float, int]]:
     """(rows of :func:`event_values`, level, stop code) of each rule that freezes a path.
 
@@ -507,7 +518,7 @@ def simulate_batch(
     path_offset: int = 0,
     initial=None,
     event_levels: Sequence[float] = (),
-    record: bool = False,
+    record_steps: Sequence[int] = (),
     stop_on: tuple | None = None,
     noise_refine: int = 1,
 ) -> BatchResult:
@@ -518,14 +529,16 @@ def simulate_batch(
     decomposition would produce.  ``initial`` is one finite, sorted,
     nonnegative start or one per path.  ``event_levels`` enables online
     first-hit monitoring at each detection level, finite and > 0 (every
-    step, independent of ``record_stride``); ``stop_on``,
+    step, independent of ``record_steps``); ``stop_on``,
     ``("gap_any", level)`` or ``("psum", k, level)``, optionally freezes a
     path at its first monitored event, t = 0 included.  The scheme's own
     stop, S_eps or zeta_eps, applies from the first step on and wins a tie
-    with ``stop_on``.  ``record`` keeps steps 0, stride, 2*stride, ... and
-    the last, step s in row ceil(s / stride).  A batch or a recording numpy
-    cannot allocate is a ConfigError, and so is a run of more than
-    ``MAX_STEPS`` steps.
+    with ``stop_on``.  ``record_steps`` lists the grid steps to keep, each
+    an integer in 0..n_steps, strictly ascending; the k-th is row k of
+    ``trajectories`` and ``times``, and an empty list records nothing.  Other steps
+    are a ConfigError before the first step, and so are a batch or a
+    recording numpy cannot allocate and a run of more than ``MAX_STEPS``
+    steps.
 
     Each step advances only the rows still live, held packed in path order;
     a frozen row keeps its state, and the recording stays full-size.  A
@@ -556,9 +569,7 @@ def simulate_batch(
             "noise_refine > 1 does not apply to exact_cir_splitting, "
             "which draws no Gaussian increments"
         )
-    init = np.asarray(
-        _default_initial(params) if initial is None else initial, dtype=float
-    )
+    init = np.asarray(np.arange(1.0, n + 1.0) if initial is None else initial, dtype=float)
     if init.ndim == 1:
         try:
             init = np.tile(init, (p, 1))
@@ -643,19 +654,23 @@ def simulate_batch(
     pending = np.full((2 * n + 1, p), ascending[-1] if levels else -math.inf)
     done = observe(lam_of(state), start_rules, 0.0, None) if levels else None
 
-    # Step s is recorded when the stride divides it or s = n_steps, in row
-    # ceil(s / stride), so the rows after step s start at s // stride + 1.
-    stride = config.record_stride
-    times = None
-    traj = None
-    if record:
-        n_rec = -(-n_steps // stride) + 1
-        try:
-            traj = np.empty((p, n_rec, n))
-        except ValueError:
-            raise ConfigError(f"a recording of {n_rec:.3g} steps does not fit in memory") from None
-        times = np.minimum(np.arange(n_rec) * stride, n_steps).astype(float) * dt
-    # After the recording, whose allocation failure names the memory it needs.
+    # Row k of ``traj`` is the k-th recorded step; ``next_rec`` is the next one
+    # to record (in row ``rec_row``), -1 after the last.  The recording is
+    # allocated before its steps are read and before the step bound, so that
+    # a refusal names its size.
+    try:
+        n_rec = len(record_steps)
+        traj = np.empty((p, n_rec, n)) if n_rec else None
+    except TypeError:
+        raise ConfigError(f"record_steps must be a sequence, got {record_steps!r}") from None
+    except ValueError:
+        raise ConfigError(f"a recording of {n_rec:.3g} steps does not fit in memory") from None
+    rec_steps = [require_int("record_steps", s, 0) for s in record_steps]
+    if any(a >= b for a, b in zip(rec_steps, rec_steps[1:] + [n_steps + 1])):
+        raise ConfigError(f"record_steps must be strictly ascending steps of 0..{n_steps}")
+    times = np.array(rec_steps, dtype=float) * dt if n_rec else None
+    recs = iter(enumerate(rec_steps))
+    rec_row, next_rec = next(recs, (n_rec, -1))
     _check_step_bound(n_steps)
 
     span_pick = None
@@ -678,9 +693,10 @@ def simulate_batch(
                 # the same paths; ``span_pick`` picks the live rows out of it.
                 gappy = rows.size and rows[-1] - rows[0] >= rows.size
                 span_pick = rows - rows[0] if gappy else None
-            if record and step % stride == 0:
+            if step == next_rec:
                 lam_full[:, rows] = lam_of(state)
-                traj[:, step // stride, :] = lam_full.T
+                traj[:, rec_row, :] = lam_full.T
+                rec_row, next_rec = next(recs, (n_rec, -1))
             if step == n_steps or rows.size == 0:
                 break
             dw = None
@@ -720,8 +736,8 @@ def simulate_batch(
                 mode = np.where(mode, state[0] < eps, state[0] <= eps / 2.0)
 
     lam_full[:, rows] = lam_of(state)
-    if record:
-        traj[:, step // stride + 1:, :] = lam_full.T[:, None, :]
+    if traj is not None:
+        traj[:, rec_row:, :] = lam_full.T[:, None, :]
 
     monitors = {}
     for lev in levels:
@@ -750,10 +766,10 @@ def simulate_path(
     """Simulate one path; returns (PathRecord, list[Event]).
 
     Deterministic given (seed, path_index, config).  The path is a one-row
-    recorded batch at offset ``path_index``, monitored at ``collision_tol``
-    and cut by :meth:`BatchResult.path_record`: recorded every
-    ``record_stride`` steps and truncated at the scheme's stop time when a
-    stopping rule fires.  Its events are :func:`events.detect_events`'s row.
+    batch at offset ``path_index`` that records every step, monitored at
+    ``collision_tol`` and cut by :meth:`BatchResult.path_record` at the
+    scheme's stop time when a stopping rule fires.  Its events are
+    :func:`events.detect_events`'s row.
     """
     from .events import detect_events
 
@@ -762,7 +778,7 @@ def simulate_path(
         dataclasses.replace(config, paths=1),
         path_offset=path_index,
         initial=initial,
-        record=True,
+        record_steps=range(config.n_steps + 1),
         event_levels=[config.collision_tol],
     )
     return res.path_record(0), detect_events(res, config.collision_tol)[0]
@@ -778,28 +794,20 @@ def contraction_curve(
     """Mean L1 gap E sum_i |lambda_i - lambda~_i| at probe times, with stderr.
 
     Both systems use the same parameters and shared noise; only the starting
-    points differ.  ``probe_times`` must not be empty, and a probe must be a
-    grid time k*dt of the run, 0 <= k <= n_steps, else ConfigError.  Both batches are recorded at the gcd of the
-    probe steps, so every probe is a recorded row.  Returns
+    points differ.  The probes are checked by :func:`probe_steps`: at least
+    one, each a grid time k*dt of the run with 0 <= k <= n_steps, else
+    ConfigError.  Both batches record the probe steps only.  Returns
     {probe_time: StatSummary}.
     """
     from .stats import moment_summary
 
-    if len(probe_times) == 0:
-        raise ConfigError("probe_times must hold at least one probe, got none")
-    steps = {}
-    for t in probe_times:
-        s = grid_step(t, config.dt, "probe time")
-        if not 0 <= s <= config.n_steps:
-            raise ConfigError(f"probe time t={t:g} is outside [0, {config.horizon:g}]")
-        steps[t] = s
-    stride = math.gcd(*steps.values()) or 1
-    recorded = dataclasses.replace(config, record_stride=stride)
-    res_a = simulate_batch(params, recorded, initial=initial_a, record=True)
-    res_b = simulate_batch(params, recorded, initial=initial_b, record=True)
+    steps = probe_steps(probe_times, config.dt, 0, config.n_steps)
+    recorded = sorted(set(steps.values()))
+    res_a = simulate_batch(params, config, initial=initial_a, record_steps=recorded)
+    res_b = simulate_batch(params, config, initial=initial_b, record_steps=recorded)
     out = {}
     for t, s in steps.items():
-        row = s // stride
+        row = recorded.index(s)
         gap = np.abs(res_a.trajectories[:, row] - res_b.trajectories[:, row]).sum(axis=1)
         out[t] = moment_summary(gap, name=f"mean_l1_gap(t={t:g})")
     return out

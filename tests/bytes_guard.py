@@ -5,7 +5,8 @@ digests: equal digests mean every batch of the grid came out bit for bit the
 same.  The grid covers every scheme; n = 2, 3, 5; 1, 37 and 300 paths; two
 parameter points per scheme; epsilon at its default or 0.05; no monitors or
 monitors at (1e-2, 1e-3); ``stop_on`` none, ``("psum", 1, 1e-2)`` or
-``("gap_any", 5e-2)``; recording off, at stride 1 or at stride 3; one
+``("gap_any", 5e-2)``; ``record_steps`` none, every step, or every third
+step and the last (the steps ``--record-stride 3`` records); one
 exploding run per scheme whose rows all end in ``numerical_failure``; and
 mixed runs, three per scheme, in which some rows fail numerically while
 others stop by a rule, some of them on the same step.  The digest covers
@@ -48,7 +49,7 @@ BETA, GAMMA = 0.5, 0.5
 KAPPAS = {scheme: (-0.3, 0.3) for scheme in Scheme}
 KAPPAS[Scheme.C_EPSILON] = (-0.3, -0.1)
 STOP_RULES = (None, ("psum", 1, 1e-2), ("gap_any", 5e-2))
-RECORDINGS = (None, 1, 3)
+RECORDINGS = (None, 1, 3)  # strides; None records nothing
 # Stop codes of BatchResult.terminated_code.
 HORIZON, FAIL = 0, 3
 
@@ -75,6 +76,11 @@ def _digest(res) -> str:
     return h.hexdigest()
 
 
+def _record_steps(n_steps: int, stride: int | None) -> list[int]:
+    """Steps 0, stride, 2*stride, ... and n_steps; none for no stride."""
+    return [] if stride is None else [*range(0, n_steps, stride), n_steps]
+
+
 def _grid():
     cases = itertools.product(
         Scheme, (2, 3, 5), (1, 37, 300), (None, 0.05), ((), (1e-2, 1e-3)), STOP_RULES
@@ -84,7 +90,7 @@ def _grid():
         params = ModelParams(alpha=kappa + (n - 1) * BETA, beta=BETA, gamma=GAMMA, n=n)
         stride = RECORDINGS[i // 3 % 3]
         cfg = SimConfig(scheme=scheme, dt=1e-2, horizon=1.0, epsilon=eps, seed=i,
-                        paths=paths, record_stride=stride or 1)
+                        paths=paths)
         # Half the batches start from (1, ..., n); the others from random
         # sorted starts, some near zero, so that rules fire at t = 0 too.
         initial = None
@@ -94,28 +100,28 @@ def _grid():
         yield (f"{scheme.value} n={n} paths={paths} eps={eps} levels={levels} "
                f"stop_on={stop_on} stride={stride}",
                dict(params=params, config=cfg, initial=initial, event_levels=levels,
-                    stop_on=stop_on, record=stride is not None))
+                    stop_on=stop_on, record_steps=_record_steps(cfg.n_steps, stride)))
     for scheme in Scheme:
         alpha = 0.5 if scheme == Scheme.C_EPSILON else 1.5
         params = ModelParams(alpha=alpha, beta=BETA, gamma=-1e3, n=3)
         cfg = SimConfig(scheme=scheme, dt=0.1, horizon=20.0, epsilon=0.05, seed=5, paths=37)
         yield (f"{scheme.value} exploding",
-               dict(params=params, config=cfg, event_levels=(1e-2,), record=True))
+               dict(params=params, config=cfg, event_levels=(1e-2,),
+                    record_steps=_record_steps(cfg.n_steps, 1)))
     # Half the rows start near overflow and fail at spread-out steps as
     # gamma < 0 drives them up; the others start at O(1) and stop by a rule.
     for i, (scheme, stop_on) in enumerate(itertools.product(Scheme, STOP_RULES)):
         alpha = 0.5 if scheme == Scheme.C_EPSILON else 1.5
         params = ModelParams(alpha=alpha, beta=BETA, gamma=-2.0, n=3)
         stride = RECORDINGS[i % 3]
-        cfg = SimConfig(scheme=scheme, dt=0.1, horizon=20.0, epsilon=0.05, seed=6, paths=300,
-                        record_stride=stride or 1)
+        cfg = SimConfig(scheme=scheme, dt=0.1, horizon=20.0, epsilon=0.05, seed=6, paths=300)
         rng = np.random.default_rng(6)
         scale = np.where(rng.random((300, 1)) < 0.5,
                          10.0 ** rng.uniform(285.0, 308.0, (300, 1)), 1.5)
         initial = scale * np.sort(rng.uniform(0.0, 1.0, (300, 3)) ** 2, axis=1)
         yield (f"{scheme.value} mixed stop_on={stop_on} stride={stride}",
                dict(params=params, config=cfg, initial=initial, event_levels=(1e-2, 1e-3),
-                    stop_on=stop_on, record=stride is not None))
+                    stop_on=stop_on, record_steps=_record_steps(cfg.n_steps, stride)))
 
 
 # Live widths at which the per-step sort changes method: the order check from
@@ -131,7 +137,7 @@ def _cutoff_grid():
         params = ModelParams(alpha=kappa + (n - 1) * BETA, beta=BETA,
                              gamma=-2.0 if i % 2 else GAMMA, n=n)
         cfg = SimConfig(scheme=scheme, dt=1e-2, horizon=3.0, epsilon=0.05, seed=100 + i,
-                        paths=paths, record_stride=RECORDINGS[i % 3] or 1)
+                        paths=paths)
         rng = np.random.default_rng(100 + i)
         # No row starts below the stop level, so the whole width is live at first.
         initial = np.sort(rng.uniform(0.2, 1.5, (paths, n)) ** 2, axis=1)
@@ -140,7 +146,8 @@ def _cutoff_grid():
             initial[huge] *= 10.0 ** rng.uniform(285.0, 307.0, (huge.sum(), 1))
         yield (f"{scheme.value} n={n} paths={paths} cutoff",
                dict(params=params, config=cfg, initial=initial, event_levels=(1e-2,),
-                    stop_on=("psum", 1, 2e-2), record=RECORDINGS[i % 3] is not None))
+                    stop_on=("psum", 1, 2e-2),
+                    record_steps=_record_steps(cfg.n_steps, RECORDINGS[i % 3])))
 
 
 def _crossed(res, width: int) -> bool:

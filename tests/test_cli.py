@@ -126,7 +126,9 @@ class TestSimulateArtifacts:
 
         params = ModelParams(*model)
         config = SimConfig(scheme=Scheme(scheme), dt=1e-3, horizon=horizon,
-                           epsilon=epsilon, seed=9, paths=paths, record_stride=7)
+                           epsilon=epsilon, seed=9, paths=paths)
+        # The steps --record-stride 7 records: 0, 7, 14, ... and the last.
+        steps = [*range(0, config.n_steps, 7), config.n_steps]
         initial = np.array([float(v) for v in x0.split(",")])
         traj = ["path_id,t," + ",".join(f"lambda_{i + 1}" for i in range(params.n))]
         events = ["path_id,kind,index,time,level"]
@@ -135,7 +137,8 @@ class TestSimulateArtifacts:
             rec, path_events = simulate_path(params, config, i, initial)
             stopped += rec.terminated.value.startswith("stopped")
             entered_b += bool((rec.lambdas[:, 0] <= config.epsilon / 2.0).any())
-            for t, row in zip(rec.times, rec.lambdas):
+            kept = [s for s in steps if s < rec.times.size]
+            for t, row in zip(rec.times[kept], rec.lambdas[kept]):
                 traj.append(f"{i},{float(t)!r}," + ",".join(repr(float(v)) for v in row))
             for ev in path_events:
                 idx = "" if ev.index is None else ev.index
@@ -512,6 +515,27 @@ class TestErrors:
         assert err.startswith("config error: argument --scheme: ") and err.count("\n") == 1
         assert not (tmp_path / "trajectories.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [(["simulate", "--record-stride", "0"], "record_stride must be >= 1, got 0"),
+         (["stationary-compare", "--record-stride", "-2"], "record_stride must be >= 1, got -2"),
+         (["collision-scan", "--record-stride", "0"], "record_stride must be >= 1, got 0"),
+         (["phase-diagram", "--sweep", "alpha=2.6", "--paths", "2", "--record-stride", "0"],
+          "record_stride must be >= 1, got 0"),
+         (["simulate", "--config", "{cfg}"], "record_stride must be an integer, got '1.5'")],
+        ids=["simulate_0", "stationary_compare_negative", "collision_scan_0",
+             "phase_diagram_0", "config_line_1.5"],
+    )
+    def test_record_stride_is_an_integer_of_at_least_1(self, argv, line, tmp_path, capsys):
+        # Every command that builds a run checks the stride, as before it
+        # left SimConfig for simulate's recording.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("record_stride=1.5\n")
+        argv = [a.replace("{cfg}", str(cfg)) for a in argv]
+        assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"config error: {line}\n"
+        assert not list(tmp_path.glob("out/*"))
+
     @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["simulate", "--help"]],
                              ids=["version", "help", "command_help"])
     def test_help_and_version_exit_0(self, argv, capsys):
@@ -635,8 +659,8 @@ class TestStepBound:
         argv = ["laplace-check", "--paths", "2", "--dt", "1e-300", "--out", str(tmp_path / "out")]
         assert run_cli(argv) == 1
         err = capsys.readouterr().err
-        assert err == ("config error: probe time t=0.5 is 5e+299 steps of dt=1e-300, "
-                       "past the bound of 1e+09\n")
+        assert err == ("config error: probe time t=0.5 is step 5e+299 of dt=1e-300, "
+                       "outside 1..1e+09\n")
         assert not (tmp_path / "out").exists()
 
 

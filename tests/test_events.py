@@ -27,7 +27,7 @@ from cir_particles.errors import BadK
 def scanned_events(res, i, delta):
     """Events of row i found by scanning its recorded trajectory, as a list.
 
-    The reference for :func:`detect_events` at record stride 1: the first
+    The reference for :func:`detect_events` recorded at every step: the first
     recorded step at which each event value of :func:`event_values` is <=
     delta, then the scheme's stop event, stable-sorted by time.
     """
@@ -75,14 +75,15 @@ class TestDetectEvents:
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_rows_equal_a_scan_of_the_trajectories(self, scheme):
-        # At record stride 1 a scan of each recorded row finds the events
+        # Recorded at every step, a scan of each recorded row finds the events
         # the monitors stamped, in the same order.
         alpha, eps = _SCHEME_CASES[scheme]
         p = ModelParams(alpha=alpha, beta=0.5, gamma=0.5, n=3)
         cfg = SimConfig(scheme=scheme, dt=1e-2, horizon=3.0, seed=9, epsilon=eps, paths=8)
         initial = np.sort(np.random.default_rng(9).uniform(0.001, 0.5, (8, 3)), axis=1)
         levels = (1e-2, 0.05, 1e-3)
-        res = simulate_batch(p, cfg, initial=initial, record=True, event_levels=levels)
+        res = simulate_batch(p, cfg, initial=initial, record_steps=range(cfg.n_steps + 1),
+                             event_levels=levels)
         found = 0
         for delta in levels:
             rows = detect_events(res, delta)
@@ -97,11 +98,11 @@ class TestDetectEvents:
     def test_event_between_recorded_rows_is_reported_at_its_step(self):
         p = ModelParams(alpha=1.0, beta=0.5, gamma=0.5, n=3)
         initial = np.array([0.05, 0.06, 1.0])
-        every = SimConfig(dt=1e-3, horizon=0.5, seed=9, paths=3)
-        strided = SimConfig(dt=1e-3, horizon=0.5, seed=9, record_stride=7, paths=3)
-        kwargs = dict(initial=initial, record=True, event_levels=(1e-3,))
-        want = detect_events(simulate_batch(p, every, **kwargs), 1e-3)
-        res = simulate_batch(p, strided, **kwargs)
+        cfg = SimConfig(dt=1e-3, horizon=0.5, seed=9, paths=3)
+        kwargs = dict(initial=initial, event_levels=(1e-3,))
+        every = range(cfg.n_steps + 1)
+        want = detect_events(simulate_batch(p, cfg, record_steps=every, **kwargs), 1e-3)
+        res = simulate_batch(p, cfg, record_steps=[*every[::7], cfg.n_steps], **kwargs)
         assert detect_events(res, 1e-3) == want
         off_grid = [e.time for events in want for e in events
                     if not np.isclose(res.times, e.time).any()]

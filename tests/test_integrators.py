@@ -42,6 +42,16 @@ def one_step(params, config, state, dw=None):
     return np.sort(np.maximum(proposal, 0.0), axis=0)[:, 0]
 
 
+def every_step(config):
+    """record_steps of a batch that records every step."""
+    return range(config.n_steps + 1)
+
+
+def strided(config, stride):
+    """record_steps 0, stride, 2*stride, ... and the last, as --record-stride records."""
+    return [*range(0, config.n_steps, stride), config.n_steps]
+
+
 def column_drift(batch_drift, params, eps, lam):
     """A batch drift of simulate_batch, unfloored, at one state as an (n, 1) column."""
     return batch_drift(params, eps, np.asarray(lam, dtype=float)[:, None], None)[:, 0]
@@ -114,8 +124,7 @@ class TestSimConfig:
     @pytest.mark.parametrize(
         "field, value",
         [("seed", 1.5), ("seed", 1.0), ("seed", True), ("paths", 2.5), ("paths", 2.0),
-         ("paths", True), ("record_stride", 1.5), ("record_stride", np.float64(2.0)),
-         ("record_stride", "2")],
+         ("paths", True)],
     )
     def test_integer_field_rejects_a_non_integer(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field} must be an integer, got "):
@@ -123,11 +132,11 @@ class TestSimConfig:
 
     def test_numpy_integer_fields_run_as_ints(self):
         p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
-        want = simulate_batch(p, SimConfig(dt=1e-2, horizon=0.1, seed=7, paths=3,
-                                           record_stride=2), record=True)
+        want = simulate_batch(p, SimConfig(dt=1e-2, horizon=0.1, seed=7, paths=3),
+                              record_steps=[0, 2, 4, 6, 8, 10])
         got = simulate_batch(p, SimConfig(dt=1e-2, horizon=0.1, seed=np.int64(7),
-                                          paths=np.int32(3), record_stride=np.uint8(2)),
-                             record=True)
+                                          paths=np.int32(3)),
+                             record_steps=np.arange(0, 11, 2, dtype=np.uint8))
         assert np.array_equal(got.trajectories, want.trajectories)
 
     @pytest.mark.parametrize("horizon", [0.0015, 0.0025, 1.0004])
@@ -259,7 +268,7 @@ class TestSwitchingScheme:
         )
         eps = cfg.epsilon
         start = np.array([0.5, 2.0])
-        res = simulate_batch(p, cfg, initial=start, record=True)
+        res = simulate_batch(p, cfg, initial=start, record_steps=every_step(cfg))
         step_fn = _make_step(p, cfg)
         for path in range(2):
             state = start[:, None].copy()
@@ -325,8 +334,8 @@ class TestCEpsilonScheme:
         cfg_r = SimConfig(scheme=Scheme.ROOT_COORDINATES, dt=1e-3, horizon=0.2, seed=3,
                           epsilon=1e-4, paths=4)
         start = np.array([1.0, 4.0])
-        res_c = simulate_batch(p, cfg_c, initial=start, record=True)
-        res_r = simulate_batch(p, cfg_r, initial=start, record=True)
+        res_c = simulate_batch(p, cfg_c, initial=start, record_steps=every_step(cfg_c))
+        res_r = simulate_batch(p, cfg_r, initial=start, record_steps=every_step(cfg_r))
         # identical noise and identical drift while x stays above every floor
         active = res_c.terminated_code == 0
         assert active.any()
@@ -354,7 +363,7 @@ class TestCEpsilonScheme:
 class TestSimulatePath:
     def test_bitwise_determinism(self):
         p = ModelParams(alpha=2.0, beta=0.4, gamma=1.0, n=3)
-        cfg = SimConfig(dt=1e-3, horizon=0.3, seed=42, record_stride=5)
+        cfg = SimConfig(dt=1e-3, horizon=0.3, seed=42)
         rec1, _ = simulate_path(p, cfg, 3)
         rec2, _ = simulate_path(p, cfg, 3)
         assert np.array_equal(rec1.lambdas, rec2.lambdas)
@@ -362,26 +371,31 @@ class TestSimulatePath:
 
     def test_path_equals_batch_row(self):
         p = ModelParams(alpha=2.0, beta=0.4, gamma=1.0, n=3)
-        cfg = SimConfig(dt=1e-3, horizon=0.3, seed=42, record_stride=5, paths=8)
+        cfg = SimConfig(dt=1e-3, horizon=0.3, seed=42, paths=8)
         rec, _ = simulate_path(p, cfg, 3)
-        batch = simulate_batch(p, cfg, record=True)
-        assert np.array_equal(rec.lambdas, batch.trajectories[3])
+        batch = simulate_batch(p, cfg, record_steps=strided(cfg, 5))
+        # The path records every step; the batch every fifth of the 300.
+        assert np.array_equal(rec.lambdas[::5], batch.trajectories[3])
 
     def test_path_record_of_a_batch_row_is_the_path(self):
         p = ModelParams(alpha=0.8, beta=0.5, gamma=1.0, n=2)
         cfg = SimConfig(scheme=Scheme.REGULARIZED_SWITCHING, dt=1e-3, horizon=2.0,
-                        seed=21, epsilon=0.05, record_stride=7, paths=4)
+                        seed=21, epsilon=0.05, paths=4)
         start = np.array([0.1, 1.0])
-        batch = simulate_batch(p, cfg, path_offset=2, initial=start, record=True)
+        steps = strided(cfg, 7)
+        batch = simulate_batch(p, cfg, path_offset=2, initial=start, record_steps=steps)
         for i in range(4):
             got = batch.path_record(i)
             want, _ = simulate_path(p, cfg, 2 + i, start)
+            # The path records every step up to its stop; the batch row, its
+            # recorded steps up to the same stop.
+            kept = [s for s in steps if s < want.times.size]
             assert got.path_index == want.path_index == 2 + i
             assert got.terminated is want.terminated
             assert got.stop_time == want.stop_time
-            assert np.array_equal(got.times, want.times)
-            assert np.array_equal(got.lambdas, want.lambdas)
-        with pytest.raises(ConfigError, match="record=True"):
+            assert np.array_equal(got.times, want.times[kept])
+            assert np.array_equal(got.lambdas, want.lambdas[kept])
+        with pytest.raises(ConfigError, match="record_steps"):
             simulate_batch(p, dataclasses.replace(cfg, paths=1)).path_record(0)
 
     def test_recorded_states_sorted_nonnegative_all_schemes(self):
@@ -441,7 +455,8 @@ class TestFrozenRowsAreNotStepped:
             return real(cir, r, dt, rng)
 
         monkeypatch.setattr(integrators, "exact_step", counting)
-        kwargs = dict(stop_on=("psum", 2, 1e-2), event_levels=(0.1,), record=True)
+        kwargs = dict(stop_on=("psum", 2, 1e-2), event_levels=(0.1,),
+                      record_steps=every_step(cfg))
         res = simulate_batch(p, cfg, **kwargs)
         steps = np.rint(res.stop_time / cfg.dt).astype(int)
         assert 0 < np.count_nonzero(res.terminated_code == 4) < cfg.paths
@@ -737,7 +752,7 @@ class TestSchemeStopIsItsEventRow:
         cfg = SimConfig(scheme=scheme, dt=1e-2, horizon=0.5, seed=4, epsilon=0.05, paths=60)
         start = np.sort(np.random.default_rng(4).uniform(0.0, spread, (60, n)) ** 2, axis=1)
         start[0] = [0.0, 0.01, 1.0]
-        res = simulate_batch(params, cfg, initial=start, record=True)
+        res = simulate_batch(params, cfg, initial=start, record_steps=every_step(cfg))
         row = event_rows(n)[kind]
         row = row.start if isinstance(row, slice) else row
         stopped = 0
@@ -765,23 +780,123 @@ class TestNoMonitorFastPath:
                             lambda lam: calls.append(lam.shape) or real(lam))
         params = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=3)
         cfg = SimConfig(dt=1e-2, horizon=0.5, seed=6, paths=20)
-        simulate_batch(params, cfg, record=True)
+        simulate_batch(params, cfg, record_steps=every_step(cfg))
         assert calls == []
         simulate_batch(params, cfg, event_levels=(1e-2,))
         assert len(calls) == cfg.n_steps + 1
 
 
+class TestRecordSteps:
+    @pytest.mark.parametrize(
+        "steps, message",
+        [([0, 5, 3], "record_steps must be strictly ascending steps of 0..10"),
+         ([0, 3, 3], "record_steps must be strictly ascending steps of 0..10"),
+         ([-1, 2], "record_steps must be >= 0, got -1"),
+         ([0, 11], "record_steps must be strictly ascending steps of 0..10"),
+         ([0, 2.0], "record_steps must be an integer, got 2.0"),
+         ([0, 1.5], "record_steps must be an integer, got 1.5"),
+         ([0, True], "record_steps must be an integer, got True"),
+         (True, "record_steps must be a sequence, got True")],
+        ids=["unsorted", "repeated", "negative", "past_n_steps", "integral_float", "float",
+             "bool", "bare_bool"],
+    )
+    def test_bad_steps_are_config_errors_before_the_first_step(self, steps, message,
+                                                               monkeypatch):
+        from cir_particles import integrators
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(integrators, "step_normals", refuse)
+        p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
+        with pytest.raises(ConfigError) as info:
+            simulate_batch(p, SimConfig(dt=0.1, horizon=1.0, paths=2), record_steps=steps)
+        assert str(info.value) == message
+
+    def test_rows_are_the_listed_steps(self):
+        # Any ascending steps, the last included or not: row k is the k-th
+        # listed step of the every-step recording.
+        p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=3)
+        cfg = SimConfig(dt=1e-2, horizon=0.5, seed=4, paths=5)
+        whole = simulate_batch(p, cfg, record_steps=every_step(cfg))
+        for steps in ([0], [50], [3, 4, 17, 49], np.array([1, 2, 50])):
+            res = simulate_batch(p, cfg, record_steps=steps)
+            assert np.array_equal(res.trajectories, whole.trajectories[:, steps])
+            assert np.array_equal(res.times, whole.times[steps])
+            assert np.array_equal(res.final_lambda, whole.final_lambda)
+        empty = simulate_batch(p, cfg)
+        assert empty.trajectories is None and empty.times is None
+
+
 class TestContractionProbes:
     @pytest.mark.parametrize(
-        "times",
-        [(0.5, 0.5004), (7.0,), (1.001,), (-0.001,), (math.nan,), (math.inf,)],
+        "times, message",
+        [((0.5, 0.5004), "probe time t=0.5004 is not a multiple of dt=0.001"),
+         ((7.0,), "probe time t=7 is step 7000 of dt=0.001, outside 0..1000"),
+         ((1.001,), "probe time t=1.001 is step 1001 of dt=0.001, outside 0..1000"),
+         ((-0.001,), "probe time t=-0.001 is step -1 of dt=0.001, outside 0..1000"),
+         ((math.nan,), "probe time t=nan is not a multiple of dt=0.001"),
+         ((math.inf,), "probe time t=inf is not a multiple of dt=0.001")],
         ids=["same_step", "past_horizon", "one_step_past", "negative", "nan", "inf"],
     )
-    def test_off_grid_or_outside_run_is_config_error(self, times):
+    def test_off_grid_or_outside_run_is_config_error(self, times, message):
         p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
         cfg = SimConfig(dt=1e-3, horizon=1.0, paths=2)
-        with pytest.raises(ConfigError, match="probe time"):
+        with pytest.raises(ConfigError) as info:
             contraction_curve(p, cfg, [1.0, 2.0], [0.5, 2.5], times)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "times, contraction_text, integrated_text",
+        [((), "probe_times must hold at least one probe, got none",
+          "probe_times must hold at least one probe, got none"),
+         ((0.25,), "probe time t=0.25 is not a multiple of dt=0.1",
+          "probe time t=0.25 is not a multiple of dt=0.1"),
+         ((-0.5,), "probe time t=-0.5 is step -5 of dt=0.1, outside 0..10",
+          "probe time t=-0.5 is step -5 of dt=0.1, outside 1..1e+09")],
+        ids=["none", "off_grid", "negative"],
+    )
+    def test_one_probe_check_for_both_runners(self, times, contraction_text,
+                                              integrated_text):
+        # contraction_curve checks steps 0..n_steps, integrated_sum_paths
+        # 1..MAX_STEPS; each raises probe_steps' text for its bounds.
+        from cir_particles.cirprocess import integrated_sum_paths
+        from cir_particles.integrators import MAX_STEPS, probe_steps
+        from cir_particles.randomness import rng_streams
+
+        p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
+        cfg = SimConfig(dt=0.1, horizon=1.0, paths=2)
+        calls = [
+            (lambda: contraction_curve(p, cfg, [1.0, 2.0], [0.5, 2.5], times),
+             lambda: probe_steps(times, 0.1, 0, cfg.n_steps), contraction_text),
+            (lambda: integrated_sum_paths(p, 3.0, 2, 0.1, times, rng_streams(0, 0)),
+             lambda: probe_steps(times, 0.1, 1, MAX_STEPS), integrated_text),
+        ]
+        for runner, helper, text in calls:
+            for call in (runner, helper):
+                with pytest.raises(ConfigError) as info:
+                    call()
+                assert str(info.value) == text
+
+    def test_an_early_probe_records_the_probe_steps_only(self, monkeypatch):
+        # A probe at t = dt next to later ones: each batch records the three
+        # probe steps, not every step.
+        from cir_particles import integrators
+
+        shapes = []
+        real = integrators.simulate_batch
+
+        def spy(*args, **kwargs):
+            res = real(*args, **kwargs)
+            shapes.append((res.trajectories.shape, res.times.tolist()))
+            return res
+
+        monkeypatch.setattr(integrators, "simulate_batch", spy)
+        p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
+        cfg = SimConfig(dt=1e-3, horizon=1.0, seed=3, paths=5)
+        curve = contraction_curve(p, cfg, [1.0, 2.0], [0.5, 2.5], (1.0, 0.001, 0.5))
+        assert list(curve) == [1.0, 0.001, 0.5]
+        assert shapes == [((5, 3, 2), [0.001, 0.5, 1.0])] * 2
 
     def test_no_probe_is_config_error_before_any_batch(self, monkeypatch):
         from cir_particles import integrators
@@ -792,14 +907,16 @@ class TestContractionProbes:
         monkeypatch.setattr(integrators, "simulate_batch", refuse)
         p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
         cfg = SimConfig(dt=1e-3, horizon=1.0, paths=2)
-        with pytest.raises(ConfigError, match="probe_times must hold at least one probe"):
+        with pytest.raises(ConfigError) as info:
             contraction_curve(p, cfg, [1.0, 2.0], [0.5, 2.5], ())
+        assert str(info.value) == "probe_times must hold at least one probe, got none"
 
     def test_contraction_curve_probes_on_one_step(self):
         p = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
         cfg = SimConfig(dt=1e-3, horizon=1.0, paths=4)
-        with pytest.raises(ConfigError, match="probe time"):
+        with pytest.raises(ConfigError) as info:
             contraction_curve(p, cfg, [1.0, 2.0], [0.5, 2.5], (0.5, 0.5004))
+        assert str(info.value) == "probe time t=0.5004 is not a multiple of dt=0.001"
 
     @pytest.mark.parametrize(
         "scheme, alpha, probes",
@@ -809,14 +926,14 @@ class TestContractionProbes:
         ids=["truncated_euler", "c_epsilon", "start_only"],
     )
     def test_equals_the_gap_of_two_recorded_batches(self, scheme, alpha, probes):
-        # The curve records at the gcd of the probe steps; the reference
-        # records every step.  c_epsilon rows stop at S_eps before the horizon.
+        # The curve records its probe steps only; the reference records
+        # every step.  c_epsilon rows stop at S_eps before the horizon.
         p = ModelParams(alpha=alpha, beta=1.2 if alpha > 1 else 0.5, gamma=1.0, n=2)
         cfg = SimConfig(scheme=scheme, dt=1e-2, horizon=1.0, seed=31, epsilon=0.05, paths=20)
         a, b = [0.2, 1.0], [0.1, 1.3]
         curve = contraction_curve(p, cfg, a, b, probes)
-        res_a = simulate_batch(p, cfg, initial=a, record=True)
-        res_b = simulate_batch(p, cfg, initial=b, record=True)
+        res_a = simulate_batch(p, cfg, initial=a, record_steps=every_step(cfg))
+        res_b = simulate_batch(p, cfg, initial=b, record_steps=every_step(cfg))
         assert list(curve) == list(probes)
         for t in probes:
             row = round(t / cfg.dt)
@@ -862,12 +979,12 @@ class TestBatchDecomposition:
         scheme, n = key
         params = ModelParams(alpha=_GAUSSIAN_ALPHA[key], beta=0.5, gamma=0.5, n=n)
         cfg = SimConfig(scheme=scheme, dt=1e-2, horizon=2.0, seed=seed,
-                        epsilon=0.05, record_stride=3, paths=paths)
+                        epsilon=0.05, paths=paths)
         initial = np.sort(
             np.random.default_rng(seed).uniform(0.01, 1.5, (paths, n)), axis=1
         )
         kwargs = dict(event_levels=(0.05, 1e-3), stop_on=("gap_any", 0.01),
-                      record=True, noise_refine=refine)
+                      record_steps=strided(cfg, 3), noise_refine=refine)
         whole = simulate_batch(params, cfg, initial=initial, **kwargs)
         bounds = sorted({0, paths, *(c for c in cuts if c < paths)})
         for lo, hi in zip(bounds, bounds[1:]):
@@ -937,7 +1054,8 @@ class TestStackedMonitors:
         cfg = SimConfig(dt=1e-2, horizon=2.0, seed=4, paths=40)
         initial = np.sort(np.random.default_rng(n).uniform(0.0, 2.0, (40, n)), axis=1)
         levels = (0.005, 0.02)
-        res = simulate_batch(params, cfg, initial=initial, event_levels=levels, record=True)
+        res = simulate_batch(params, cfg, initial=initial, event_levels=levels,
+                             record_steps=every_step(cfg))
         small = np.diff(res.trajectories, axis=2)[..., None] <= np.array(levels)
         two = np.count_nonzero(small, axis=2) >= 2  # (P, recorded steps, levels)
         for j, lev in enumerate(levels):
@@ -1012,7 +1130,7 @@ class TestEveryRowFrozenAtStart:
         cfg = SimConfig(scheme=scheme, dt=1e-2, horizon=0.5, seed=2, epsilon=0.01, paths=2)
         start = np.array([[0.0, 0.0, 0.5], [1e-4, 2e-4, 1.0]])
         res = simulate_batch(params, cfg, initial=start, event_levels=(1e-2,),
-                             stop_on=("psum", 1, 1e-3), record=True)
+                             stop_on=("psum", 1, 1e-3), record_steps=every_step(cfg))
         assert drawn == []
         assert np.array_equal(res.terminated_code, [4, 4])
         assert np.array_equal(res.stop_time, [0.0, 0.0])
@@ -1070,7 +1188,8 @@ class TestRetireRule:
         initial = np.tile([1.0, 2.0, 3.0], (cfg.paths, 1))
         if lam1 is not None:
             initial[j, 0] = lam1
-        kwargs = dict(initial=initial, event_levels=(1e-2, 1e-3), stop_on=stop_on, record=True)
+        kwargs = dict(initial=initial, event_levels=(1e-2, 1e-3), stop_on=stop_on,
+                      record_steps=every_step(cfg))
         base = simulate_batch(params, cfg, **kwargs)
         # No row leaves before step k, so row j is column j of the step map.
         assert (base.stop_time >= base.times[k]).all()
@@ -1106,8 +1225,8 @@ class TestRetireRule:
         # by a failed step, by the stop_on rule, or half by each.
         k = 4
         params = ModelParams(alpha=3.0, beta=0.5, gamma=0.5, n=3)
-        cfg = SimConfig(dt=1e-2, horizon=0.3, seed=12, paths=6, record_stride=3)
-        kwargs = dict(stop_on=("psum", 1, 1e-6), record=True)
+        cfg = SimConfig(dt=1e-2, horizon=0.3, seed=12, paths=6)
+        kwargs = dict(stop_on=("psum", 1, 1e-6), record_steps=strided(cfg, 3))
         base = simulate_batch(params, cfg, **kwargs)
         assert (base.terminated_code == 0).all()
         failed = np.zeros(cfg.paths, dtype=bool)
