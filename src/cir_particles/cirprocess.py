@@ -215,16 +215,14 @@ def integrated_sum_paths(
     transitions of step ``dt`` drawn by :func:`exact_step` (nu = n*alpha),
     integrates them by the trapezoid rule, and returns the integrals at each
     probe time.  Before the first step :func:`integrators.probe_steps` checks
-    the probes (at least one, each a grid time k*dt with 1 <= k <=
-    ``integrators.MAX_STEPS``); ``n_paths`` must be an integer >= 1, ``dt``
-    > 0 and ``sum0`` finite and >= 0; else ConfigError.  A run that explodes
+    ``dt`` and the probes (at least one, each a grid time k*dt with 1 <= k
+    <= ``integrators.MAX_STEPS``); ``n_paths`` must be an integer >= 1 and
+    ``sum0`` finite and >= 0; else ConfigError.  A run that explodes
     (gamma < 0 over a long horizon) returns non-finite integrals, which
     callers must check.
     """
     from .integrators import MAX_STEPS, probe_steps
 
-    if not dt > 0.0:
-        raise ConfigError(f"dt must be > 0, got {dt}")
     if not (math.isfinite(sum0) and sum0 >= 0.0):
         raise ConfigError(f"sum0 must be finite and >= 0, got {sum0}")
     n_paths = require_int("n_paths", n_paths, 1)
@@ -232,12 +230,11 @@ def integrated_sum_paths(
     cir = sum_process(params)
     r = np.full(n_paths, sum0)
     integral = np.zeros(n_paths)
-    wanted = set(steps.values())
-    at: dict[int, np.ndarray] = {}
-    for s in range(1, max(wanted) + 1):
+    at = dict.fromkeys(steps.values())  # the integral at each probe step
+    for s in range(1, max(at) + 1):
         r_new = exact_step(cir, r, dt, rng)
         integral += 0.5 * (r + r_new) * dt
         r = r_new
-        if s in wanted:
+        if s in at:
             at[s] = integral.copy()
     return {t: at[s] for t, s in steps.items()}

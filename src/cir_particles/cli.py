@@ -220,9 +220,8 @@ def _run(args):
 
 def cmd_simulate(args) -> int:
     values, params, config, initial, out = _run(args)
-    # Steps 0, stride, 2*stride, ... and the last; numpy refuses too many at once.
     n_steps, stride = config.n_steps, values["record_stride"]
-    try:
+    try:  # steps 0, stride, 2*stride, ... and the last; numpy refuses too many at once
         steps = np.arange(0, n_steps + stride, stride)
     except ValueError:
         n_rec = -(-n_steps // stride) + 1

@@ -231,9 +231,8 @@ def probe_steps(probe_times: Sequence[float], dt: float, least: int, most: int) 
     for t in probe_times:
         steps[t] = grid_step(t, dt, "probe time")
         if not least <= steps[t] <= most:
-            raise ConfigError(
-                f"probe time t={t:g} is step {steps[t]:g} of dt={dt:g}, outside {least}..{most:g}"
-            )
+            raise ConfigError(f"probe time t={t:g} is step {steps[t]:g} of dt={dt:g}, "
+                              f"outside {least}..{most:g}")
     return steps
 
 
@@ -542,7 +541,8 @@ def simulate_batch(
 
     Each step advances only the rows still live, held packed in path order;
     a frozen row keeps its state, and the recording stays full-size.  A
-    row whose step is not finite fails at that step with its last finite
+    row whose lambda is not finite after a step (in root coordinates x^2
+    overflows while x is finite) fails at that step with its last finite
     state, unstamped and stopped by no rule; it and the rows a rule stops
     leave the live set together, at the top of the next step.  The loop
     ends once every row is frozen.  Gaussian noise is drawn by path
@@ -654,10 +654,9 @@ def simulate_batch(
     pending = np.full((2 * n + 1, p), ascending[-1] if levels else -math.inf)
     done = observe(lam_of(state), start_rules, 0.0, None) if levels else None
 
-    # Row k of ``traj`` is the k-th recorded step; ``next_rec`` is the next one
-    # to record (in row ``rec_row``), -1 after the last.  The recording is
-    # allocated before its steps are read and before the step bound, so that
-    # a refusal names its size.
+    # Row k of ``traj`` is the k-th recorded step; ``next_rec`` goes to row
+    # ``rec_row`` (-1 after the last).  Allocated before its steps are read
+    # and before the step bound, so that a refusal names its size.
     try:
         n_rec = len(record_steps)
         traj = np.empty((p, n_rec, n)) if n_rec else None
@@ -722,15 +721,18 @@ def simulate_batch(
             cur = state
             state = step_fn(cur, dw, mode)
             state = _sort_columns(np.maximum(state, 0.0, out=state))
-            if not np.isfinite(state).all():
+            # lambda, not the root state x, must be finite: x^2 overflows first.
+            lam = lam_of(state)
+            if not np.isfinite(lam).all():
                 # A failed row keeps its last finite state.  Its event values
                 # are then those it was last observed at, which cross no
                 # pending threshold, and the rules skip the rows in ``done``.
-                done = ~np.isfinite(state).all(axis=0)
+                done = ~np.isfinite(lam).all(axis=0)
                 state[:, done] = cur[:, done]
+                lam = lam_of(state)
                 term[rows[done]] = _T_FAIL
             if rules or levels:
-                done = observe(lam_of(state), rules, (step + 1) * dt, done)
+                done = observe(lam, rules, (step + 1) * dt, done)
             if scheme == Scheme.REGULARIZED_SWITCHING:
                 # A -> B at lambda_1 <= eps/2, B -> A at lambda_1 >= eps.
                 mode = np.where(mode, state[0] < eps, state[0] <= eps / 2.0)

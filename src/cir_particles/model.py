@@ -89,7 +89,7 @@ class ModelParams:
 def _as_vector(values, n: int, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
+        raise ConfigError(f"{name} must have shape ({n},), got {arr.shape}")
     return arr
 
 
@@ -224,7 +224,7 @@ def drift_lambda(params: ModelParams, lam) -> np.ndarray:
     The interaction is exactly antisymmetric in (i, j), so the output summed
     over i equals n*alpha - 2*gamma*sum(lambda) up to rounding.
     """
-    lam = _as_vector(lam, params.n, "lambda")
+    lam = _as_vector(lam, params.n, "lam")
     _require_distinct(lam)
     return drift_lambda_batch(params, lam[:, None])[:, 0]
 

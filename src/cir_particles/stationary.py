@@ -213,6 +213,7 @@ def rejection_sample_pair(
     _require_evaluable(params)
     if params.n != 2:
         raise NotEvaluable("rejection sampler implemented for n = 2 only")
+    n_samples = require_int("n_samples", n_samples, 1)
     shape = params.kappa / 2.0
     eta = params.gamma / 2.0
     log_bound = params.beta * (math.log(params.beta / eta) - 1.0)
@@ -353,8 +354,11 @@ def estimate_log_normalizer(
     ``quadrature``: tensor generalized Gauss-Laguerre over the symmetrized
     orthant divided by n! (n <= 3).  ``importance``: sorted-Gamma-product
     importance sampling, any n, with a delta-method stderr on the log.  The
-    two branches are independent estimators of the same number.
+    two branches are independent estimators of the same number.  Another
+    method, a degree below 2 or fewer than 2 samples is a ConfigError.
     """
+    if method not in ("quadrature", "importance"):
+        raise ConfigError(f"method must be 'quadrature' or 'importance', got {method!r}")
     _require_evaluable(params)
     n = params.n
     power = _density_coefficients(params)[0]
@@ -362,6 +366,7 @@ def estimate_log_normalizer(
     if method == "quadrature":
         if n > 3:
             raise NotEvaluable("quadrature branch supports n <= 3")
+        degree = require_int("degree", degree, 2)  # the error bar runs at degree // 2
         est = _quadrature_log_normalizer(params, power, degree)
         # Error bar from degree refinement; the integrand is smooth away from
         # corners in the cone parameterization, so halving the degree brackets
@@ -376,27 +381,23 @@ def estimate_log_normalizer(
             degree**n,
         )
 
-    if method == "importance":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        shape = params.kappa / 2.0
-        lam = np.sort(
-            rng.gamma(shape, 1.0 / params.gamma, size=(n_samples, n)), axis=1
-        )
-        logw = log_density_rows(params, lam) - _log_proposal_gamma(params, lam)
-        # Ties from sorting have density zero upward; drop -inf rows safely.
-        logw = np.where(np.isfinite(logw), logw, -np.inf)
-        peak = logw.max()
-        w = np.exp(logw - peak)
-        mean_w = w.mean()
-        est = peak + math.log(mean_w)
-        stderr = float(w.std(ddof=1) / (mean_w * math.sqrt(n_samples)))
-        return StatSummary(
-            f"logZ_importance(m={n_samples})",
-            est,
-            stderr,
-            (est - 1.96 * stderr, est + 1.96 * stderr),
-            n_samples,
-        )
-
-    raise ValueError(f"unknown method {method!r}")
+    n_samples = require_int("n_samples", n_samples, 2)  # importance: the stderr needs two
+    if rng is None:
+        rng = np.random.default_rng(0)
+    shape = params.kappa / 2.0
+    lam = np.sort(rng.gamma(shape, 1.0 / params.gamma, size=(n_samples, n)), axis=1)
+    logw = log_density_rows(params, lam) - _log_proposal_gamma(params, lam)
+    # Ties from sorting have density zero upward; drop -inf rows safely.
+    logw = np.where(np.isfinite(logw), logw, -np.inf)
+    peak = logw.max()
+    w = np.exp(logw - peak)
+    mean_w = w.mean()
+    est = peak + math.log(mean_w)
+    stderr = float(w.std(ddof=1) / (mean_w * math.sqrt(n_samples)))
+    return StatSummary(
+        f"logZ_importance(m={n_samples})",
+        est,
+        stderr,
+        (est - 1.96 * stderr, est + 1.96 * stderr),
+        n_samples,
+    )

@@ -209,7 +209,7 @@ class TestIntegratedSumPathsProbes:
             (0.1, (0.5, 0.0), "probe time t=0 is step 0 of dt=0.1, outside 1..1e+09"),
             (0.1, (-0.5,), "probe time t=-0.5 is step -5 of dt=0.1, outside 1..1e+09"),
             (1e-300, (1.0,), "probe time t=1 is step 1e+300 of dt=1e-300, outside 1..1e+09"),
-            (0.0, (1.0,), "dt must be > 0, got 0.0"),
+            (0.0, (1.0,), "dt must be finite and > 0, got 0.0"),
         ],
         ids=["off_grid", "zero", "negative", "past_step_bound", "zero_dt"],
     )

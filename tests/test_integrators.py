@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -358,6 +359,28 @@ class TestCEpsilonScheme:
         assert frac >= 0.95
         stopped = res.terminated_code == 1
         assert np.all(res.final_lambda[stopped, 0] <= cfg.epsilon + 1e-12)
+
+
+class TestRootOverflow:
+    @pytest.mark.parametrize("scheme, alpha", [(Scheme.ROOT_COORDINATES, 2.0),
+                                               (Scheme.C_EPSILON, 0.4)])
+    def test_lambda_past_the_largest_double_is_a_numerical_failure(self, scheme, alpha):
+        # Row 1's top coordinate starts at x = sqrt(1.5e308) = 1.22e154, and
+        # gamma = -2 grows x by about 1.2x per step: x stays finite, but
+        # lambda = x^2 does not.
+        p = ModelParams(alpha=alpha, beta=0.5, gamma=-2.0, n=2)
+        cfg = SimConfig(scheme=scheme, dt=0.1, horizon=1.0, seed=3, epsilon=0.05, paths=2)
+        initial = np.array([[1.0, 2.0], [1.0, 1.5e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = simulate_batch(p, cfg, initial=initial, event_levels=(1e-2,),
+                                 record_steps=every_step(cfg))
+        assert res.terminated(0) is not Terminated.NUMERICAL_FAILURE
+        assert res.terminated(1) is Terminated.NUMERICAL_FAILURE
+        assert res.stop_time[1] == pytest.approx(cfg.dt)
+        assert np.isfinite(res.final_lambda).all()
+        assert np.isfinite(res.trajectories).all()
+        np.testing.assert_allclose(res.final_lambda[1], initial[1], rtol=1e-15)
 
 
 class TestSimulatePath:

@@ -204,6 +204,14 @@ class TestDriftLambda:
         with pytest.raises(CoincidentCoordinates):
             drift_lambda(p, [1.0, 1.0])
 
+    @pytest.mark.parametrize("lam, shape", [([1.0, 2.0, 3.0], "(3,)"), ([[1.0, 2.0]], "(1, 2)"),
+                                            (1.0, "()")])
+    def test_wrong_shape_is_a_config_error(self, lam, shape):
+        p = ModelParams(alpha=2.0, beta=0.5, gamma=0.0, n=2)
+        with pytest.raises(ConfigError) as info:
+            drift_lambda(p, lam)
+        assert str(info.value) == f"lam must have shape (2,), got {shape}"
+
     def test_sum_identity_random_states(self):
         rng = np.random.default_rng(7)
         for _ in range(2000):

@@ -119,6 +119,18 @@ class TestRejectionSampler:
         with pytest.raises(NotEvaluable):
             rejection_sample_pair(ModelParams(2.0, 0.4, 1.0, 3), 10, np.random.default_rng(0))
 
+    @pytest.mark.parametrize(
+        "n_samples, message",
+        [(-1, "n_samples must be >= 1, got -1"), (0, "n_samples must be >= 1, got 0"),
+         (2.5, "n_samples must be an integer, got 2.5"),
+         (True, "n_samples must be an integer, got True")],
+        ids=["negative", "zero", "float", "bool"],
+    )
+    def test_bad_sample_count_is_a_config_error(self, n_samples, message):
+        with pytest.raises(ConfigError) as info:
+            rejection_sample_pair(P2, n_samples, np.random.default_rng(0))
+        assert str(info.value) == message
+
 
 class TestMhSampler:
     def test_sum_statistic_matches_gamma_law(self):
@@ -331,6 +343,23 @@ class TestLogNormalizer:
             p3, "importance", n_samples=150_000, rng=np.random.default_rng(14)
         )
         assert abs(q.estimate - i.estimate) <= 3 * math.hypot(q.stderr, i.stderr)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [(dict(method="bogus"), "method must be 'quadrature' or 'importance', got 'bogus'"),
+         (dict(method="quadrature", degree=0), "degree must be >= 2, got 0"),
+         (dict(method="quadrature", degree=1), "degree must be >= 2, got 1"),
+         (dict(method="quadrature", degree=20.0), "degree must be an integer, got 20.0"),
+         (dict(method="importance", n_samples=1), "n_samples must be >= 2, got 1"),
+         (dict(method="importance", n_samples=0), "n_samples must be >= 2, got 0"),
+         (dict(method="importance", n_samples=1e3), "n_samples must be an integer, got 1000.0")],
+        ids=["bogus_method", "degree_0", "degree_1", "degree_float", "one_sample",
+             "no_sample", "float_samples"],
+    )
+    def test_bad_argument_is_a_config_error(self, kwargs, message):
+        with pytest.raises(ConfigError) as info:
+            estimate_log_normalizer(P2, rng=np.random.default_rng(0), **kwargs)
+        assert str(info.value) == message
 
     def test_quadrature_needs_small_n(self):
         with pytest.raises(NotEvaluable):
