@@ -220,10 +220,11 @@ def _run(args):
 
 def cmd_simulate(args) -> int:
     values, params, config, initial, out = _run(args)
-    n_steps, stride = config.n_steps, values["record_stride"]
+    n_steps = config.n_steps
+    stride = min(values["record_stride"], n_steps)  # any longer stride records 0 and n_steps
     try:  # steps 0, stride, 2*stride, ... and the last; numpy refuses too many at once
-        steps = np.arange(0, n_steps + stride, stride)
-    except ValueError:
+        steps = np.arange(0, n_steps + stride, stride, dtype=np.int64)
+    except (ValueError, OverflowError):
         n_rec = -(-n_steps // stride) + 1
         raise ConfigError(f"a recording of {n_rec:.3g} steps does not fit in memory") from None
     steps[-1] = n_steps

@@ -534,10 +534,10 @@ def simulate_batch(
     stop, S_eps or zeta_eps, applies from the first step on and wins a tie
     with ``stop_on``.  ``record_steps`` lists the grid steps to keep, each
     an integer in 0..n_steps, strictly ascending; the k-th is row k of
-    ``trajectories`` and ``times``, and an empty list records nothing.  Other steps
-    are a ConfigError before the first step, and so are a batch or a
-    recording numpy cannot allocate and a run of more than ``MAX_STEPS``
-    steps.
+    ``trajectories`` and ``times``, and an empty list records nothing.
+    Other steps are a ConfigError before the first step, and so are a batch
+    or a recording numpy cannot allocate and a run of more than
+    ``MAX_STEPS`` steps.
 
     Each step advances only the rows still live, held packed in path order;
     a frozen row keeps its state, and the recording stays full-size.  A

@@ -82,6 +82,18 @@ class TestSimulateCommand:
         assert lines[1] == "path_id,t,lambda_1,lambda_2"
         assert lines[2].startswith("0,0.0,")
 
+    @pytest.mark.parametrize("stride", ["200", "9223372036854775807", str(10**30)],
+                             ids=["the_last_step", "int64_max", "past_int64"])
+    def test_a_stride_past_the_last_step_records_the_start_and_the_end(self, stride,
+                                                                       tmp_path, capsys):
+        args = ["simulate", "--paths", "2", "--dt", "1e-3", "--horizon", "0.2", "--seed", "5"]
+        assert run_cli(args + ["--record-stride", "199", "--out", str(tmp_path / "a")]) == 0
+        assert run_cli(args + ["--record-stride", stride, "--out", str(tmp_path / "b")]) == 0
+        rows = [(tmp_path / d / "trajectories.csv").read_text().splitlines()[2:] for d in "ab"]
+        # Stride 199 records steps 0, 199 and 200; a longer stride 0 and 200.
+        assert [r.split(",")[1] for r in rows[0]] == ["0.0", "0.199", "0.2"] * 2
+        assert rows[1] == [r for r in rows[0] if r.split(",")[1] != "0.199"]
+
     def test_config_file_with_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("alpha = 2.0\nbeta=0.5\ngamma=1.0\nn=2\npaths=1\n"

@@ -418,7 +418,7 @@ class TestSimulatePath:
             assert got.stop_time == want.stop_time
             assert np.array_equal(got.times, want.times[kept])
             assert np.array_equal(got.lambdas, want.lambdas[kept])
-        with pytest.raises(ConfigError, match="record_steps"):
+        with pytest.raises(ConfigError, match="^path_record needs a batch run with record_steps$"):
             simulate_batch(p, dataclasses.replace(cfg, paths=1)).path_record(0)
 
     def test_recorded_states_sorted_nonnegative_all_schemes(self):
