@@ -307,22 +307,23 @@ def cmd_phase_diagram(args) -> int:
     spec = values["sweep"]
     if not spec:
         raise ConfigError("sweep is not set: give --sweep or sweep= in --config")
-    grid = _parse_sweep(spec)
     initial = _initial(values, values["n"])
+    header = _header("phase-diagram", _run_fields(values, _SWEEP_FIELDS))
+    runs = []  # every point's model and configuration, built before the directory
+    for point in _parse_sweep(spec):
+        pv = {**values, **point}
+        params = _build(ModelParams, pv)
+        runs.append((params, _build(SimConfig, pv) if pv["paths"] > 0 else None))
     out = _out_dir(values)
     lines = [
-        _header("phase-diagram", _run_fields(values, _SWEEP_FIELDS)),
+        header,
         "alpha,beta,gamma,n,kappa,global_solution,pair_collisions,zero_hit_lambda1,"
         "collision_freq,collision_ci_low,collision_ci_high,"
         "zero_hit_freq,zero_hit_ci_low,zero_hit_ci_high",
     ]
-    for point in grid:
-        pv = dict(values)
-        pv.update(point)
-        params = _build(ModelParams, pv)
+    for params, config in runs:
         report = classify_regime(params)
-        if pv["paths"] > 0:
-            config = _build(SimConfig, pv)
+        if config is not None:
             res = simulate_batch(
                 params, config, initial=initial, event_levels=[config.collision_tol]
             )

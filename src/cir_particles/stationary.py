@@ -24,7 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln, roots_genlaguerre
+from scipy.special import eval_genlaguerre, gammainc, gammaln
+from scipy.special import gamma as gamma_function
 
 from .errors import ConfigError, NotEvaluable, RegimeMismatch, require_int
 from .model import GlobalSolution, ModelParams, classify_regime
@@ -86,13 +87,15 @@ def log_density_rows(params: ModelParams, lam: np.ndarray) -> np.ndarray:
     m, n = lam.shape
     power, gamma, beta = _density_coefficients(params)
     ok = (lam > 0.0).all(axis=1) & (np.diff(lam, axis=1) > 0.0).all(axis=1)
+    every = ok.all()
+    good = lam if every else lam[ok]  # no copy when every row is on the cone
+    val = power * np.log(good).sum(axis=1) - gamma * good.sum(axis=1)
+    i, j = np.triu_indices(n, k=1)
+    val += beta * np.log(good[:, j] - good[:, i]).sum(axis=1)
+    if every:
+        return val
     out = np.full(m, -np.inf)
-    if ok.any():
-        good = lam[ok]
-        val = power * np.log(good).sum(axis=1) - gamma * good.sum(axis=1)
-        i, j = np.triu_indices(n, k=1)
-        val += beta * np.log(good[:, j] - good[:, i]).sum(axis=1)
-        out[ok] = val
+    out[ok] = val
     return out
 
 
@@ -128,6 +131,10 @@ def _log_density_point(params: ModelParams):
     return log_density
 
 
+# Metropolis iterations per block of generator draws.
+_MH_BLOCK = 1024
+
+
 def mh_sampler(
     params: ModelParams,
     steps: int,
@@ -149,9 +156,12 @@ def mh_sampler(
     given, is one point of shape (n,) with positive density.
 
     The chain state is a list of Python floats, so an iteration costs a few
-    microseconds of scalar arithmetic.  Each iteration draws exactly one
-    ``rng.standard_normal(n)`` and then one ``rng.random()``; the chain is a
-    pure function of the generator state and the arguments.
+    microseconds of scalar arithmetic.  The noise is drawn in blocks of
+    ``_MH_BLOCK`` iterations, the last block holding what is left: each
+    block draws one ``rng.standard_normal((m, n))``, row k the perturbation
+    of its k-th iteration, and then one ``rng.random(m)``, whose ``np.log``
+    is that iteration's acceptance threshold.  The chain is a pure function
+    of the generator state and the arguments.
     """
     _require_evaluable(params)
     n = params.n
@@ -172,33 +182,43 @@ def mh_sampler(
         raise ConfigError(f"initial state has zero density: {x}")
 
     points = np.empty((steps, n))
-    normal = rng.standard_normal
-    uniform = rng.random
     accepted_window = 0
     window = 0
     kept = 0
     total_iters = burn_in + steps * thin
-    for it in range(total_iters):
-        noise = normal(n).tolist()
-        prop = sorted([xi + scale * zi for xi, zi in zip(x, noise)])
-        logq = log_density(prop)
-        if math.log(uniform()) < logq - logp:
-            x = prop
-            logp = logq
-            accepted_window += 1
-        window += 1
-        if it < burn_in:
-            if window == 100:
-                rate = accepted_window / window
-                scale *= math.exp(0.5 * (rate - 0.3))
-                scale = min(max(scale, 1e-4 / params.gamma), 100.0 / params.gamma)
-                accepted_window = 0
-                window = 0
-        else:
-            if (it - burn_in) % thin == thin - 1:
-                points[kept] = x
-                kept += 1
+    for start in range(0, total_iters, _MH_BLOCK):
+        m = min(_MH_BLOCK, total_iters - start)
+        noise_block = rng.standard_normal((m, n)).tolist()
+        with np.errstate(divide="ignore"):  # a uniform of 0.0 accepts any finite proposal
+            log_u_block = np.log(rng.random(m)).tolist()
+        for it, noise, log_u in zip(range(start, start + m), noise_block, log_u_block):
+            prop = sorted([xi + scale * zi for xi, zi in zip(x, noise)])
+            logq = log_density(prop)
+            if log_u < logq - logp:
+                x = prop
+                logp = logq
+                accepted_window += 1
+            window += 1
+            if it < burn_in:
+                if window == 100:
+                    rate = accepted_window / window
+                    scale *= math.exp(0.5 * (rate - 0.3))
+                    scale = min(max(scale, 1e-4 / params.gamma), 100.0 / params.gamma)
+                    accepted_window = 0
+                    window = 0
+            else:
+                if (it - burn_in) % thin == thin - 1:
+                    points[kept] = x
+                    kept += 1
     return SampleSet(points=points[:kept])
+
+
+def _sort_pairs(draws: np.ndarray) -> np.ndarray:
+    """``np.sort(draws, axis=1)`` of an (m, 2) block of non-NaN draws, by min and max."""
+    out = np.empty_like(draws)
+    np.minimum(draws[:, 0], draws[:, 1], out=out[:, 0])
+    np.maximum(draws[:, 0], draws[:, 1], out=out[:, 1])
+    return out
 
 
 def rejection_sample_pair(
@@ -221,7 +241,7 @@ def rejection_sample_pair(
     filled = 0
     while filled < n_samples:
         chunk = max(2 * (n_samples - filled), 1000)
-        lam = np.sort(rng.gamma(shape, 1.0 / eta, size=(chunk, 2)), axis=1)
+        lam = _sort_pairs(rng.gamma(shape, 1.0 / eta, size=(chunk, 2)))
         gap = lam[:, 1] - lam[:, 0]
         with np.errstate(divide="ignore"):
             log_acc = (
@@ -282,6 +302,30 @@ def compare_long_run(
     return out
 
 
+def _gauss_laguerre(degree: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Generalized Gauss-Laguerre nodes and weights for x^alpha e^{-x} on (0, inf).
+
+    The values of ``scipy.special.roots_genlaguerre(degree, alpha)``, bit for
+    bit, without the ``scipy.linalg`` import it makes on its first call:
+    Golub-Welsch eigenvalues of the Jacobi matrix by ``np.linalg.eigvalsh``,
+    then scipy's one Newton step and its log-balanced weight normalization.
+    """
+    k = np.arange(degree, dtype=float)
+    off = -np.sqrt(k[1:] * (k[1:] + alpha))
+    jacobi = np.diag(2.0 * k + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+    x = np.linalg.eigvalsh(jacobi)
+    y = eval_genlaguerre(degree, alpha, x)
+    dy = (degree * y - (degree + alpha) * eval_genlaguerre(degree - 1, alpha, x)) / x
+    x -= y / dy
+    fm = eval_genlaguerre(degree - 1, alpha, x)
+    for v in (fm, dy):  # the product fm * dy may over- or underflow
+        log_v = np.log(np.abs(v))
+        v /= np.exp((log_v.max() + log_v.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    w *= gamma_function(alpha + 1.0) / w.sum()
+    return x, w
+
+
 def _quadrature_log_normalizer(params: ModelParams, power: float, degree: int) -> float:
     """Tensor Gauss quadrature of the cone integral in (floor, gaps) variables.
 
@@ -293,14 +337,14 @@ def _quadrature_log_normalizer(params: ModelParams, power: float, degree: int) -
     n = params.n
     gamma = params.gamma
     beta = params.beta
-    t_nodes, t_weights = roots_genlaguerre(degree, power)
+    t_nodes, t_weights = _gauss_laguerre(degree, power)
     t_axis = t_nodes / (n * gamma)
     log_scale = -(power + 1.0) * math.log(n * gamma)
+    s_nodes, s_weights = _gauss_laguerre(degree, beta)
     gap_axes = []
     gap_weights = []
     for u in range(n - 1):
         mult = (n - 1 - u) * gamma
-        s_nodes, s_weights = roots_genlaguerre(degree, beta)
         gap_axes.append(s_nodes / mult)
         gap_weights.append(s_weights)
         log_scale += -(beta + 1.0) * math.log(mult)
@@ -385,7 +429,8 @@ def estimate_log_normalizer(
     if rng is None:
         rng = np.random.default_rng(0)
     shape = params.kappa / 2.0
-    lam = np.sort(rng.gamma(shape, 1.0 / params.gamma, size=(n_samples, n)), axis=1)
+    draws = rng.gamma(shape, 1.0 / params.gamma, size=(n_samples, n))
+    lam = _sort_pairs(draws) if n == 2 else np.sort(draws, axis=1)
     logw = log_density_rows(params, lam) - _log_proposal_gamma(params, lam)
     # Ties from sorting have density zero upward; drop -inf rows safely.
     logw = np.where(np.isfinite(logw), logw, -np.inf)

@@ -21,6 +21,14 @@ batch also starts a fifth of its rows near overflow, so that NaN columns
 meet the sort on both sides of those widths.  Its count line says how many
 batches the live width took through the network's row count and through 40.
 
+A third grid, printed with its own digest, covers the stationary layer:
+Metropolis chains at n = 2, 3 and 4, with the default and given starts,
+burn-ins and thinnings, whose runs end on a block boundary, inside the
+first block or inside a later one; rejection samples at three n = 2
+points; and both log-normalizer methods, quadrature at degrees 2 to 80 and
+importance sampling at n = 2, 3 and 4.  Its digest covers every sampled
+point and every field of each estimate.
+
 The file is named so that pytest does not collect it; it takes about ten
 seconds on one core of a 2-core Xeon.  ``--verbose`` prints one digest per
 batch, to find the first that differs.  The line before the digest counts
@@ -43,6 +51,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from cir_particles.integrators import Scheme, SimConfig, simulate_batch  # noqa: E402
 from cir_particles.model import ModelParams  # noqa: E402
+from cir_particles.stationary import (  # noqa: E402
+    estimate_log_normalizer, mh_sampler, rejection_sample_pair,
+)
 
 BETA, GAMMA = 0.5, 0.5
 # kappa = alpha - (n - 1) * beta; c_epsilon needs kappa < 0.
@@ -164,6 +175,53 @@ def _mixed_steps(res) -> int:
     return len(failed.intersection(res.stop_time[(code != HORIZON) & (code != FAIL)]))
 
 
+def _stationary_grid():
+    """(name, arrays) per case, each case computed as the grid is read."""
+    chains = (  # (alpha, beta, gamma, n), steps, keywords
+        ((2.0, 0.5, 1.0, 2), 300, dict(initial=[1.0, 2.0], burn_in=1000, thin=25)),
+        ((2.0, 0.5, 1.0, 2), 1000, dict(burn_in=24, thin=1)),  # ends on a block boundary
+        ((2.0, 0.5, 1.0, 2), 200, dict(burn_in=40, thin=3)),  # inside the first block
+        ((3.0, 0.6, 1.0, 3), 400, dict(initial=[0.5, 1.0, 4.0], thin=5)),
+        ((4.0, 0.4, 1.5, 4), 300, dict(thin=7)),
+    )
+    for i, (point, steps, kwargs) in enumerate(chains):
+        mh = mh_sampler(ModelParams(*point), steps, np.random.default_rng(200 + i), **kwargs)
+        yield f"mh {point} steps={steps} {kwargs}", [mh.points]
+    pairs = ((2.0, 0.5, 1.0, 2), (0.9, 0.2, 2.0, 2), (5.0, 1.5, 0.5, 2))
+    for i, point in enumerate(pairs):
+        lam = rejection_sample_pair(ModelParams(*point), 20_000, np.random.default_rng(210 + i))
+        yield f"rejection {point}", [lam]
+    for point in pairs[:2] + ((3.0, 0.6, 1.0, 3),):
+        for degree in (2, 3, 20, 80):
+            est = estimate_log_normalizer(ModelParams(*point), "quadrature", degree=degree)
+            yield f"quadrature {point} degree={degree}", _summary(est)
+    for i, point in enumerate(pairs[:2] + ((3.0, 0.6, 1.0, 3), (4.0, 0.4, 1.5, 4))):
+        est = estimate_log_normalizer(ModelParams(*point), "importance", n_samples=20_000,
+                                      rng=np.random.default_rng(220 + i))
+        yield f"importance {point}", _summary(est)
+
+
+def _summary(summary) -> list[np.ndarray]:
+    return [np.array([summary.estimate, summary.stderr, *summary.ci95, summary.n_samples])]
+
+
+def _run_stationary(verbose: bool):
+    """(digest over the cases, case count)."""
+    total = hashlib.sha256()
+    count = 0
+    for name, arrays in _stationary_grid():
+        h = hashlib.sha256()
+        for a in arrays:
+            a = np.ascontiguousarray(a)
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(a.tobytes())
+        total.update(h.hexdigest().encode())
+        count += 1
+        if verbose:
+            print(h.hexdigest()[:16], name)
+    return total.hexdigest(), count
+
+
 def _run(grid, verbose: bool):
     """(digest over the batches, batch count, stop status counts, results)."""
     total = hashlib.sha256()
@@ -194,6 +252,9 @@ def main(argv: list[str]) -> int:
     check = sum(_crossed(res, CHECK_FROM) for res in results)
     print(f"{batches} cutoff batches, stops: {stops}, crossing the network's row count: "
           f"{network}, crossing {CHECK_FROM}: {check}")
+    print(f"sha256 {digest}")
+    digest, cases = _run_stationary(verbose)
+    print(f"{cases} stationary cases")
     print(f"sha256 {digest}")
     return 0
 

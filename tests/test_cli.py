@@ -599,6 +599,25 @@ class TestExitCodeContract:
         assert not (tmp_path / "out" / artifact).exists()
 
 
+    @pytest.mark.parametrize(
+        "extra, line",
+        [(["--sweep", "alpha=2.6", "--epsilon", "-1"], "config error: epsilon "),
+         (["--sweep", "alpha=2.6", "--record-stride", "0"],
+          "config error: record_stride must be >= 1, got 0"),
+         (["--sweep", "alpha=2.6,-1"], "config error: alpha must be >= 0, got -1.0")],
+        ids=["epsilon_negative", "record_stride_0", "sweep_alpha_negative"],
+    )
+    def test_phase_diagram_config_error_makes_no_directory(self, extra, line, tmp_path,
+                                                           capsys):
+        # Every point's configuration is built before the output directory,
+        # the last point's too.
+        argv = ["phase-diagram", "--paths", "2", *extra, "--out", str(tmp_path / "d")]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(line) and err.count("\n") == 1
+        assert not (tmp_path / "d").exists()
+
+
 class TestRunTooBigForMemory:
     """A run that cannot be allocated exits 1 with one line, not a traceback."""
 

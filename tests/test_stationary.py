@@ -1,6 +1,11 @@
 """Stationary density, MH sampler, normalizer estimates, long-run comparison."""
 
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +26,7 @@ from cir_particles import (
     mh_sampler,
     rejection_sample_pair,
 )
-from cir_particles.stationary import _log_density_point, log_density_rows
+from cir_particles.stationary import _gauss_laguerre, _log_density_point, log_density_rows
 
 P2 = ModelParams(alpha=2.0, beta=0.5, gamma=1.0, n=2)
 
@@ -204,6 +209,33 @@ class TestMhSampler:
         with pytest.raises(ConfigError, match=match):
             mh_sampler(P2, steps, np.random.default_rng(0), **kwargs)
 
+    def test_uniform_of_zero_accepts_every_on_cone_proposal(self):
+        # A generator may return exactly 0.0 from ``random``; its log is -inf,
+        # which accepts any proposal of finite density and no other.
+        class ZeroUniforms:
+            def __init__(self, seed):
+                self._rng = np.random.default_rng(seed)
+
+            def standard_normal(self, size=None):
+                return self._rng.standard_normal(size)
+
+            def random(self, size=None):
+                return 0.0 if size is None else np.zeros(size)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mh_sampler(P2, 50, ZeroUniforms(33), initial=[1.0, 2.0], burn_in=0).points
+        noise = np.random.default_rng(33).standard_normal((50, 2))
+        x = np.array([1.0, 2.0])
+        moved = 0
+        for k, z in enumerate(noise):
+            prop = np.sort(x + 0.5 * z)
+            if np.isfinite(log_density_rows(P2, prop)[0]):
+                x = prop
+                moved += 1
+            assert np.array_equal(got[k], x)
+        assert 0 < moved < 50  # both branches are taken
+
     @pytest.mark.parametrize("initial", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]])
     def test_initial_shape_checked(self, initial):
         with pytest.raises(ConfigError, match="shape"):
@@ -218,11 +250,17 @@ class TestMhSampler:
             mh_sampler(P2, 10, np.random.default_rng(0), initial=initial)
 
 
+# Iterations per block of generator draws in ``mh_sampler``.
+MH_BLOCK = 1024
+
+
 def reference_mh_points(params, steps, rng, *, initial=None, burn_in=None, thin=1):
     """The array-based Metropolis loop that ``mh_sampler`` replaced.
 
     One (1, n) row through ``log_density_rows`` per proposal; kept here so
-    the scalar sampler can be held to the same chains bit for bit.
+    the scalar sampler can be held to the same chains bit for bit.  It draws
+    the noise as the sampler does: per block of ``MH_BLOCK`` iterations (the
+    last one shorter), one (m, n) normal block and then m uniforms.
     """
     n = params.n
     if burn_in is None:
@@ -237,10 +275,16 @@ def reference_mh_points(params, steps, rng, *, initial=None, burn_in=None, thin=
     accepted_window = 0
     window = 0
     kept = 0
-    for it in range(burn_in + steps * thin):
-        prop = np.sort(x + scale * rng.standard_normal(n))
+    total_iters = burn_in + steps * thin
+    for it in range(total_iters):
+        k = it % MH_BLOCK
+        if k == 0:
+            normals = rng.standard_normal((min(MH_BLOCK, total_iters - it), n))
+            with np.errstate(divide="ignore"):
+                log_uniforms = np.log(rng.random(normals.shape[0]))
+        prop = np.sort(x + scale * normals[k])
         logq = log_density_rows(params, prop[None, :])[0]
-        if math.log(rng.random()) < logq - logp:
+        if log_uniforms[k] < logq - logp:
             x = prop
             logp = logq
             accepted_window += 1
@@ -277,13 +321,15 @@ class TestScalarSamplerMatchesArrayLoop:
         assert got.shape == (300, params.n)
         assert np.array_equal(got, want)
 
-    def test_consumes_one_normal_row_and_one_uniform_per_iteration(self):
+    def test_consumes_a_normal_block_then_a_uniform_block_per_block(self):
+        # 2000 + 10 * 2 = 2020 iterations: one full block and a short last one.
         rng = np.random.default_rng(32)
-        mh_sampler(P2, 10, rng, burn_in=20, thin=2)
+        mh_sampler(P2, 10, rng, burn_in=2000, thin=2)
         twin = np.random.default_rng(32)
-        for _ in range(20 + 10 * 2):
-            twin.standard_normal(2)
-            twin.random()
+        for m in (MH_BLOCK, 2020 - MH_BLOCK):
+            twin.standard_normal((m, 2))
+            twin.random(m)
+        assert rng.bit_generator.state == twin.bit_generator.state
         assert rng.random() == twin.random()
 
 
@@ -366,6 +412,56 @@ class TestLogNormalizer:
             estimate_log_normalizer(
                 ModelParams(4.0, 0.4, 1.0, 4), "quadrature", degree=20
             )
+
+
+class TestStationaryLevers:
+    """The faster forms of the oracles' building blocks give the same bits."""
+
+    @pytest.mark.parametrize("degree", [40, 80])
+    @pytest.mark.parametrize("alpha", [-0.9, -0.45, -0.25, 0.0, 0.25, 0.5, 1.3, 3.0])
+    def test_gauss_laguerre_equals_scipy_bitwise(self, degree, alpha):
+        from scipy.special import roots_genlaguerre
+
+        x, w = _gauss_laguerre(degree, alpha)
+        x_ref, w_ref = roots_genlaguerre(degree, alpha)
+        assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+
+    def test_quadrature_does_not_import_scipy_linalg(self):
+        code = (
+            "import sys\n"
+            "from cir_particles import ModelParams, estimate_log_normalizer\n"
+            "estimate_log_normalizer(ModelParams(3.0, 0.6, 1.0, 3), 'quadrature', degree=20)\n"
+            "print('scipy.linalg' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    @staticmethod
+    def _with_np_sort(monkeypatch):
+        from cir_particles import stationary
+
+        monkeypatch.setattr(stationary, "_sort_pairs", lambda draws: np.sort(draws, axis=1))
+
+    def test_rejection_sampler_equals_np_sort_reference(self, monkeypatch):
+        got = rejection_sample_pair(P2, 20_000, np.random.default_rng(102))
+        self._with_np_sort(monkeypatch)
+        want = rejection_sample_pair(P2, 20_000, np.random.default_rng(102))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("point", [(2.0, 0.5, 1.0, 2), (0.9, 0.2, 2.0, 2)],
+                             ids=["c2", "small_kappa"])
+    def test_importance_estimate_equals_np_sort_reference(self, point, monkeypatch):
+        params = ModelParams(*point)
+        got = estimate_log_normalizer(params, "importance", n_samples=50_000,
+                                      rng=np.random.default_rng(15))
+        self._with_np_sort(monkeypatch)
+        want = estimate_log_normalizer(params, "importance", n_samples=50_000,
+                                       rng=np.random.default_rng(15))
+        assert (got.estimate, got.stderr) == (want.estimate, want.stderr)
 
 
 class TestCompareLongRun:
