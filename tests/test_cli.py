@@ -598,7 +598,6 @@ class TestExitCodeContract:
         assert "Traceback" not in err
         assert not (tmp_path / "out" / artifact).exists()
 
-
     @pytest.mark.parametrize(
         "extra, line",
         [(["--sweep", "alpha=2.6", "--epsilon", "-1"], "config error: epsilon "),
